@@ -112,25 +112,6 @@ def measure_ber_curves(
     return curves
 
 
-def measure_ber_curve(
-    chip: FlashChip,
-    block: int,
-    page: int,
-    bits: np.ndarray,
-    key,
-    threshold: float,
-    guard: float,
-    max_steps: int,
-    pp_fraction: float = STANDARD_CONFIG.pp_fraction,
-) -> List[float]:
-    """Single-page convenience wrapper around :func:`measure_ber_curves`."""
-    curves = measure_ber_curves(
-        chip, block, [page], [bits], key, threshold, guard, max_steps,
-        pp_fraction=pp_fraction,
-    )
-    return list(curves[0])
-
-
 def _config_unit(
     interval: int,
     bits_count: int,

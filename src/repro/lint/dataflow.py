@@ -239,7 +239,7 @@ class ClassModel:
     #: ``self.<attr> = SomeClass(...)`` facts: attr -> class key.
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: Methods referenced (not called) from class-level dispatch tables
-    #: like ``_HANDLERS = {Op.READ: _op_read, ...}``.
+    #: like ``_HANDLERS = {Op.ERASE: _op_erase, ...}``.
     table_methods: Set[str] = field(default_factory=set)
 
 
@@ -364,14 +364,6 @@ class CallGraph:
                 return (module, info)
             return None
         return None
-
-    def _dotted_hits_project(self, dotted: str) -> bool:
-        """Whether a dotted origin starts inside a project module."""
-        parts = dotted.split(".")
-        for i in range(len(parts), 0, -1):
-            if ".".join(parts[:i]) in self.project.modules:
-                return True
-        return False
 
     def _method_on_class(
         self, key: str, attr: str, _depth: int = 0

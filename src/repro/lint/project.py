@@ -343,9 +343,9 @@ class Project:
     def __init__(self, root: Path, modules: Dict[str, ModuleInfo]) -> None:
         self.root = root
         self.modules = modules
-        #: scratch space for expensive cross-module analyses (the wire
-        #: model, the lock graph) computed lazily by the rules that need
-        #: them and shared across the rule set for one run
+        #: scratch space for expensive cross-module analyses (the lock
+        #: graph) computed lazily by the rules that need them and shared
+        #: across the rule set for one run
         self.analysis_cache: Dict[str, object] = {}
         #: bare function name -> [(module, function info)]
         self.functions_by_name: Dict[
@@ -478,9 +478,6 @@ class Project:
 
         self._reachable = compute_reachable(self)
         return self._reachable
-
-    def is_parallel_reachable(self, modname: str, qualname: str) -> bool:
-        return (modname, qualname) in self.parallel_reachable()
 
 
 def module_name_for(root: Path, path: Path) -> Optional[str]:

@@ -18,6 +18,11 @@ provides (§6.1-§6.2):
 * a wall clock (:meth:`advance_time`) that drives the retention model; the
   accelerated-bake emulation in :mod:`repro.nand.bake` advances it.
 
+Reads, probes and programs run as ``(block, page)`` location-list kernels
+(:meth:`read_locations`, :meth:`probe_voltages_locations`,
+:meth:`program_locations`); the page and same-block forms are thin
+rewrites in :class:`PageOps`, shared with the wire client.
+
 Determinism: a chip is fully determined by ``(geometry, params, seed)``.
 Distinct seeds model distinct physical samples of the same chip model — the
 paper's "four flash chip samples from the same model" are four seeds.
@@ -80,40 +85,28 @@ def as_bits(geometry: ChipGeometry, data: DataLike) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
-def check_pages(
-    geometry: ChipGeometry, block: int, pages: Sequence[int]
-) -> np.ndarray:
-    """Validate a per-block page batch (pure in geometry and inputs).
+def stack_payloads(geometry: ChipGeometry, data, count: int) -> np.ndarray:
+    """Canonicalise `count` program payloads into a ``(count, cells)`` array.
 
-    Shared by the in-process batch ops and the wire client, so both
-    sides reject a malformed batch with the same error in the same
-    order.
+    Shared, like :func:`as_bits`, by the in-process chip and the wire
+    client, so both reject a payload list with the same error.
     """
-    pages = np.asarray(pages, dtype=np.int64)
-    if pages.ndim != 1 or pages.size == 0:
-        raise AddressError("pages must be a non-empty 1-D sequence")
-    out_of_range = (pages < 0) | (pages >= geometry.pages_per_block)
-    if out_of_range.any():
-        # Delegate to check_page for the first offender in list order,
-        # so the error message matches the serial loop's exactly.
-        first = int(pages[int(np.argmax(out_of_range))])
-        geometry.check_page(block, first)
-    else:
-        geometry.check_block(block)
-    ordered = np.sort(pages)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise AddressError("batched pages must be distinct")
-    return pages
+    payloads = list(data)
+    if len(payloads) != count:
+        raise ProgramError(
+            f"got {len(payloads)} payloads for {count} locations"
+        )
+    return np.stack([as_bits(geometry, payload) for payload in payloads])
 
 
 def check_locations(geometry: ChipGeometry, locations: Sequence) -> list:
-    """Validate a cross-block location batch -> ``[(block, page)]``.
+    """Validate a location batch -> ``[(block, page)]``.
 
-    Mirrors :func:`check_pages`: bounds errors delegate to
-    ``check_page`` for the first offender in list order, duplicates are
-    rejected (the serial loops these mirror never legally touch the
-    same location twice in one batch).  Pure in geometry and inputs —
-    shared by the in-process chip and the wire client.
+    Bounds errors come from ``check_page`` for the first offender in
+    list order, so the message matches the serial loop's exactly;
+    duplicates are rejected (the serial loops these mirror never legally
+    touch the same location twice in one batch).  Pure in geometry and
+    inputs — shared by the in-process chip and the wire client.
     """
     locs = [(int(block), int(page)) for block, page in locations]
     if not locs:
@@ -188,7 +181,81 @@ _OBS_OP_COUNTERS = {
 }
 
 
-class FlashChip:
+class PageOps:
+    """Page and same-block forms of the three location kernels.
+
+    ``read_locations``, ``probe_voltages_locations`` and
+    ``program_locations`` are the whole data plane; each form here
+    rewrites its call into a ``(block, page)`` list, so
+    :class:`FlashChip` and :class:`repro.onfi.RemoteChip` share one copy.
+    A one-location kernel call is bit-identical to a single-page op:
+    same output, counters, stored voltages and read-disturb exposure.
+    """
+
+    geometry: ChipGeometry
+
+    def read_page(
+        self, block: int, page: int, threshold: Optional[float] = None
+    ) -> np.ndarray:
+        """Read a page as a bit array (1 = low voltage).
+
+        With the default threshold this is a standard SLC read.  Passing an
+        explicit `threshold` models the vendor's reference-voltage-shift
+        command; VT-HI decodes hidden bits by reading at the hiding
+        threshold (§5.3).
+        """
+        return self.read_locations([(block, page)], threshold=threshold)[0]
+
+    def read_pages(
+        self,
+        block: int,
+        pages: Sequence[int],
+        threshold: Optional[float] = None,
+    ) -> np.ndarray:
+        """Read many pages of one block as a ``(len(pages), cells)`` array."""
+        return self.read_locations(
+            [(block, page) for page in pages], threshold=threshold
+        )
+
+    def read_page_bytes(self, block: int, page: int) -> bytes:
+        """Standard read returning packed bytes."""
+        return np.packbits(self.read_page(block, page)).tobytes()
+
+    def probe_voltages(self, block: int, page: int) -> np.ndarray:
+        """Measure per-cell voltages in normalised units (uint8, 0-255).
+
+        Negative analog voltages read as 0 — the interface "only allows
+        measurement of positive voltage in discrete normalized units"
+        (§4 footnote 1).  Costs one read operation.
+        """
+        return self.probe_voltages_locations([(block, page)])[0]
+
+    def probe_voltages_batch(
+        self, block: int, pages: Sequence[int]
+    ) -> np.ndarray:
+        """Per-cell voltages of many pages, shape ``(len(pages), cells)``."""
+        return self.probe_voltages_locations([(block, page) for page in pages])
+
+    def program_page(self, block: int, page: int, data: DataLike) -> None:
+        """Program public data into an erased page.
+
+        `data` is either ``page_bytes`` bytes or a bit array of
+        ``cells_per_page`` 0/1 values.  Bit value 1 leaves the cell erased;
+        bit value 0 charges it to the programmed distribution (§5.3: "flash
+        cells typically use low voltage levels to store a '1'").
+        """
+        self.program_locations([(block, page)], [data])
+
+    def program_pages(self, block: int, pages: Sequence[int], data) -> None:
+        """Program many erased pages of one block.
+
+        `data` is a ``(len(pages), cells_per_page)`` bit array or a
+        sequence of per-page :data:`DataLike` payloads.
+        """
+        self.program_locations([(block, page) for page in pages], data)
+
+
+class FlashChip(PageOps):
     """A simulated NAND flash package (SLC view)."""
 
     def __init__(
@@ -318,95 +385,94 @@ class FlashChip:
         levels = self._page_levels_batch(state, pages)
         sample_erased_batch(rngs, levels, state.voltages)
 
-    def program_page(self, block: int, page: int, data: DataLike) -> None:
-        """Program public data into an erased page.
+    # ------------------------------------------------------------------
+    # location kernels
+    #
+    # The data plane: ``(block, page)`` location lists, spanning blocks
+    # so a fleet-style service can coalesce requests from many tenants
+    # into one call.  All mutable operation state (voltages, exposure,
+    # latent caches) lives on ``BlockState``, so operations on distinct
+    # blocks commute exactly, and within one call every location is
+    # distinct — each call is bit-identical to the serial loop of
+    # one-location calls in list order, counters included.
 
-        `data` is either ``page_bytes`` bytes or a bit array of
-        ``cells_per_page`` 0/1 values.  Bit value 1 leaves the cell erased;
-        bit value 0 charges it to the programmed distribution (§5.3: "flash
-        cells typically use low voltage levels to store a '1'").
-        """
-        bits = self._as_bits(data)
-        state = self._block(block)
-        self.geometry.check_page(block, page)
-        if state.bad:
-            raise ProgramError(f"block {block} is marked bad")
-        if state.page_programmed[page]:
-            raise ProgramError(
-                f"page {page} of block {block} already programmed; "
-                "NAND requires erase before reprogram"
-            )
-        self._program_rows(state, block, [page], bits[np.newaxis, :])
-        self._account("program")
-
-    def read_page(
+    def read_locations(
         self,
-        block: int,
-        page: int,
+        locations: Sequence,
         threshold: Optional[float] = None,
     ) -> np.ndarray:
-        """Read a page as a bit array (1 = low voltage).
-
-        With the default threshold this is a standard SLC read.  Passing an
-        explicit `threshold` models the vendor's reference-voltage-shift
-        command; VT-HI decodes hidden bits by reading at the hiding
-        threshold (§5.3).
-        """
-        state = self._block(block)
-        self.geometry.check_page(block, page)
+        """Read many ``(block, page)`` locations as a bit array."""
+        locs = check_locations(self.geometry, locations)
         if threshold is None:
             threshold = self.params.voltage.slc_threshold
-        voltages = self._effective_voltages(state, page)
-        bits = (voltages < threshold).astype(np.uint8)
-        flip = self._disturb_mask(state, page)
-        if flip.any():
-            bits[flip] ^= 1
-        # Read disturb: every read slightly raises future error exposure.
-        state.page_exposure[page] += self.params.disturb.read_flip_prob
-        self._account("read")
+        prob = self.params.disturb.read_flip_prob
+        cells = self.geometry.cells_per_page
+        bits = np.empty((len(locs), cells), dtype=np.uint8)
+        for i, (block, page) in enumerate(locs):
+            state = self._block(block)
+            row = bits[i]
+            # Compare straight into the row: a bool view stores 0/1 bytes.
+            voltages = self._effective_voltages(state, page)
+            np.less(voltages, threshold, out=row.view(np.bool_))
+            flip = self._disturb_mask(state, page)
+            if flip.any():
+                row[flip] ^= 1
+            # Read disturb: every read slightly raises its own page's
+            # future error exposure — after its own mask, and locations
+            # are distinct, so each mask sees the serial loop's exposure.
+            state.page_exposure[page] += prob
+        self._account("read", len(locs))
         return bits
 
-    def read_page_bytes(self, block: int, page: int) -> bytes:
-        """Standard read returning packed bytes."""
-        return np.packbits(self.read_page(block, page)).tobytes()
+    def probe_voltages_locations(self, locations: Sequence) -> np.ndarray:
+        """Per-cell voltages of many ``(block, page)`` locations.
 
-    # ------------------------------------------------------------------
-    # batched operations
-    #
-    # Each batch op is bit-identical to calling its single-page
-    # counterpart once per page, in list order, and accounts the same
-    # operation counts/time/energy — it only removes the per-page Python
-    # dispatch and performs the array work in one numpy pass over
-    # ``BlockState.voltages``.  Pages must be distinct (the serial loops
-    # these mirror never legally touch a page twice).
-
-    def program_pages(
-        self, block: int, pages: Sequence[int], data
-    ) -> None:
-        """Program public data into many erased pages of one block.
-
-        `data` is a ``(len(pages), cells_per_page)`` bit array or a
-        sequence of per-page :data:`DataLike` payloads.  Equivalent to
-        ``for p, d in zip(pages, data): program_page(block, p, d)``.
+        The vendor probe command (§6.1), in normalised uint8 units; one
+        read operation is accounted per location probed.
         """
-        pages = self._check_pages(block, pages)
-        state = self._block(block)
-        if state.bad:
-            raise ProgramError(f"block {block} is marked bad")
-        if state.page_programmed[pages].any():
+        locs = check_locations(self.geometry, locations)
+        cells = self.geometry.cells_per_page
+        voltages = np.empty((len(locs), cells), dtype=np.float32)
+        for i, (block, page) in enumerate(locs):
+            voltages[i] = self._effective_voltages(self._block(block), page)
+        self._account("read", len(locs))
+        quantised = np.clip(
+            np.rint(voltages), 0, self.params.voltage.probe_max
+        )
+        return quantised.astype(np.uint8)
+
+    def program_locations(self, locations: Sequence, data) -> None:
+        """Program public data at many ``(block, page)`` locations.
+
+        Equivalent to programming each location in list order, except
+        every location is validated before any cell is touched.
+        Locations are grouped per block (in first-appearance order,
+        preserving each block's internal list order) and run through the
+        block program kernel; the grouping is sound because blocks share
+        no mutable state.
+        """
+        locs = check_locations(self.geometry, locations)
+        all_bits = stack_payloads(self.geometry, data, len(locs))
+        grouped: Dict[int, list] = {}
+        for i, (block, page) in enumerate(locs):
+            grouped.setdefault(block, []).append(i)
+        for block, indices in grouped.items():
+            state = self._block(block)
+            if state.bad:
+                raise ProgramError(f"block {block} is marked bad")
+            pages = [locs[i][1] for i in indices]
             already = [int(p) for p in pages if state.page_programmed[p]]
-            raise ProgramError(
-                f"pages {already} of block {block} already programmed; "
-                "NAND requires erase before reprogram"
+            if already:
+                raise ProgramError(
+                    f"pages {already} of block {block} already programmed; "
+                    "NAND requires erase before reprogram"
+                )
+        for block, indices in grouped.items():
+            pages = [locs[i][1] for i in indices]
+            self._program_rows(
+                self._block(block), block, pages, all_bits[indices]
             )
-        data = list(data)
-        if len(data) != len(pages):
-            raise ProgramError(
-                f"got {len(data)} payloads for {len(pages)} pages"
-            )
-        all_bits = np.stack([self._as_bits(d) for d in data])
-        self._program_rows(state, block, pages, all_bits)
-        self._account("program", len(pages))
+        self._account("program", len(locs))
 
     def _program_rows(
         self,
@@ -415,13 +481,13 @@ class FlashChip:
         pages: Sequence[int],
         all_bits: np.ndarray,
     ) -> None:
-        """Shared program kernel for the scalar and batched entry points.
+        """The block program kernel behind :meth:`program_locations`.
 
         Only the '0' cells of each page draw randomness: bit value 1
         leaves the cell at the erased-state voltage the opening erase
         already established (the levels match — PEC changes only through
-        erase).  Per-page RNG substreams keep any batch shape, including
-        the one-row batches :meth:`program_page` issues, bit-identical.
+        erase).  Per-page RNG substreams keep any batch shape, one-row
+        batches included, bit-identical.
         """
         page_list = [int(p) for p in pages]
         rngs = self._kernel_rngs(
@@ -438,190 +504,12 @@ class FlashChip:
         state.page_epoch[index] = state.erase_epoch
         for page in page_list:
             state.invalidate_page_voltages(page)
-        self._expose_neighbours_batch(
+        self._expose_neighbours(
             state, page_list, self.params.disturb.program_flip_prob
-        )
-
-    def probe_voltages_batch(
-        self, block: int, pages: Sequence[int]
-    ) -> np.ndarray:
-        """Per-cell voltages of many pages, shape ``(len(pages), cells)``.
-
-        Equivalent to stacking :meth:`probe_voltages` per page; one read
-        operation is accounted per page probed.
-        """
-        pages = self._check_pages(block, pages)
-        state = self._block(block)
-        voltages = self._effective_voltages_batch(state, pages)
-        self._account("read", len(pages))
-        quantised = np.clip(
-            np.rint(voltages), 0, self.params.voltage.probe_max
-        )
-        return quantised.astype(np.uint8)
-
-    def read_pages(
-        self,
-        block: int,
-        pages: Sequence[int],
-        threshold: Optional[float] = None,
-    ) -> np.ndarray:
-        """Read many pages as a ``(len(pages), cells)`` bit array.
-
-        Equivalent to stacking :meth:`read_page` per page (disturb masks
-        are computed against each page's pre-read exposure, exactly as the
-        serial loop over distinct pages does).
-        """
-        pages = self._check_pages(block, pages)
-        state = self._block(block)
-        if threshold is None:
-            threshold = self.params.voltage.slc_threshold
-        voltages = self._effective_voltages_batch(state, pages)
-        bits = (voltages < threshold).astype(np.uint8)
-        for i, page in enumerate(pages):
-            flip = self._disturb_mask(state, int(page))
-            if flip.any():
-                # xor through the row view: in-place on 1-D, instead of
-                # the much slower (int, bool-mask) 2-D fancy assignment.
-                bits[i][flip] ^= 1
-        state.page_exposure[pages] += self.params.disturb.read_flip_prob
-        self._account("read", len(pages))
-        return bits
-
-    # ------------------------------------------------------------------
-    # cross-block batched operations
-    #
-    # The per-block batch ops above amortise Python dispatch across the
-    # pages of ONE block; a fleet-style service coalesces requests from
-    # many tenants, each owning a different block, so these variants take
-    # ``(block, page)`` location lists spanning blocks.  Soundness is the
-    # same argument one level up: all mutable operation state (voltages,
-    # exposure, latent caches) lives on ``BlockState``, so operations on
-    # distinct blocks commute exactly, and within one call every location
-    # is distinct — each batch is bit-identical to the serial loop over
-    # its locations in list order.
-
-    def _check_locations(
-        self, locations: Sequence
-    ) -> list:
-        return check_locations(self.geometry, locations)
-
-    def read_locations(
-        self,
-        locations: Sequence,
-        threshold: Optional[float] = None,
-    ) -> np.ndarray:
-        """Read many ``(block, page)`` locations as a bit array.
-
-        The cross-block counterpart of :meth:`read_pages`: equivalent to
-        stacking ``read_page(block, page, threshold)`` per location in
-        list order.  Disturb masks are computed against each page's
-        pre-read exposure exactly as the serial loop over distinct
-        locations does (a read only bumps its *own* page's exposure).
-        """
-        locs = self._check_locations(locations)
-        if threshold is None:
-            threshold = self.params.voltage.slc_threshold
-        states = {block: self._block(block) for block, _ in locs}
-        voltages = np.stack(
-            [self._effective_voltages(states[b], p) for b, p in locs]
-        )
-        bits = (voltages < threshold).astype(np.uint8)
-        for i, (block, page) in enumerate(locs):
-            flip = self._disturb_mask(states[block], page)
-            if flip.any():
-                bits[i][flip] ^= 1
-        prob = self.params.disturb.read_flip_prob
-        for block, page in locs:
-            states[block].page_exposure[page] += prob
-        self._account("read", len(locs))
-        return bits
-
-    def probe_voltages_locations(self, locations: Sequence) -> np.ndarray:
-        """Per-cell voltages of many ``(block, page)`` locations.
-
-        The cross-block counterpart of :meth:`probe_voltages_batch`:
-        equivalent to stacking :meth:`probe_voltages` per location; one
-        read operation is accounted per location probed.
-        """
-        locs = self._check_locations(locations)
-        states = {block: self._block(block) for block, _ in locs}
-        voltages = np.stack(
-            [self._effective_voltages(states[b], p) for b, p in locs]
-        )
-        self._account("read", len(locs))
-        quantised = np.clip(
-            np.rint(voltages), 0, self.params.voltage.probe_max
-        )
-        return quantised.astype(np.uint8)
-
-    def program_locations(self, locations: Sequence, data) -> None:
-        """Program public data at many ``(block, page)`` locations.
-
-        Equivalent to ``for (b, p), d in zip(locations, data):
-        program_page(b, p, d)``, except every location is validated
-        before any cell is touched.  Locations are grouped per block (in
-        first-appearance order, preserving each block's internal list
-        order) and run through the block program kernel; the grouping is
-        sound because blocks share no mutable state.
-        """
-        locs = self._check_locations(locations)
-        payloads = list(data)
-        if len(payloads) != len(locs):
-            raise ProgramError(
-                f"got {len(payloads)} payloads for {len(locs)} locations"
-            )
-        grouped: Dict[int, list] = {}
-        for i, (block, page) in enumerate(locs):
-            grouped.setdefault(block, []).append(i)
-        for block, indices in grouped.items():
-            state = self._block(block)
-            if state.bad:
-                raise ProgramError(f"block {block} is marked bad")
-            pages = [locs[i][1] for i in indices]
-            already = [int(p) for p in pages if state.page_programmed[p]]
-            if already:
-                raise ProgramError(
-                    f"pages {already} of block {block} already programmed; "
-                    "NAND requires erase before reprogram"
-                )
-        for block, indices in grouped.items():
-            state = self._block(block)
-            pages = [locs[i][1] for i in indices]
-            all_bits = np.stack(
-                [self._as_bits(payloads[i]) for i in indices]
-            )
-            self._program_rows(state, block, pages, all_bits)
-        self._account("program", len(locs))
-
-    def _check_pages(self, block: int, pages: Sequence[int]) -> np.ndarray:
-        return check_pages(self.geometry, block, pages)
-
-    def _effective_voltages_batch(
-        self, state: BlockState, pages: np.ndarray
-    ) -> np.ndarray:
-        """Stacked :meth:`_effective_voltages` rows for distinct pages."""
-        return np.stack(
-            [self._effective_voltages(state, int(page)) for page in pages]
         )
 
     # ------------------------------------------------------------------
     # vendor (NDA) operations
-
-    def probe_voltages(self, block: int, page: int) -> np.ndarray:
-        """Measure per-cell voltages in normalised units (uint8, 0-255).
-
-        Negative analog voltages read as 0 — the interface "only allows
-        measurement of positive voltage in discrete normalized units"
-        (§4 footnote 1).  Costs one read operation.
-        """
-        state = self._block(block)
-        self.geometry.check_page(block, page)
-        voltages = self._effective_voltages(state, page)
-        self._account("read")
-        quantised = np.clip(
-            np.rint(voltages), 0, self.params.voltage.probe_max
-        )
-        return quantised.astype(np.uint8)
 
     def partial_program(
         self,
@@ -672,7 +560,7 @@ class FlashChip:
         state.invalidate_page_voltages(page)
         state.page_pp_pulses[page] += 1
         self._expose_neighbours(
-            state, page, self.params.disturb.pp_flip_prob * fraction
+            state, [page], self.params.disturb.pp_flip_prob * fraction
         )
         self._account("partial_program")
 
@@ -722,9 +610,6 @@ class FlashChip:
 
     # ------------------------------------------------------------------
     # internals
-
-    def _as_bits(self, data: DataLike) -> np.ndarray:
-        return as_bits(self.geometry, data)
 
     def _page_levels(self, state: BlockState, page: int) -> PageLevels:
         return page_levels(
@@ -930,44 +815,21 @@ class FlashChip:
             _OBS_OP_COUNTERS["erase"].inc(cycles - 1)
 
     def _expose_neighbours(
-        self, state: BlockState, page: int, flip_prob: float
-    ) -> None:
-        if flip_prob <= 0:
-            return
-        distance = self.params.disturb.neighbour_distance
-        for offset in range(1, distance + 1):
-            for neighbour in (page - offset, page + offset):
-                if 0 <= neighbour < self.geometry.pages_per_block:
-                    state.page_exposure[neighbour] += flip_prob
-
-    def _expose_neighbours_batch(
         self, state: BlockState, pages: Sequence[int], flip_prob: float
     ) -> None:
-        """Accumulate program/PP disturb onto neighbours of many pages.
+        """Accumulate program/PP disturb onto the neighbours of `pages`.
 
-        Builds the neighbour index list in exactly the order the serial
-        per-page loop visits it and applies one unbuffered scatter-add
-        (``np.add.at``).  Each hit adds the same constant, so the
-        accumulated float sequence per page — and hence the exposure
-        value — is bit-identical to the serial loop's.
+        Visits pages in list order, so a batch accumulates each page's
+        exposure in the same float order as one call per page.
         """
         if flip_prob <= 0:
             return
         distance = self.params.disturb.neighbour_distance
-        n_pages = self.geometry.pages_per_block
-        targets = [
-            neighbour
-            for page in pages
-            for offset in range(1, distance + 1)
-            for neighbour in (page - offset, page + offset)
-            if 0 <= neighbour < n_pages
-        ]
-        if targets:
-            np.add.at(
-                state.page_exposure,
-                np.asarray(targets, dtype=np.int64),
-                flip_prob,
-            )
+        for page in pages:
+            for offset in range(1, distance + 1):
+                for neighbour in (page - offset, page + offset):
+                    if 0 <= neighbour < self.geometry.pages_per_block:
+                        state.page_exposure[neighbour] += flip_prob
 
     def _account(self, op: str, count: int = 1) -> None:
         costs = self.params.costs

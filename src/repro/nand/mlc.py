@@ -111,7 +111,7 @@ class MlcView:
         state.page_pec[page] = state.pec
         state.page_epoch[page] = state.erase_epoch
         chip._expose_neighbours(
-            state, page, chip.params.disturb.program_flip_prob
+            state, [page], chip.params.disturb.program_flip_prob
         )
         # An MLC program is two logical page programs' worth of work.
         chip._account("program")

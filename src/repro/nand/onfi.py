@@ -118,12 +118,6 @@ class Status:
         )
 
 
-def validate_threshold(level: Optional[float]) -> None:
-    """Validate a read-reference shift (shared with the wire server)."""
-    if level is not None and not 0 <= level <= 255:
-        raise CommandError(f"threshold {level} outside 0-255")
-
-
 def partial_program_fraction(chip: FlashChip, abort_after_us: float) -> float:
     """Map a RESET abort time onto a program-pulse fraction.
 
@@ -147,7 +141,9 @@ class OnfiBus:
 
     Models the host/tester boundary of §6.1: the PC-side software issues
     ONFI command sequences over USB; partial programming is implemented as
-    PROGRAM followed by an early RESET.
+    PROGRAM followed by an early RESET.  The wire server of
+    :mod:`repro.onfi` keeps its status register and read threshold on
+    one of these.
     """
 
     def __init__(self, chip: FlashChip) -> None:
@@ -159,6 +155,13 @@ class OnfiBus:
     def read_threshold(self) -> Optional[float]:
         """The active read reference shift (``None`` = chip default)."""
         return self._read_threshold
+
+    @read_threshold.setter
+    def read_threshold(self, level: Optional[float]) -> None:
+        # Validated, but not a completed command: no status roll.
+        if level is not None and not 0 <= level <= 255:
+            raise CommandError(f"threshold {level} outside 0-255")
+        self._read_threshold = level
 
     def read_status(self) -> Status:
         """READ_STATUS (70h): the current status register, decoded."""
@@ -194,8 +197,7 @@ class OnfiBus:
         ``None`` restores the default SLC threshold.
         """
         def apply() -> None:
-            validate_threshold(level)
-            self._read_threshold = level
+            self.read_threshold = level
 
         self._complete(apply)
 

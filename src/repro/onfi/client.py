@@ -1,18 +1,18 @@
-"""RemoteChip: the FlashChip batch API over a wire connection.
+"""RemoteChip: the FlashChip data plane over a wire connection.
 
 The host half of the device-server split.  A :class:`RemoteChip` speaks
 the frame protocol of :mod:`repro.onfi.wire` to a
 :class:`~repro.onfi.server.ChipServer` and exposes the same surface the
 fleet and hiding layers use on an in-process
-:class:`~repro.nand.chip.FlashChip` — same batch calls, same results
-bit for bit, same error types and messages.
+:class:`~repro.nand.chip.FlashChip` — the same location kernels plus the
+shared :class:`~repro.nand.chip.PageOps` page and block forms, with the
+same results bit for bit and the same error types and messages.
 
 Two properties make the transport cheap and exact:
 
-* **Coalesced batch framing** — every location-batch operation is one
-  frame each way, with ndarray payloads shipped as raw bytes (no
-  pickling, no per-page round trips), so framing cost amortises over
-  the batch.
+* **Coalesced framing** — every location-list kernel call is one frame
+  each way, with ndarray payloads shipped as raw bytes (no pickling, no
+  per-page round trips), so framing cost amortises over the batch.
 * **Pipelining** — acknowledgement-only operations (programs, erases,
   partial programs, threshold sets) are posted without waiting;
   responses are matched by echoed tags at the next synchronising call.
@@ -21,12 +21,14 @@ Two properties make the transport cheap and exact:
   operation's failure surfaces at the next sync point with the original
   exception type and message (earliest failure first).
 
-Client-side validation mirrors only the *pure* checks
-(:func:`~repro.nand.chip.check_pages`,
-:func:`~repro.nand.chip.check_locations`,
-:func:`~repro.nand.chip.as_bits`) — shared module-level code, so the
-error text matches in-process exactly; everything stateful is judged by
-the real chip on the server.
+Every payload is packed and parsed by the opcode table
+(:data:`repro.onfi.wire.OPS`).  Programs run the *pure* in-process
+checks client-side (:func:`~repro.nand.chip.check_locations`,
+:func:`~repro.nand.chip.stack_payloads`) before posting, so they fail
+at the call with the in-process error text; reads and probes leave
+addresses to the served chip, whose status register records a bad one
+as a device's would.  Everything stateful is judged by the real chip on
+the server.
 """
 
 from __future__ import annotations
@@ -34,12 +36,19 @@ from __future__ import annotations
 import os
 import socket
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import suppress
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nand.chip import OpCounters, as_bits, check_locations, check_pages
-from ..nand.errors import CommandError, ProgramError
+from ..nand.chip import (
+    OpCounters,
+    PageOps,
+    as_bits,
+    check_locations,
+    stack_payloads,
+)
+from ..nand.errors import CommandError
 from ..nand.geometry import ChipGeometry
 from ..nand.onfi import Status
 from ..nand.params import ChipParams
@@ -50,22 +59,17 @@ from .wire import (
     FLAG_PARTIAL,
     FLAG_THRESHOLD,
     FLAG_TRACE,
+    GEOMETRY_FIELDS,
     HELLO_FLAGS_MASK,
     HELLO_TRACE,
+    OPS,
     FrameReader,
     Op,
+    decode,
     decode_error,
-    pack_f64,
+    encode,
     pack_trace_parent,
     write_frame,
-    pack_i64,
-    pack_i64_array,
-    pack_locations,
-    pack_u8_array,
-    take_f64,
-    take_i64,
-    take_u64,
-    take_u8_matrix,
 )
 
 #: Posted (unacknowledged) operations in flight before a forced drain.
@@ -74,7 +78,7 @@ from .wire import (
 MAX_OUTSTANDING = 512
 
 
-class RemoteChip:
+class RemoteChip(PageOps):
     """A flash chip living behind a :mod:`repro.onfi` wire connection."""
 
     def __init__(
@@ -162,6 +166,14 @@ class RemoteChip:
                 return flags | FLAG_TRACE, pack_trace_parent(parent) + payload
         return flags, payload
 
+    def _send(self, op: Op, flags: int, payload) -> int:
+        """Write one request frame (unflushed); returns its tag."""
+        flags, payload = self._wrap_trace(flags, payload)
+        tag = self._next_tag()
+        self.sent_ops[int(op)] = self.sent_ops.get(int(op), 0) + 1
+        write_frame(self._wfile, int(op), flags, tag, payload)
+        return tag
+
     def _post(self, op: Op, flags: int = 0, payload: bytes = b"") -> None:
         """Issue an ack-only operation, pipelined when enabled."""
         if not self.pipeline:
@@ -169,11 +181,7 @@ class RemoteChip:
             return
         if len(self._outstanding) >= MAX_OUTSTANDING:
             self.drain()
-        flags, payload = self._wrap_trace(flags, payload)
-        tag = self._next_tag()
-        self.sent_ops[int(op)] = self.sent_ops.get(int(op), 0) + 1
-        write_frame(self._wfile, int(op), flags, tag, payload)
-        self._outstanding.append((tag, op))
+        self._outstanding.append((self._send(op, flags, payload), op))
 
     def _call(self, op: Op, flags: int = 0, payload: bytes = b""):
         """Issue an operation and wait for its response (a sync point).
@@ -181,10 +189,7 @@ class RemoteChip:
         Flushes the pipeline first; failures of earlier posted
         operations take precedence over this call's own outcome.
         """
-        flags, payload = self._wrap_trace(flags, payload)
-        tag = self._next_tag()
-        self.sent_ops[int(op)] = self.sent_ops.get(int(op), 0) + 1
-        write_frame(self._wfile, int(op), flags, tag, payload)
+        tag = self._send(op, flags, payload)
         self._wfile.flush()
         self._drain_acks()
         status, response = self._read_matching(tag, op)
@@ -202,27 +207,35 @@ class RemoteChip:
         self._drain_acks()
         self._raise_deferred()
 
+    def _request(self, op: Op, flags: int = 0, **fields: Any) -> Dict[str, Any]:
+        """Send `op` with `fields` laid out by the opcode table.
+
+        Posted ops are pipelined and answer nothing; the rest wait and
+        return their decoded response fields (a response count such as
+        a read's row count resolves against the request fields).
+        """
+        spec = OPS[op]
+        payload = encode(spec.request, fields, flags)
+        if spec.posted:
+            self._post(op, flags, payload)
+            return {}
+        _, response = self._call(op, flags, payload)
+        return decode(
+            spec.response,
+            response,
+            cells=self.geometry.cells_per_page,
+            context=fields,
+        )
+
     def _hello(self) -> None:
         # Request every capability this client knows; the server answers
-        # the accepted subset as a trailing byte (absent on pre-obs
-        # servers, which is a clean "no capabilities").
-        _, payload = self._call(Op.HELLO, 0, bytes([HELLO_FLAGS_MASK]))
-        n_blocks, o = take_i64(payload, 0)
-        pages_per_block, o = take_i64(payload, o)
-        cells_per_page, o = take_i64(payload, o)
-        page_bytes, o = take_i64(payload, o)
-        self.seed, o = take_u64(payload, o)
-        self.clock, o = take_f64(payload, o)
-        if o < len(payload):
-            self.server_flags = payload[o] & HELLO_FLAGS_MASK
-        geometry = self.geometry
-        served = (n_blocks, pages_per_block, cells_per_page, page_bytes)
-        expected = (
-            geometry.n_blocks,
-            geometry.pages_per_block,
-            geometry.cells_per_page,
-            geometry.page_bytes,
-        )
+        # the accepted subset (absent on pre-obs servers, which is a
+        # clean "no capabilities").
+        hello = self._request(Op.HELLO, capabilities=HELLO_FLAGS_MASK)
+        self.seed, self.clock = hello["seed"], hello["clock"]
+        self.server_flags = (hello["capabilities"] or 0) & HELLO_FLAGS_MASK
+        served = tuple(hello[name] for name in GEOMETRY_FIELDS)
+        expected = tuple(getattr(self.geometry, n) for n in GEOMETRY_FIELDS)
         if served != expected:
             raise CommandError(
                 f"server chip geometry {served} does not match the "
@@ -237,20 +250,14 @@ class RemoteChip:
         self._closed = True
         try:
             if shutdown:
-                self._call(Op.SHUTDOWN)
+                self._request(Op.SHUTDOWN)
             else:
                 self.drain()
         finally:
-            for stream in (self._wfile, self._rfile):
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
+            for stream in (self._wfile, self._rfile, self._sock):
+                if stream is not None:
+                    with suppress(OSError):
+                        stream.close()
 
     def __enter__(self) -> "RemoteChip":
         return self
@@ -261,39 +268,36 @@ class RemoteChip:
         self.close(shutdown=exc_type is None)
 
     # ------------------------------------------------------------------
-    # FlashChip surface — singles
+    # FlashChip surface — location kernels and ONFI commands
 
-    @staticmethod
-    def _threshold_prefix(threshold: Optional[float]) -> Tuple[int, bytes]:
-        if threshold is None:
-            return 0, b""
-        return FLAG_THRESHOLD, pack_f64(float(threshold))
-
-    def read_page(
-        self, block: int, page: int, threshold: Optional[float] = None
+    def read_locations(
+        self,
+        locations: Sequence[Tuple[int, int]],
+        threshold: Optional[float] = None,
     ) -> np.ndarray:
-        flags, prefix = self._threshold_prefix(threshold)
-        _, payload = self._call(
-            Op.READ, flags, prefix + pack_i64(block, page)
-        )
-        return take_u8_matrix(
-            payload, 0, 1, self.geometry.cells_per_page
-        )[0]
+        pairs = [(int(block), int(page)) for block, page in locations]
+        flags = 0 if threshold is None else FLAG_THRESHOLD
+        return self._request(
+            Op.READ_LOCATIONS, flags, threshold=threshold, locations=pairs
+        )["bits"]
 
-    def probe_voltages(self, block: int, page: int) -> np.ndarray:
-        _, payload = self._call(Op.PROBE_VOLTAGES, 0, pack_i64(block, page))
-        return take_u8_matrix(
-            payload, 0, 1, self.geometry.cells_per_page
-        )[0]
+    def probe_voltages_locations(
+        self, locations: Sequence[Tuple[int, int]]
+    ) -> np.ndarray:
+        pairs = [(int(block), int(page)) for block, page in locations]
+        return self._request(Op.PROBE_LOCATIONS, locations=pairs)["voltages"]
 
-    def program_page(self, block: int, page: int, data) -> None:
-        bits = as_bits(self.geometry, data)
-        self._post(
-            Op.PROGRAM, 0, pack_i64(block, page) + pack_u8_array(bits)
+    def program_locations(
+        self, locations: Sequence[Tuple[int, int]], data: Iterable
+    ) -> None:
+        pairs = check_locations(self.geometry, locations)
+        bits = stack_payloads(self.geometry, data, len(pairs))
+        self._request(
+            Op.PROGRAM_LOCATIONS, count=len(pairs), locations=pairs, bits=bits
         )
 
     def erase_block(self, block: int) -> None:
-        self._post(Op.ERASE, 0, pack_i64(block))
+        self._request(Op.ERASE, block=block)
 
     def partial_program(
         self,
@@ -303,13 +307,13 @@ class RemoteChip:
         fraction: float = 1.0,
         precision: float = 1.0,
     ) -> None:
-        cell_array = np.asarray(cells, dtype=np.int64)
-        self._post(
+        self._request(
             Op.PARTIAL_PROGRAM,
-            0,
-            pack_i64(block, page)
-            + pack_f64(float(fraction), float(precision))
-            + pack_i64_array(cell_array),
+            block=block,
+            page=page,
+            fraction=fraction,
+            precision=precision,
+            cells=cells,
         )
 
     def partial_program_via_reset(
@@ -321,21 +325,16 @@ class RemoteChip:
         exactly :meth:`repro.nand.onfi.OnfiBus.partial_program`.
         """
         bits = as_bits(self.geometry, data)
-        self._post(
-            Op.PROGRAM,
-            FLAG_PARTIAL,
-            pack_i64(block, page) + pack_u8_array(bits),
-        )
-        self._post(Op.RESET, 0, pack_f64(float(abort_after_us)))
+        self._request(Op.PROGRAM, FLAG_PARTIAL, block=block, page=page, bits=bits)
+        self._request(Op.RESET, abort_after_us=abort_after_us)
 
     def set_read_threshold(self, level: Optional[float]) -> None:
         """Set the server-side read reference shift (bus state)."""
-        payload = b"" if level is None else pack_f64(float(level))
-        self._post(Op.SET_READ_THRESHOLD, 0, payload)
+        self._request(Op.SET_READ_THRESHOLD, level=level)
 
     def reset(self) -> None:
         """Plain RESET: clears volatile server state (threshold, SR)."""
-        self._post(Op.RESET)
+        self._request(Op.RESET)
 
     def read_status(self) -> Status:
         """READ_STATUS: the server's ONFI status register, decoded.
@@ -343,119 +342,13 @@ class RemoteChip:
         The register byte arrives in the payload — the response header's
         FAIL bit reports only whether the query frame itself failed.
         """
-        _, payload = self._call(Op.READ_STATUS)
-        if len(payload) != 1:
-            raise CommandError(
-                f"READ_STATUS answered {len(payload)} bytes, wanted 1"
-            )
-        return Status.from_byte(payload[0])
-
-    # ------------------------------------------------------------------
-    # FlashChip surface — coalesced batches (one frame per call)
-
-    def read_pages(
-        self,
-        block: int,
-        pages: Sequence[int],
-        threshold: Optional[float] = None,
-    ) -> np.ndarray:
-        page_array = check_pages(self.geometry, block, pages)
-        flags, prefix = self._threshold_prefix(threshold)
-        _, payload = self._call(
-            Op.READ_PAGES,
-            flags,
-            prefix + pack_i64(block) + pack_i64_array(page_array),
-        )
-        return take_u8_matrix(
-            payload, 0, len(page_array), self.geometry.cells_per_page
-        )
-
-    def probe_voltages_batch(
-        self, block: int, pages: Sequence[int]
-    ) -> np.ndarray:
-        page_array = check_pages(self.geometry, block, pages)
-        _, payload = self._call(
-            Op.PROBE_PAGES,
-            0,
-            pack_i64(block) + pack_i64_array(page_array),
-        )
-        return take_u8_matrix(
-            payload, 0, len(page_array), self.geometry.cells_per_page
-        )
-
-    def program_pages(
-        self, block: int, pages: Sequence[int], data: Iterable
-    ) -> None:
-        page_array = check_pages(self.geometry, block, pages)
-        payloads = list(data)
-        if len(payloads) != len(page_array):
-            raise ProgramError(
-                f"got {len(payloads)} payloads for {len(page_array)} pages"
-            )
-        bits = np.stack(
-            [as_bits(self.geometry, payload) for payload in payloads]
-        )
-        self._post(
-            Op.PROGRAM_PAGES,
-            0,
-            pack_i64(block, len(page_array))
-            + pack_i64_array(page_array)
-            + pack_u8_array(bits),
-        )
-
-    def read_locations(
-        self,
-        locations: Sequence[Tuple[int, int]],
-        threshold: Optional[float] = None,
-    ) -> np.ndarray:
-        pairs = check_locations(self.geometry, locations)
-        flags, prefix = self._threshold_prefix(threshold)
-        _, payload = self._call(
-            Op.READ_LOCATIONS, flags, prefix + pack_locations(pairs)
-        )
-        return take_u8_matrix(
-            payload, 0, len(pairs), self.geometry.cells_per_page
-        )
-
-    def probe_voltages_locations(
-        self, locations: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
-        pairs = check_locations(self.geometry, locations)
-        _, payload = self._call(
-            Op.PROBE_LOCATIONS, 0, pack_locations(pairs)
-        )
-        return take_u8_matrix(
-            payload, 0, len(pairs), self.geometry.cells_per_page
-        )
-
-    def program_locations(
-        self, locations: Sequence[Tuple[int, int]], data: Iterable
-    ) -> None:
-        pairs = check_locations(self.geometry, locations)
-        payloads = list(data)
-        if len(payloads) != len(pairs):
-            raise ProgramError(
-                f"got {len(payloads)} payloads for {len(pairs)} locations"
-            )
-        bits = np.stack(
-            [as_bits(self.geometry, payload) for payload in payloads]
-        )
-        self._post(
-            Op.PROGRAM_LOCATIONS,
-            0,
-            pack_i64(len(pairs))
-            + pack_locations(pairs)
-            + pack_u8_array(bits),
-        )
+        return Status.from_byte(self._request(Op.READ_STATUS)["status"])
 
     # ------------------------------------------------------------------
     # FlashChip surface — clock, counters, queries
 
     def advance_time(self, seconds: float) -> None:
-        _, payload = self._call(
-            Op.ADVANCE_TIME, 0, pack_f64(float(seconds))
-        )
-        self.clock, _ = take_f64(payload, 0)
+        self.clock = self._request(Op.ADVANCE_TIME, seconds=seconds)["clock"]
 
     def obs_collect(self, reset: bool = False) -> ObsSnapshot:
         """Harvest the server's telemetry registry as an ObsSnapshot.
@@ -467,9 +360,9 @@ class RemoteChip:
         per-round delta harvest.  Every float is f64 on the wire, so the
         snapshot is bit-identical to one taken in the server's process.
         """
-        _, payload = self._call(Op.OBS_COLLECT, 0, b"\x01" if reset else b"")
+        answer = self._request(Op.OBS_COLLECT, reset=1 if reset else None)
         try:
-            return decode_snapshot(bytes(payload))
+            return decode_snapshot(answer["snapshot"])
         except ValueError as exc:
             raise CommandError(
                 f"OBS_COLLECT payload undecodable: {exc}"
@@ -477,7 +370,7 @@ class RemoteChip:
 
     def obs_reset(self) -> None:
         """Clear the server's telemetry registry (op counters persist)."""
-        self._call(Op.OBS_RESET)
+        self._request(Op.OBS_RESET)
 
     @property
     def counters(self) -> OpCounters:
@@ -491,41 +384,9 @@ class RemoteChip:
             raise CommandError("OBS_COLLECT answered no op counters")
         return ops
 
-    def get_counters(self) -> OpCounters:
-        """The op counters over the dedicated GET_COUNTERS opcode.
-
-        Unlike :attr:`counters` this does not drag the whole telemetry
-        snapshot across the wire — it is the cheap fixed-width query the
-        protocol always dispatched but no client method exposed (the
-        WIRE001 dead-surface finding).
-        """
-        _, payload = self._call(Op.GET_COUNTERS)
-        reads, o = take_i64(payload, 0)
-        programs, o = take_i64(payload, o)
-        erases, o = take_i64(payload, o)
-        partial_programs, o = take_i64(payload, o)
-        busy_time_s, o = take_f64(payload, o)
-        energy_j, o = take_f64(payload, o)
-        return OpCounters(
-            reads=reads,
-            programs=programs,
-            erases=erases,
-            partial_programs=partial_programs,
-            busy_time_s=busy_time_s,
-            energy_j=energy_j,
-        )
-
     def is_page_programmed(self, block: int, page: int) -> bool:
-        _, payload = self._call(
-            Op.IS_PROGRAMMED, 0, pack_i64(block, page)
-        )
-        if len(payload) != 1:
-            raise CommandError(
-                f"IS_PROGRAMMED answered {len(payload)} bytes, wanted 1"
-            )
-        return bool(payload[0])
+        answer = self._request(Op.IS_PROGRAMMED, block=block, page=page)
+        return bool(answer["programmed"])
 
     def block_pec(self, block: int) -> int:
-        _, payload = self._call(Op.BLOCK_PEC, 0, pack_i64(block))
-        value, _ = take_i64(payload, 0)
-        return value
+        return self._request(Op.BLOCK_PEC, block=block)["pec"]

@@ -9,10 +9,11 @@ identical to synchronous calls — and every malformed frame yields a
 *defined* error response: the connection only drops on header-level
 corruption, where the stream offset itself is no longer trustworthy.
 
-The ONFI status register (:class:`repro.nand.onfi.Status`) rolls after
-every chip operation exactly as the in-process :class:`OnfiBus` rolls
-it; READ_STATUS, HELLO, GET_COUNTERS and SHUTDOWN are host-side queries
-and leave it untouched.
+Payloads are parsed and answered through the opcode table
+(:data:`repro.onfi.wire.OPS`).  The ONFI status register and the read
+threshold live on an :class:`~repro.nand.onfi.OnfiBus` over the chip:
+the register rolls after every chip operation exactly as the in-process
+bus rolls it, and host-side queries leave it untouched.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import socket
 import threading
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 from typing import BinaryIO, Dict, Optional, Tuple
 
@@ -28,12 +30,7 @@ import numpy as np
 from ..nand.chip import FlashChip
 from ..nand.errors import CommandError, NandError
 from ..nand.geometry import ChipGeometry
-from ..nand.onfi import (
-    STATUS_FAIL,
-    Status,
-    partial_program_fraction,
-    validate_threshold,
-)
+from ..nand.onfi import STATUS_FAIL, OnfiBus, partial_program_fraction
 from ..nand.params import ChipParams
 from ..obs.metrics import (
     Registry,
@@ -46,40 +43,18 @@ from ..obs.trace import adopt_parent, span
 from ..obs.wirefmt import encode_snapshot
 from .wire import (
     FLAG_PARTIAL,
-    FLAG_THRESHOLD,
     FLAG_TRACE,
+    GEOMETRY_FIELDS,
     HELLO_FLAGS_MASK,
+    OPS,
     FrameReader,
     Op,
+    decode,
+    encode,
     encode_error,
-    pack_f64,
-    write_frame,
-    pack_i64,
-    pack_u64,
-    u8_payload,
-    take_f64,
-    take_i64,
-    take_i64_array,
-    take_i64_count,
-    take_locations,
     take_trace_parent,
-    take_u8_matrix,
+    write_frame,
 )
-
-#: Opcodes that are host-side queries: they answer from existing state
-#: and do not roll the status register.
-_NO_ROLL = frozenset(
-    {Op.READ_STATUS, Op.HELLO, Op.GET_COUNTERS, Op.OBS_COLLECT,
-     Op.OBS_RESET, Op.SHUTDOWN}
-)
-
-
-def _done(payload, offset: int) -> None:
-    """Reject trailing payload bytes — every frame parses exactly."""
-    if offset != len(payload):
-        raise CommandError(
-            f"{len(payload) - offset} trailing payload bytes"
-        )
 
 
 class ChipServer:
@@ -87,10 +62,9 @@ class ChipServer:
 
     def __init__(self, chip: FlashChip, proc_label: str = "") -> None:
         self.chip = chip
-        #: The ONFI status register, shared semantics with OnfiBus.
-        self.status = Status()
-        #: Volatile read-reference shift (the SET_READ_THRESHOLD state).
-        self._read_threshold: Optional[float] = None
+        #: The ONFI status register and the volatile read-reference
+        #: shift (the SET_READ_THRESHOLD state), shared with OnfiBus.
+        self.bus = OnfiBus(chip)
         #: A PROGRAM held open by FLAG_PARTIAL, waiting for its RESET:
         #: ``(block, page, bits)``.
         self._pending: Optional[Tuple[int, int, np.ndarray]] = None
@@ -101,8 +75,6 @@ class ChipServer:
         #: wire via OBS_COLLECT on both backends.  ``proc_label`` stamps
         #: recorded spans for multi-process trace stitching.
         self.registry = Registry(proc_label=proc_label)
-        #: HELLO-negotiated capability bits (HELLO_OBS | HELLO_TRACE).
-        self.hello_flags = 0
 
     # ------------------------------------------------------------------
     # frame dispatch (pure in the frame; fuzzable without a socket)
@@ -116,13 +88,15 @@ class ChipServer:
         produces an error payload under a FAIL status byte; nothing a
         frame contains can raise out of here short of an internal bug,
         so a connection survives arbitrary garbage *frames* (only broken
-        *framing* closes it, in :meth:`serve`).
+        *framing* closes it, in :meth:`serve`).  SHUTDOWN ends the
+        connection whether or not its frame parses.
         """
         try:
             op: Optional[Op] = Op(opcode)
         except ValueError:
             op = None
-        rolls = op is None or op not in _NO_ROLL
+        rolls = op is None or OPS[op].rolls
+        keep = op is not Op.SHUTDOWN
         try:
             if op is None:
                 raise CommandError(f"unknown opcode 0x{opcode:02X}")
@@ -136,61 +110,58 @@ class ChipServer:
                 )
             trace_parent: Optional[str] = None
             if flags & FLAG_TRACE:
-                # Zero-copy strip: handlers see only their own payload.
+                # Zero-copy strip: the table sees only the op's payload.
                 trace_parent, o = take_trace_parent(payload, 0)
                 payload = memoryview(payload)[o:]
                 flags &= ~FLAG_TRACE
-            handler = self._HANDLERS[op]
             if _obs_enabled():
                 # Route this frame's spans/metrics into the server's
-                # private registry (parented under the client's span
-                # when the frame carried a trace-parent prefix).
+                # private registry, parented under the client's span
+                # when the frame carried a trace-parent prefix.  Queries
+                # stay span-free: an OBS_COLLECT span would always close
+                # *after* the snapshot it serves and leak into the next
+                # harvest.
                 push_registry(self.registry)
                 try:
-                    if trace_parent is not None:
-                        with adopt_parent(trace_parent):
-                            out, status_byte = self._traced(
-                                op, handler, flags, payload, rolls
-                            )
-                    else:
-                        out, status_byte = self._traced(
-                            op, handler, flags, payload, rolls
-                        )
+                    parent = (
+                        nullcontext() if trace_parent is None
+                        else adopt_parent(trace_parent)
+                    )
+                    frame_span = (
+                        span(f"onfi.{op.name.lower()}") if rolls
+                        else nullcontext()
+                    )
+                    with parent, frame_span:
+                        out, status_byte = self._dispatch(op, flags, payload)
                 finally:
                     pop_registry()
             else:
-                out, status_byte = handler(self, flags, payload)
+                out, status_byte = self._dispatch(op, flags, payload)
         except (NandError, ValueError) as exc:
             if rolls:
-                self.status = self.status.rolled(failed=True)
-                byte = self.status.to_byte()
-            else:
-                byte = self.status.to_byte() | STATUS_FAIL
-            return byte, encode_error(exc), True
+                self.bus.record_outcome(failed=True)
+            return self.bus.status.to_byte() | STATUS_FAIL, encode_error(exc), keep
         if status_byte is None:
             if rolls:
-                self.status = self.status.rolled(failed=False)
-                status_byte = self.status.to_byte()
-            else:
-                # Header FAIL always means *this frame* failed; a query
-                # reports the register's own FAIL via READ_STATUS's
-                # payload, never via the response header.
-                status_byte = self.status.to_byte() & ~STATUS_FAIL
-        return status_byte, out, op is not Op.SHUTDOWN
+                self.bus.record_outcome(failed=False)
+            # Header FAIL always means *this frame* failed; a query
+            # reports the register's own FAIL via READ_STATUS's payload,
+            # never via the response header.
+            status_byte = self.bus.status.to_byte() & ~STATUS_FAIL
+        return status_byte, out, keep
 
-    def _traced(
-        self, op: Op, handler, flags: int, payload, rolls: bool
+    def _dispatch(
+        self, op: Op, flags: int, payload
     ) -> Tuple[bytes, Optional[int]]:
-        """Run a handler under a server-side span (data-path ops only).
-
-        Queries (``_NO_ROLL``) stay span-free: an OBS_COLLECT span would
-        always close *after* the snapshot it serves and leak into the
-        next harvest.
-        """
-        if rolls:
-            with span(f"onfi.{op.name.lower()}"):
-                return handler(self, flags, payload)
-        return handler(self, flags, payload)
+        """Decode the whole payload, run the handler, encode its answer."""
+        spec = OPS[op]
+        fields = decode(
+            spec.request, payload, flags, self.chip.geometry.cells_per_page
+        )
+        result = self._HANDLERS[op](self, flags, **fields)
+        if spec.posted:
+            return b"", None if result is None else result.to_byte()
+        return encode(spec.response, result or {}), None
 
     def serve(self, reader: FrameReader, wfile: BinaryIO) -> None:
         """Serve frames until clean EOF, SHUTDOWN or broken framing."""
@@ -211,66 +182,48 @@ class ChipServer:
                 return
 
     # ------------------------------------------------------------------
-    # handlers: (flags, payload) -> (response payload, status override)
+    # handlers: (flags, **request fields) -> response fields
     #
-    # A ``None`` status override means "roll the register for a
-    # successful operation and report it"; overrides are for responses
-    # whose byte is not a completed-operation roll (busy, fresh reset).
+    # Synchronous handlers return their response fields by name.  Posted
+    # handlers answer no payload; they return None to roll the register
+    # for a successful operation, or the Status to report instead (busy,
+    # fresh reset).
 
-    def _threshold_from(self, flags: int, payload, offset: int):
-        if flags & FLAG_THRESHOLD:
-            threshold, offset = take_f64(payload, offset)
-            return threshold, offset
-        return self._read_threshold, offset
+    def _op_erase(self, flags, block):
+        self.chip.erase_block(block)
 
-    def _op_read(self, flags, payload):
-        threshold, o = self._threshold_from(flags, payload, 0)
-        block, o = take_i64(payload, o)
-        page, o = take_i64(payload, o)
-        _done(payload, o)
-        bits = self.chip.read_page(block, page, threshold=threshold)
-        return u8_payload(bits), None
+    def _op_read_status(self, flags):
+        # The register byte travels in the payload: the response header
+        # FAIL bit is reserved for this frame's own outcome.
+        return {"status": self.bus.status.to_byte()}
 
-    def _op_probe(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        page, o = take_i64(payload, o)
-        _done(payload, o)
-        return u8_payload(self.chip.probe_voltages(block, page)), None
-
-    def _op_program(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        page, o = take_i64(payload, o)
-        bits = take_u8_matrix(
-            payload, o, 1, self.chip.geometry.cells_per_page
-        )[0]
+    def _op_program(self, flags, block, page, bits):
         if flags & FLAG_PARTIAL:
             # Held open: charge is only injected when RESET arrives with
             # an abort time.  The device reports busy (RDY/ARDY clear);
             # FAIL stays clear — the frame itself was accepted.
-            self._pending = (int(block), int(page), bits)
-            busy = replace(
-                self.status, ready=False, array_ready=False, failed=False
+            self._pending = (block, page, bits)
+            return replace(
+                self.bus.status, ready=False, array_ready=False, failed=False
             )
-            return b"", busy.to_byte()
-        self.chip.program_page(block, page, bits)
-        return b"", None
+        self.chip.program_locations([(block, page)], bits)
+        return None
 
-    def _op_erase(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        _done(payload, o)
-        self.chip.erase_block(block)
-        return b"", None
+    def _op_set_read_threshold(self, flags, level):
+        self.bus.read_threshold = level
 
-    def _op_reset(self, flags, payload):
-        if len(payload) == 0:
+    def _op_partial_program(self, flags, block, page, fraction, precision, cells):
+        self.chip.partial_program(
+            block, page, cells, fraction=fraction, precision=precision
+        )
+
+    def _op_reset(self, flags, abort_after_us):
+        if abort_after_us is None:
             # Plain RESET: volatile settings and the status register
             # clear; a held PROGRAM is aborted uncharged.
             self._pending = None
-            self._read_threshold = None
-            self.status = Status()
-            return b"", self.status.to_byte()
-        abort_after_us, o = take_f64(payload, 0)
-        _done(payload, o)
+            self.bus.reset()
+            return self.bus.status
         if self._pending is None:
             raise CommandError(
                 "RESET carries an abort time but no PROGRAM is held open"
@@ -282,193 +235,77 @@ class ChipServer:
         # `abort_after_us`, exactly OnfiBus.partial_program's mapping.
         cells = np.flatnonzero(bits == 0)
         self.chip.partial_program(block, page, cells, fraction=fraction)
-        return b"", None
+        return None
 
-    def _op_partial_program(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        page, o = take_i64(payload, o)
-        fraction, o = take_f64(payload, o)
-        precision, o = take_f64(payload, o)
-        cells = take_i64_array(payload, o)
-        self.chip.partial_program(
-            block, page, cells, fraction=fraction, precision=precision
-        )
-        return b"", None
+    def _op_read_locations(self, flags, threshold, locations):
+        if threshold is None:
+            threshold = self.bus.read_threshold
+        return {"bits": self.chip.read_locations(locations, threshold)}
 
-    def _op_set_read_threshold(self, flags, payload):
-        if len(payload) == 0:
-            level: Optional[float] = None
-        else:
-            level, o = take_f64(payload, 0)
-            _done(payload, o)
-        validate_threshold(level)
-        self._read_threshold = level
-        return b"", None
+    def _op_probe_locations(self, flags, locations):
+        return {"voltages": self.chip.probe_voltages_locations(locations)}
 
-    def _op_read_status(self, flags, payload):
-        _done(payload, 0)
-        # The register byte travels in the payload: the response header
-        # FAIL bit is reserved for this frame's own outcome.
-        return bytes([self.status.to_byte()]), None
-
-    # -- coalesced batches ----------------------------------------------
-
-    def _op_read_pages(self, flags, payload):
-        threshold, o = self._threshold_from(flags, payload, 0)
-        block, o = take_i64(payload, o)
-        pages = take_i64_array(payload, o)
-        bits = self.chip.read_pages(block, pages, threshold=threshold)
-        return u8_payload(bits), None
-
-    def _op_probe_pages(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        pages = take_i64_array(payload, o)
-        return u8_payload(
-            self.chip.probe_voltages_batch(block, pages)
-        ), None
-
-    def _op_program_pages(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        count, o = take_i64(payload, o)
-        pages, o = take_i64_count(payload, o, count)
-        bits = take_u8_matrix(
-            payload, o, count, self.chip.geometry.cells_per_page
-        )
-        self.chip.program_pages(block, pages, bits)
-        return b"", None
-
-    def _op_read_locations(self, flags, payload):
-        threshold, o = self._threshold_from(flags, payload, 0)
-        locations = take_locations(payload, o)
-        bits = self.chip.read_locations(locations, threshold=threshold)
-        return u8_payload(bits), None
-
-    def _op_probe_locations(self, flags, payload):
-        locations = take_locations(payload, 0)
-        return u8_payload(
-            self.chip.probe_voltages_locations(locations)
-        ), None
-
-    def _op_program_locations(self, flags, payload):
-        count, o = take_i64(payload, 0)
-        if count < 0:
-            raise CommandError(f"negative location count {count}")
-        flat, o = take_i64_count(payload, o, count * 2)
-        locations = [
-            (int(flat[i]), int(flat[i + 1])) for i in range(0, len(flat), 2)
-        ]
-        bits = take_u8_matrix(
-            payload, o, count, self.chip.geometry.cells_per_page
-        )
+    def _op_program_locations(self, flags, count, locations, bits):
         self.chip.program_locations(locations, bits)
-        return b"", None
 
-    # -- admin -----------------------------------------------------------
-
-    def _op_hello(self, flags, payload):
-        # Payload: optionally one capability byte (absent = legacy
-        # client, no obs/trace).  The response echoes the accepted
-        # subset as a trailing byte.
-        if len(payload) == 0:
-            requested = 0
-        else:
-            requested = payload[0]
-            _done(payload, 1)
-        self.hello_flags = requested & HELLO_FLAGS_MASK
+    def _op_hello(self, flags, capabilities):
         geometry = self.chip.geometry
-        out = (
-            pack_i64(
-                geometry.n_blocks,
-                geometry.pages_per_block,
-                geometry.cells_per_page,
-                geometry.page_bytes,
-            )
-            + pack_u64(self.chip.seed)
-            + pack_f64(self.chip.clock)
-            + bytes([self.hello_flags])
+        answer = {name: getattr(geometry, name) for name in GEOMETRY_FIELDS}
+        # Echo the accepted capabilities; an absent byte is a legacy
+        # client with no obs/trace.
+        answer.update(
+            seed=self.chip.seed,
+            clock=self.chip.clock,
+            capabilities=(capabilities or 0) & HELLO_FLAGS_MASK,
         )
-        return out, None
+        return answer
 
-    def _op_advance_time(self, flags, payload):
-        seconds, o = take_f64(payload, 0)
-        _done(payload, o)
+    def _op_advance_time(self, flags, seconds):
         self.chip.advance_time(seconds)
-        return pack_f64(self.chip.clock), None
+        return {"clock": self.chip.clock}
 
-    def _op_get_counters(self, flags, payload):
-        _done(payload, 0)
-        counters = self.chip.counters
-        out = pack_i64(
-            counters.reads,
-            counters.programs,
-            counters.erases,
-            counters.partial_programs,
-        ) + pack_f64(counters.busy_time_s, counters.energy_j)
-        return out, None
-
-    def _op_obs_collect(self, flags, payload):
-        # Payload: optionally one u8 — nonzero resets the registry after
-        # the snapshot (delta-harvest mode, used by the fleet's per-round
-        # collection).  The snapshot's op_counters are always the chip's
-        # *cumulative* totals: they are core chip state, not registry
-        # state, so OBS_COLLECT answers them even with REPRO_OBS=0 and a
-        # reset never rewinds them.
-        if len(payload) == 0:
-            reset = False
-        else:
-            reset = payload[0] != 0
-            _done(payload, 1)
+    def _op_obs_collect(self, flags, reset):
+        # A nonzero `reset` clears the registry after the snapshot
+        # (delta-harvest mode, used by the fleet's per-round collection).
+        # The snapshot's op_counters are always the chip's *cumulative*
+        # totals: they are core chip state, not registry state, so
+        # OBS_COLLECT answers them even with REPRO_OBS=0 and a reset
+        # never rewinds them.
         snapshot = self.registry.snapshot()
         snapshot.op_counters = self.chip.counters.copy()
         out = encode_snapshot(snapshot)
         if reset:
             self.registry.reset()
-        return out, None
+        return {"snapshot": out}
 
-    def _op_obs_reset(self, flags, payload):
-        _done(payload, 0)
+    def _op_obs_reset(self, flags):
         self.registry.reset()
-        return b"", None
 
-    def _op_is_programmed(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        page, o = take_i64(payload, o)
-        _done(payload, o)
-        return bytes(
-            [1 if self.chip.is_page_programmed(block, page) else 0]
-        ), None
+    def _op_is_programmed(self, flags, block, page):
+        return {"programmed": int(self.chip.is_page_programmed(block, page))}
 
-    def _op_block_pec(self, flags, payload):
-        block, o = take_i64(payload, 0)
-        _done(payload, o)
-        return pack_i64(self.chip.block_pec(block)), None
+    def _op_block_pec(self, flags, block):
+        return {"pec": self.chip.block_pec(block)}
 
-    def _op_shutdown(self, flags, payload):
-        _done(payload, 0)
-        return b"", None
+    def _op_shutdown(self, flags):
+        return None
 
     _HANDLERS: Dict[Op, object] = {
-        Op.READ: _op_read,
-        Op.PROBE_VOLTAGES: _op_probe,
-        Op.PROGRAM: _op_program,
         Op.ERASE: _op_erase,
-        Op.RESET: _op_reset,
-        Op.PARTIAL_PROGRAM: _op_partial_program,
-        Op.SET_READ_THRESHOLD: _op_set_read_threshold,
         Op.READ_STATUS: _op_read_status,
-        Op.READ_PAGES: _op_read_pages,
-        Op.PROBE_PAGES: _op_probe_pages,
-        Op.PROGRAM_PAGES: _op_program_pages,
+        Op.PROGRAM: _op_program,
+        Op.SET_READ_THRESHOLD: _op_set_read_threshold,
+        Op.PARTIAL_PROGRAM: _op_partial_program,
+        Op.RESET: _op_reset,
         Op.READ_LOCATIONS: _op_read_locations,
         Op.PROBE_LOCATIONS: _op_probe_locations,
         Op.PROGRAM_LOCATIONS: _op_program_locations,
         Op.HELLO: _op_hello,
         Op.ADVANCE_TIME: _op_advance_time,
-        Op.GET_COUNTERS: _op_get_counters,
-        Op.OBS_COLLECT: _op_obs_collect,
-        Op.OBS_RESET: _op_obs_reset,
         Op.IS_PROGRAMMED: _op_is_programmed,
         Op.BLOCK_PEC: _op_block_pec,
+        Op.OBS_COLLECT: _op_obs_collect,
+        Op.OBS_RESET: _op_obs_reset,
         Op.SHUTDOWN: _op_shutdown,
     }
 
@@ -499,10 +336,8 @@ def serve_socket(
         pass  # the peer vanished mid-response; nothing left to answer
     finally:
         for stream in (wfile, rfile):
-            try:
+            with suppress(OSError):
                 stream.close()
-            except OSError:
-                pass
 
 
 def serve_listener(
@@ -520,10 +355,8 @@ def serve_listener(
         try:
             serve_socket(chip, conn)
         finally:
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
         if once:
             return
 
@@ -537,9 +370,6 @@ class ServerHandle:
         #: it shares the caller's address space (used by bit-identity
         #: tests to inspect server-side state directly).
         self.chip = chip
-
-    def join(self, timeout: float = 10.0) -> None:
-        self._worker.join(timeout)
 
     def close(self, timeout: float = 10.0) -> None:
         """Wait for the server to exit; force-stop a stuck process."""

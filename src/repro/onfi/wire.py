@@ -1,4 +1,4 @@
-"""Binary framing for the ONFI wire transport (DESIGN §13).
+"""Binary framing and the opcode table of the ONFI wire (DESIGN §13).
 
 One frame = an 8-byte little-endian header plus a payload::
 
@@ -12,18 +12,31 @@ status has the FAIL bit set carries an error payload (``u8 kind`` +
 UTF-8 message) instead of data.  ``tag`` echoes verbatim so a
 pipelining client can match responses to requests out of band.
 
-All addresses travel as signed 64-bit integers — negative blocks and
-pages cross the wire intact and are rejected by the *server's* chip
-with exactly the in-process error type and message.  Cell bits and
-voltages travel as raw ``uint8`` arrays via ``frombuffer``/memoryview;
-nothing on this wire is pickled.
+Payload layouts are declared once, in :data:`OPS`, and interpreted by
+one encoder and one decoder at both ends.  All addresses travel as
+signed 64-bit integers — negative blocks and pages cross the wire
+intact and are rejected by the *server's* chip with exactly the
+in-process error type and message.  Cell bits and voltages travel as
+raw ``uint8`` arrays via ``frombuffer``/memoryview; nothing on this wire
+is pickled.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from enum import IntEnum, unique
-from typing import BinaryIO, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -47,41 +60,32 @@ MIN_LENGTH = 4
 #: a few MiB; 64 MiB leaves an order of magnitude of headroom).
 MAX_PAYLOAD = 64 << 20
 
-_I64 = struct.Struct("<q")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-
 
 @unique
 class Op(IntEnum):
     """Wire opcodes.
 
-    Single-page operations reuse the ONFI/vendor encodings of
-    :class:`repro.nand.onfi.Command`; the coalesced batch operations —
-    one frame per PR-6/PR-7 location-batch chip call — live in the
-    0xB0 vendor range and the host-side admin operations in 0xA0.
+    The ONFI commands the paper's host needs (PROGRAM, RESET, ERASE,
+    READ_STATUS) and the vendor ones (threshold shift, partial program)
+    keep their :class:`repro.nand.onfi.Command`-style encodings; the
+    location-list data plane lives in the 0xB0 vendor range and the
+    host-side admin operations in 0xA0.
     """
 
-    # -- singles (ONFI / vendor encodings) -------------------------------
-    READ = 0x00
+    # -- ONFI / vendor commands -----------------------------------------
     ERASE = 0x60
     READ_STATUS = 0x70
     PROGRAM = 0x80
     SET_READ_THRESHOLD = 0xC5
-    PROBE_VOLTAGES = 0xC6
     PARTIAL_PROGRAM = 0xC7
     RESET = 0xFF
-    # -- coalesced batches (one frame per batch op) ----------------------
-    READ_PAGES = 0xB0
-    PROBE_PAGES = 0xB1
-    PROGRAM_PAGES = 0xB2
+    # -- location-list data plane (one frame per kernel call) -----------
     READ_LOCATIONS = 0xB3
     PROBE_LOCATIONS = 0xB4
     PROGRAM_LOCATIONS = 0xB5
     # -- admin -----------------------------------------------------------
     HELLO = 0xA0
     ADVANCE_TIME = 0xA1
-    GET_COUNTERS = 0xA2
     IS_PROGRAMMED = 0xA3
     BLOCK_PEC = 0xA4
     OBS_COLLECT = 0xA5
@@ -127,9 +131,6 @@ _KIND_BY_TYPE = {exc: code for code, exc in enumerate(ERROR_KINDS)}
 
 def error_kind(exc: BaseException) -> int:
     """The wire code of an exception (most specific type wins)."""
-    code = _KIND_BY_TYPE.get(type(exc))
-    if code is not None:
-        return code
     for klass in type(exc).__mro__:
         code = _KIND_BY_TYPE.get(klass)
         if code is not None:
@@ -153,20 +154,23 @@ def decode_error(payload: bytes) -> Exception:
     return ERROR_KINDS[kind](message)
 
 
-def pack_frame(
-    opcode: int, flags_or_status: int, tag: int, payload: bytes = b""
-) -> bytes:
-    """Serialise one frame (header + payload)."""
+def _header(opcode: int, flags_or_status: int, tag: int, payload) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise CommandError(
             f"payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD}-byte frame cap"
         )
-    header = HEADER.pack(
+    return HEADER.pack(
         MIN_LENGTH + len(payload), opcode & 0xFF, flags_or_status & 0xFF,
         tag & 0xFFFF,
     )
-    return header + payload
+
+
+def pack_frame(
+    opcode: int, flags_or_status: int, tag: int, payload: bytes = b""
+) -> bytes:
+    """Serialise one frame (header + payload)."""
+    return _header(opcode, flags_or_status, tag, payload) + payload
 
 
 def write_frame(
@@ -178,15 +182,7 @@ def write_frame(
     intermediate ``header + payload`` copy; callers flush when the
     exchange needs the frame on the wire.
     """
-    if len(payload) > MAX_PAYLOAD:
-        raise CommandError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD}-byte frame cap"
-        )
-    wfile.write(HEADER.pack(
-        MIN_LENGTH + len(payload), opcode & 0xFF, flags_or_status & 0xFF,
-        tag & 0xFFFF,
-    ))
+    wfile.write(_header(opcode, flags_or_status, tag, payload))
     if payload:
         wfile.write(payload)
 
@@ -261,131 +257,219 @@ class FrameReader:
 
 
 # ----------------------------------------------------------------------
-# payload codecs
+# the opcode table
 #
-# Every codec is symmetric and total over well-formed inputs; decoders
-# raise CommandError for any size mismatch so the server's dispatch can
-# answer malformed payloads with a defined error response.
+# Every payload layout lives in :data:`OPS` and nowhere else: the client
+# and the server both run :func:`encode` and :func:`decode` over the same
+# rows, so request/response symmetry holds by construction.
+
+#: Field types.  Scalars are fixed-width little-endian values; array
+#: types take ``count`` elements, or the rest of the payload when the
+#: field has no count.
+I64, U64, F64, U8 = "i64", "u64", "f64", "u8"
+I64S = "i64s"  #: flat i64 array
+LOCS = "locs"  #: ``[(block, page)]`` as interleaved i64 pairs
+PAGES = "pages"  #: ``(rows, cells_per_page)`` uint8 matrix
+BLOB = "blob"  #: the rest of the payload, raw bytes
+
+_SCALARS = {
+    I64: struct.Struct("<q"),
+    U64: struct.Struct("<Q"),
+    F64: struct.Struct("<d"),
+    U8: struct.Struct("<B"),
+}
+_I64_ARRAY = np.dtype("<i8")
 
 
-def pack_i64(*values: int) -> bytes:
-    return struct.pack(f"<{len(values)}q", *values)
+@dataclass(frozen=True)
+class Field:
+    """One payload field: a name, a type and when it is present."""
+
+    name: str
+    type: str
+    #: Present only when this request flag is set (else decodes to None).
+    flag: int = 0
+    #: May be absent at the end of the payload (``None`` when absent).
+    optional: bool = False
+    #: Array length: an int, the name of an earlier (or request) field
+    #: holding it or listing the elements, or None for the payload rest.
+    count: Union[None, int, str] = None
 
 
-def pack_f64(*values: float) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
+@dataclass(frozen=True)
+class OpSpec:
+    """One opcode's row: its payload layouts and how it is issued."""
+
+    request: Tuple[Field, ...] = ()
+    response: Tuple[Field, ...] = ()
+    #: Ack-only: the client pipelines it, the server answers no payload.
+    posted: bool = False
+    #: Completes a chip operation, so the status register rolls after
+    #: it; host-side queries leave the register untouched.
+    rolls: bool = True
 
 
-def pack_u64(value: int) -> bytes:
-    """One unsigned 64-bit value (chip seeds are full-width hashes)."""
-    return _U64.pack(value)
+#: HELLO answers the served geometry under ChipGeometry's own names.
+GEOMETRY_FIELDS = ("n_blocks", "pages_per_block", "cells_per_page", "page_bytes")
+
+_LOCATIONS = Field("locations", LOCS)
+
+OPS: Dict[Op, OpSpec] = {
+    Op.ERASE: OpSpec((Field("block", I64),), posted=True),
+    Op.READ_STATUS: OpSpec(response=(Field("status", U8),), rolls=False),
+    Op.PROGRAM: OpSpec(
+        (Field("block", I64), Field("page", I64),
+         Field("bits", PAGES, count=1)),
+        posted=True,
+    ),
+    Op.SET_READ_THRESHOLD: OpSpec(
+        (Field("level", F64, optional=True),), posted=True
+    ),
+    Op.PARTIAL_PROGRAM: OpSpec(
+        (Field("block", I64), Field("page", I64), Field("fraction", F64),
+         Field("precision", F64), Field("cells", I64S)),
+        posted=True,
+    ),
+    Op.RESET: OpSpec((Field("abort_after_us", F64, optional=True),), posted=True),
+    Op.READ_LOCATIONS: OpSpec(
+        (Field("threshold", F64, flag=FLAG_THRESHOLD), _LOCATIONS),
+        (Field("bits", PAGES, count="locations"),),
+    ),
+    Op.PROBE_LOCATIONS: OpSpec(
+        (_LOCATIONS,), (Field("voltages", PAGES, count="locations"),)
+    ),
+    Op.PROGRAM_LOCATIONS: OpSpec(
+        (Field("count", I64), Field("locations", LOCS, count="count"),
+         Field("bits", PAGES, count="count")),
+        posted=True,
+    ),
+    Op.HELLO: OpSpec(
+        (Field("capabilities", U8, optional=True),),
+        (*(Field(name, I64) for name in GEOMETRY_FIELDS),
+         Field("seed", U64), Field("clock", F64),
+         Field("capabilities", U8, optional=True)),
+        rolls=False,
+    ),
+    Op.ADVANCE_TIME: OpSpec((Field("seconds", F64),), (Field("clock", F64),)),
+    Op.IS_PROGRAMMED: OpSpec(
+        (Field("block", I64), Field("page", I64)),
+        (Field("programmed", U8),),
+    ),
+    Op.BLOCK_PEC: OpSpec((Field("block", I64),), (Field("pec", I64),)),
+    Op.OBS_COLLECT: OpSpec(
+        (Field("reset", U8, optional=True),),
+        (Field("snapshot", BLOB),),
+        rolls=False,
+    ),
+    Op.OBS_RESET: OpSpec(rolls=False),
+    Op.SHUTDOWN: OpSpec(rolls=False),
+}
 
 
-def take_u64(payload, offset: int) -> Tuple[int, int]:
-    """Decode one u64 at `offset`; returns (value, next offset)."""
-    if offset + 8 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted u64 at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    return _U64.unpack_from(payload, offset)[0], offset + 8
+def _present(field: Field, flags: int) -> bool:
+    return not field.flag or bool(flags & field.flag)
 
 
-def take_i64(payload, offset: int) -> Tuple[int, int]:
-    """Decode one i64 at `offset`; returns (value, next offset)."""
-    if offset + 8 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted i64 at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    return _I64.unpack_from(payload, offset)[0], offset + 8
+def encode(
+    fields: Sequence[Field], values: Mapping[str, Any], flags: int = 0
+) -> Union[bytes, memoryview]:
+    """Pack ``values`` (by field name) into one payload.
 
-
-def take_f64(payload, offset: int) -> Tuple[float, int]:
-    """Decode one f64 at `offset`; returns (value, next offset)."""
-    if offset + 8 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted f64 at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    return _F64.unpack_from(payload, offset)[0], offset + 8
-
-
-def pack_i64_array(values: Sequence[int]) -> bytes:
-    """Ship an index sequence as a flat little-endian i64 array."""
-    return np.ascontiguousarray(
-        np.asarray(values, dtype=np.int64)
-    ).tobytes()
-
-
-def take_i64_array(payload, offset: int) -> np.ndarray:
-    """Decode the rest of the payload as a flat i64 array."""
-    rest = len(payload) - offset
-    if rest % 8:
-        raise CommandError(
-            f"payload tail of {rest} bytes is not a whole i64 array"
-        )
-    return np.frombuffer(payload, dtype=np.int64, offset=offset)
-
-
-def take_i64_count(
-    payload, offset: int, count: int
-) -> Tuple[np.ndarray, int]:
-    """Decode exactly `count` i64 values; returns (array, next offset)."""
-    if count < 0:
-        raise CommandError(f"negative element count {count}")
-    end = offset + count * 8
-    if end > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted {count} i64s at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    values = np.frombuffer(
-        payload, dtype=np.int64, offset=offset, count=count
-    )
-    return values, end
-
-
-def pack_u8_array(array: np.ndarray) -> bytes:
-    """Ship a bit/voltage array as raw uint8 bytes (no copy on C-order)."""
-    return np.ascontiguousarray(array, dtype=np.uint8).tobytes()
-
-
-def u8_payload(array: np.ndarray) -> memoryview:
-    """A uint8 array as a frame payload without the ``tobytes`` copy.
-
-    For multi-megabyte batch responses the memoryview goes straight to
-    the stream's scatter write (:func:`write_frame`); use
-    :func:`pack_u8_array` when the bytes must be concatenated.
+    A lone ``PAGES`` field comes back as a memoryview, so multi-megabyte
+    batch responses reach :func:`write_frame` without a copy.
     """
-    return memoryview(np.ascontiguousarray(array, dtype=np.uint8)).cast("B")
+    parts: List[Union[bytes, memoryview]] = []
+    for field in fields:
+        value = values.get(field.name)
+        if not _present(field, flags) or (field.optional and value is None):
+            continue
+        scalar = _SCALARS.get(field.type)
+        if scalar is not None:
+            parts.append(scalar.pack(value))
+        elif field.type in (I64S, LOCS):
+            parts.append(np.asarray(value, dtype=_I64_ARRAY).tobytes())
+        elif field.type == PAGES:
+            array = np.ascontiguousarray(value, dtype=np.uint8)
+            parts.append(memoryview(array.ravel()))
+        else:
+            parts.append(bytes(value))
+    return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
-def take_u8_matrix(payload, offset: int, rows: int, cols: int) -> np.ndarray:
-    """Decode the payload tail as a ``(rows, cols)`` uint8 matrix.
+def decode(
+    fields: Sequence[Field],
+    payload,
+    flags: int = 0,
+    cells: int = 0,
+    context: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """Parse a whole payload into one value per field.
 
-    Zero-copy over the reader's ``bytearray`` buffers — the result is
-    writable exactly like a freshly allocated in-process array.
+    `cells` is the page width of ``PAGES`` fields; `context` resolves
+    counts that name request fields (a response's row count).  Any
+    shortfall, bad count or trailing byte raises
+    :class:`~repro.nand.errors.CommandError` before a caller acts on it.
+    Arrays are zero-copy views, writable over a ``bytearray`` payload.
     """
-    rest = len(payload) - offset
-    if rows < 0 or rest != rows * cols:
+    known = dict(context or {})
+    out: Dict[str, Any] = {}
+    offset = 0
+    for field in fields:
+        if not _present(field, flags) or (
+            field.optional and offset == len(payload)
+        ):
+            out[field.name] = None
+            continue
+        value, offset = _take(field, payload, offset, cells, known)
+        out[field.name] = known[field.name] = value
+    if offset != len(payload):
+        raise CommandError(f"{len(payload) - offset} trailing payload bytes")
+    return out
+
+
+def _take(field: Field, payload, offset: int, cells: int, known) -> Tuple[Any, int]:
+    size = len(payload)
+    scalar = _SCALARS.get(field.type)
+    if scalar is not None:
+        if offset + scalar.size > size:
+            raise CommandError(
+                f"payload truncated: wanted {field.type} {field.name!r} at "
+                f"offset {offset}, have {size} bytes"
+            )
+        return scalar.unpack_from(payload, offset)[0], offset + scalar.size
+    if field.type == BLOB:
+        return bytes(payload[offset:]), size
+    width = {I64S: 8, LOCS: 16, PAGES: cells}[field.type]
+    count = field.count
+    if isinstance(count, str):
+        count = known[count] if isinstance(known[count], int) else len(known[count])
+    rest = size - offset
+    if count is None:
+        if rest % width:
+            raise CommandError(
+                f"payload tail of {rest} bytes is not whole "
+                f"{width}-byte {field.name}"
+            )
+        count = rest // width
+    elif count < 0:
+        raise CommandError(f"negative {field.name} count {count}")
+    elif count * width > rest:
         raise CommandError(
-            f"payload tail of {rest} bytes does not hold "
-            f"{rows} rows of {cols} cells"
+            f"payload truncated: wanted {count} {field.name} of {width} "
+            f"bytes at offset {offset}, have {size} bytes"
         )
-    return np.frombuffer(
-        payload, dtype=np.uint8, offset=offset
-    ).reshape(rows, cols)
+    end = offset + count * width
+    if field.type == PAGES:
+        matrix = np.frombuffer(payload, np.uint8, count * cells, offset)
+        return matrix.reshape(count, cells), end
+    flat = np.frombuffer(payload, _I64_ARRAY, count * width // 8, offset)
+    if field.type == LOCS:
+        return [(int(block), int(page)) for block, page in flat.reshape(-1, 2)], end
+    return flat, end
 
 
-def pack_locations(locations: Sequence[Tuple[int, int]]) -> bytes:
-    """Ship ``(block, page)`` pairs as an interleaved i64 array."""
-    flat = np.asarray(
-        [coord for location in locations for coord in location],
-        dtype=np.int64,
-    )
-    return flat.tobytes()
-
+# ----------------------------------------------------------------------
+# trace-parent prefix (FLAG_TRACE), stripped before the table applies
 
 _U16 = struct.Struct("<H")
 
@@ -428,12 +512,3 @@ def take_trace_parent(payload, offset: int) -> Tuple[str, int]:
     return name, end
 
 
-def take_locations(payload, offset: int) -> list:
-    """Decode interleaved i64 pairs back into ``[(block, page)]``."""
-    flat = take_i64_array(payload, offset)
-    if flat.size % 2:
-        raise CommandError(
-            f"location list of {flat.size} i64s is not whole pairs"
-        )
-    pairs = flat.reshape(-1, 2)
-    return [(int(block), int(page)) for block, page in pairs]

@@ -14,7 +14,7 @@ layer on top of it.
 import io
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nand import TEST_MODEL, FlashChip, Status
@@ -27,26 +27,27 @@ from repro.onfi import (
     decode_error,
     pack_frame,
 )
-from repro.onfi.wire import pack_i64
+from repro.onfi.wire import OPS, encode
 
 GEOMETRY = TEST_MODEL.geometry
 
 FUZZ_SETTINGS = dict(max_examples=50, deadline=None)
 STREAM_SETTINGS = dict(max_examples=25, deadline=None)
 
-# Ops that mutate chip state; every take_* helper needs >= 8 bytes, so
-# payloads of 1..7 bytes are malformed for all of them.
+# Ops that touch chip state; each one's first field is at least 8 bytes
+# wide, so payloads of 1..7 bytes are malformed for all of them.
 MUTATING_OPS = [
-    Op.READ,
     Op.ERASE,
     Op.PROGRAM,
     Op.PARTIAL_PROGRAM,
-    Op.READ_PAGES,
-    Op.PROGRAM_PAGES,
     Op.READ_LOCATIONS,
+    Op.PROBE_LOCATIONS,
     Op.PROGRAM_LOCATIONS,
     Op.ADVANCE_TIME,
 ]
+
+#: A well-formed IS_PROGRAMMED request: exactly two i64 fields.
+IS_PROGRAMMED_0_0 = encode(OPS[Op.IS_PROGRAMMED].request, {"block": 0, "page": 0})
 
 
 def fresh_server(seed=7):
@@ -71,6 +72,8 @@ def parse_responses(blob: bytes):
     payload=st.binary(max_size=64),
 )
 @settings(**FUZZ_SETTINGS)
+# A SHUTDOWN that fails to parse must still end the connection.
+@example(opcode=0xAF, flags=0, tag=0, payload=b"\x00")
 def test_handle_frame_never_raises(opcode, flags, tag, payload):
     server = fresh_server()
     status, out, keep = server.handle_frame(opcode, flags, tag, payload)
@@ -112,8 +115,10 @@ def test_trailing_payload_bytes_rejected(payloads):
     """Valid prefix + trailing junk is malformed, not silently ignored."""
     server = fresh_server()
     for junk in payloads:
-        payload = pack_i64(0, 0) + b"\xff" + junk  # READ wants exactly 16
-        status, out, _ = server.handle_frame(int(Op.READ), 0, 0, payload)
+        payload = IS_PROGRAMMED_0_0 + b"\xff" + junk
+        status, out, _ = server.handle_frame(
+            int(Op.IS_PROGRAMMED), 0, 0, payload
+        )
         assert status & STATUS_FAIL
         assert isinstance(decode_error(out), NandError)
 
@@ -163,7 +168,7 @@ def test_reordered_duplicate_tags_echo_in_request_order(tags):
 
 def test_truncated_stream_answers_complete_frames_then_hangs_up():
     good = pack_frame(int(Op.READ_STATUS), 0, 5)
-    partial = pack_frame(int(Op.READ), 0, 6, pack_i64(0, 0))[:-3]
+    partial = pack_frame(int(Op.IS_PROGRAMMED), 0, 6, IS_PROGRAMMED_0_0)[:-3]
     server = fresh_server()
     out = io.BytesIO()
     server.serve(FrameReader(io.BytesIO(good + partial)), out)

@@ -22,19 +22,15 @@ from repro.onfi import (
     pack_frame,
 )
 from repro.onfi.wire import (
-    pack_f64,
-    pack_i64,
-    pack_i64_array,
-    pack_locations,
-    pack_u8_array,
-    pack_u64,
-    take_f64,
-    take_i64,
-    take_i64_array,
-    take_i64_count,
-    take_locations,
-    take_u64,
-    take_u8_matrix,
+    F64,
+    I64,
+    I64S,
+    LOCS,
+    PAGES,
+    U64,
+    Field,
+    decode,
+    encode,
 )
 
 
@@ -43,9 +39,9 @@ def read_one(data: bytes):
 
 
 def test_frame_round_trip():
-    frame = pack_frame(int(Op.READ), 0x02, 0xBEEF, b"payload")
+    frame = pack_frame(int(Op.READ_LOCATIONS), 0x02, 0xBEEF, b"payload")
     opcode, flags, tag, payload = read_one(frame)
-    assert (opcode, flags, tag) == (int(Op.READ), 0x02, 0xBEEF)
+    assert (opcode, flags, tag) == (int(Op.READ_LOCATIONS), 0x02, 0xBEEF)
     assert bytes(payload) == b"payload"
 
 
@@ -61,13 +57,13 @@ def test_clean_eof_returns_none():
 
 
 def test_truncated_header_raises():
-    frame = pack_frame(int(Op.READ), 0, 1)
+    frame = pack_frame(int(Op.READ_LOCATIONS), 0, 1)
     with pytest.raises(CommandError):
         read_one(frame[:5])
 
 
 def test_truncated_payload_raises():
-    frame = pack_frame(int(Op.READ), 0, 1, b"abcdef")
+    frame = pack_frame(int(Op.READ_LOCATIONS), 0, 1, b"abcdef")
     with pytest.raises(CommandError):
         read_one(frame[:-2])
 
@@ -105,48 +101,51 @@ def test_multiple_frames_stream():
 
 
 def test_scalar_codecs_round_trip():
-    payload = pack_i64(-5, 2**62) + pack_u64(2**64 - 1) + pack_f64(2.5)
-    a, o = take_i64(payload, 0)
-    b, o = take_i64(payload, o)
-    c, o = take_u64(payload, o)
-    d, o = take_f64(payload, o)
-    assert (a, b, c, d) == (-5, 2**62, 2**64 - 1, 2.5)
-    assert o == len(payload)
+    fields = (Field("a", I64), Field("b", I64), Field("c", U64),
+              Field("d", F64))
+    values = {"a": -5, "b": 2**62, "c": 2**64 - 1, "d": 2.5}
+    payload = encode(fields, values)
+    assert len(payload) == 32
+    assert decode(fields, payload) == values
 
 
 def test_scalar_codecs_raise_on_truncation():
     with pytest.raises(CommandError):
-        take_i64(b"\x00" * 7, 0)
+        decode((Field("a", I64),), b"\x00" * 7)
     with pytest.raises(CommandError):
-        take_f64(b"\x00" * 10, 4)
+        decode((Field("a", I64), Field("b", F64)), b"\x00" * 10)
     with pytest.raises(CommandError):
-        take_u64(b"", 0)
+        decode((Field("a", U64),), b"")
 
 
 def test_i64_array_round_trip():
     values = np.array([-1, 0, 7, 2**40], dtype=np.int64)
-    decoded = take_i64_array(bytearray(pack_i64_array(values)), 0)
-    assert np.array_equal(decoded, values)
+    fields = (Field("cells", I64S),)
+    payload = bytearray(encode(fields, {"cells": values}))
+    assert np.array_equal(decode(fields, payload)["cells"], values)
 
 
 def test_i64_array_rejects_ragged_tail():
     with pytest.raises(CommandError):
-        take_i64_array(b"\x00" * 9, 0)
+        decode((Field("cells", I64S),), b"\x00" * 9)
 
 
 def test_i64_count_rejects_negative_and_short():
-    payload = pack_i64_array(np.arange(3))
-    values, end = take_i64_count(payload, 0, 3)
-    assert list(values) == [0, 1, 2] and end == 24
+    fields = (Field("n", I64), Field("cells", I64S, count="n"))
+    tail = encode(fields[1:], {"cells": np.arange(3)})
+    decoded = decode(fields, encode(fields[:1], {"n": 3}) + tail)
+    assert decoded["n"] == 3 and list(decoded["cells"]) == [0, 1, 2]
     with pytest.raises(CommandError):
-        take_i64_count(payload, 0, 4)
+        decode(fields, encode(fields[:1], {"n": 4}) + tail)
     with pytest.raises(CommandError):
-        take_i64_count(payload, 0, -1)
+        decode(fields, encode(fields[:1], {"n": -1}) + tail)
 
 
 def test_u8_matrix_round_trip_is_writable():
     rows = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    decoded = take_u8_matrix(bytearray(pack_u8_array(rows)), 0, 3, 4)
+    fields = (Field("rows", PAGES),)
+    payload = bytearray(encode(fields, {"rows": rows}))
+    decoded = decode(fields, payload, cells=4)["rows"]
     assert np.array_equal(decoded, rows)
     decoded[0, 0] = 99  # zero-copy view over a bytearray stays writable
     assert decoded[0, 0] == 99
@@ -154,20 +153,24 @@ def test_u8_matrix_round_trip_is_writable():
 
 def test_u8_matrix_rejects_size_mismatch():
     with pytest.raises(CommandError):
-        take_u8_matrix(b"\x00" * 11, 0, 3, 4)
+        decode((Field("rows", PAGES),), b"\x00" * 11, cells=4)
+    counted = (Field("n", I64), Field("rows", PAGES, count="n"))
     with pytest.raises(CommandError):
-        take_u8_matrix(b"\x00" * 12, 0, -3, 4)
+        decode(counted, encode(counted[:1], {"n": -3}) + b"\x00" * 12,
+               cells=4)
 
 
 def test_locations_round_trip_preserves_negatives():
     locations = [(0, 1), (-2, 5), (3, -9)]
-    decoded = take_locations(bytearray(pack_locations(locations)), 0)
-    assert decoded == locations
+    fields = (Field("locations", LOCS),)
+    payload = bytearray(encode(fields, {"locations": locations}))
+    assert decode(fields, payload)["locations"] == locations
 
 
 def test_locations_reject_odd_element_count():
+    payload = encode((Field("cells", I64S),), {"cells": np.arange(3)})
     with pytest.raises(CommandError):
-        take_locations(pack_i64_array(np.arange(3)), 0)
+        decode((Field("locations", LOCS),), payload)
 
 
 @pytest.mark.parametrize(
