@@ -279,7 +279,10 @@ def collect(params) -> dict:
         chip.age_block(0, WORKLOAD_PEC)
         chip.program_pages(0, pages, bits)
         vthi = VtHi(chip, config)
-        vthi.embed_pages(0, pages, hiddens, key, public_bits=list(bits))
+        vthi.embed_locations(
+            [(0, page) for page in pages], hiddens, key,
+            public_bits=list(bits),
+        )
         bake(chip, bake_temp_c=125.0, duration_s=3600.0)
         for i, page in enumerate(pages):
             recovered = vthi.read_bits(

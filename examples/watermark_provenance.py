@@ -41,9 +41,9 @@ def provision(chip: FlashChip, serial: str, vendor_key: HidingKey,
               n_pages: int) -> None:
     """Factory step: write firmware pages and embed watermarks.
 
-    One batched :meth:`VtHi.hide_pages` call: every page's payload ECC
-    encodes in one vectorised pass and the embed loop step-synchronises
-    across pages.
+    One batched :meth:`VtHi.hide_locations` call: every page's payload
+    ECC encodes in one vectorised pass and the embed loop
+    step-synchronises across pages.
     """
     vthi = VtHi(chip, CONFIG)
     rng = substream(99, "firmware-image")
@@ -56,20 +56,24 @@ def provision(chip: FlashChip, serial: str, vendor_key: HidingKey,
         watermark_for(serial, chip.geometry.page_address(0, page))
         for page in pages
     ]
-    vthi.hide_pages(0, pages, firmware_pages, watermarks, vendor_key)
+    vthi.hide_locations(
+        [(0, page) for page in pages], firmware_pages, watermarks, vendor_key
+    )
 
 
 def verify(chip: FlashChip, serial: str, vendor_key: HidingKey,
            n_pages: int) -> int:
     """Field step: count pages whose watermark authenticates.
 
-    One batched :meth:`VtHi.recover_pages` call — failed pages come back
+    One batched :meth:`VtHi.recover_locations` call — failed pages come back
     as ``None`` instead of raising, and all pages' ECC decodes share one
     vectorised pass.
     """
     vthi = VtHi(chip, CONFIG)
     pages = list(range(n_pages))
-    found = vthi.recover_pages(0, pages, vendor_key, 16, on_error="return")
+    found = vthi.recover_locations(
+        [(0, page) for page in pages], vendor_key, 16, on_error="return"
+    )
     return sum(
         1
         for page, payload in zip(pages, found)

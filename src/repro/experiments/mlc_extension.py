@@ -23,6 +23,7 @@ import numpy as np
 
 from ..hiding.config import HidingConfig
 from ..hiding.selection import select_cells
+from ..hiding.vthi import VtHi
 from ..nand.mlc import MlcView
 from .common import (
     Table,
@@ -74,16 +75,7 @@ def _attempt(chip, mlc, block, config, key, bits, label):
     address = chip.geometry.page_address(block, 0)
     cells = select_cells(key, address, erased_cells, bits.size)
     zero_cells = cells[bits == 0]
-    target = config.threshold + config.guard
-    for _ in range(config.pp_steps):
-        voltages = chip.probe_voltages(block, 0)
-        below = zero_cells[voltages[zero_cells] < target]
-        if below.size == 0:
-            break
-        chip.partial_program(
-            block, 0, below,
-            fraction=config.pp_fraction, precision=config.pp_precision,
-        )
+    VtHi(chip, config).embed_prepared([(block, 0, zero_cells)])
     shifted = chip.read_page(block, 0, threshold=config.threshold)
     hidden_ber = float((shifted[cells] != bits).mean())
     lower_back, upper_back = mlc.read_page(block, 0)

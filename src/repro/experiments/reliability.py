@@ -77,7 +77,8 @@ def _chip_unit(
         for page in page_list
     ]
     chip.program_pages(block, page_list, publics)
-    vthi.embed_pages(block, page_list, hiddens, key, public_bits=publics)
+    locations = [(block, page) for page in page_list]
+    vthi.embed_locations(locations, hiddens, key, public_bits=publics)
     errors = [
         float(
             (

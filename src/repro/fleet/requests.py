@@ -44,6 +44,12 @@ class Request:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}")
+        # A zero-length slot is a deletion tombstone, and the slot header
+        # stores the LBA as a u32: neither write is representable.
+        if self.kind == "write" and not (self.payload and 0 <= self.lba < 2**32):
+            raise ValueError(
+                f"unrepresentable write: {len(self.payload)} bytes to lba {self.lba}"
+            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,10 +3,10 @@
 Both schedulers drive :meth:`repro.fleet.service.FleetService.execute_round`
 — the only difference is the batch size they hand it.  The coalescing
 scheduler passes a whole shard-round at once, filling the cross-block
-batch kernels (``read_locations`` / ``program_locations`` /
-``embed_prepared`` and the batch ECC pipeline); the naive scheduler
-invokes the same engine once per request, so every chip call carries a
-single location.  Because a round's requests target distinct tenant
+batch kernels (``program_locations`` on the chip, the VT-HI kernels
+``embed_prepared`` and ``recover_prepared``, and the keyed batch ECC
+encode); the naive scheduler invokes the same engine once per request,
+so every chip call carries a single location.  Because a round's requests target distinct tenant
 blocks, the two produce bit-identical per-tenant results (see the
 ``execute_round`` docstring for the commutation argument) — the
 benchmark's speedup is pure batching, not a semantic shortcut.

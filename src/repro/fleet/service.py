@@ -18,8 +18,10 @@ The request queue admits at most one request per tenant per round, so a
 round's batches always address distinct ``(block, page)`` locations.
 
 :meth:`FleetService.execute_round` is the shared execution engine: it
-plans every request, then runs the chip work in phases (program →
-encode → embed → threshold-read → decode).  The two schedulers differ
+plans every request, then runs the chip work in phases through the two
+VT-HI kernels: a keyed batch encode plus :meth:`VtHi.embed_prepared`
+for the writes, then :meth:`VtHi.recover_prepared` (threshold read +
+batch decode) for the reads and mount scans.  The two schedulers differ
 *only* in how many requests they hand it per call — one (naive
 per-request dispatch) or a whole round (coalesced) — which is exactly
 the batch-kernel fill factor the benchmark measures.
@@ -40,7 +42,13 @@ from ..hiding.config import HidingConfig
 from ..nand import FlashChip
 from ..nand.vendor import VENDOR_A, ChipModel, scaled_model
 from ..rng import derive_seed, substream
-from ..stego.metadata import HEADER_BYTES, SlotHeader, pack_slot, unpack_slot
+from ..stego.metadata import (
+    HEADER_BYTES,
+    SlotHeader,
+    latest_slots,
+    pack_slot,
+    unpack_slot,
+)
 from .requests import AdmissionError, Request, RequestQueue, Response
 
 _OBS_SHARD_ROUNDS = obs.counter("fleet.shard_rounds")
@@ -540,28 +548,19 @@ class FleetService:
 
         # -- encode + embed the round's writes in one batch -------------
         if write_meta:
-            addresses = [
-                self.model.geometry.page_address(ts.block, page)
-                for _, ts, page, _, _ in write_meta
-            ]
-            coded = shard.vthi.codec.encode_pages_keyed(
-                [ts.key for _, ts, _, _, _ in write_meta],
-                addresses,
+            steps = self._embed_slots(
+                shard,
+                [(ts, page) for _, ts, page, _, _ in write_meta],
                 [blob for _, _, _, _, blob in write_meta],
             )
-            items = []
-            for (request, ts, page, _, _), bits in zip(write_meta, coded):
-                cells = self._selection(ts, page)
-                items.append((ts.block, page, cells[bits == 0]))
-            stats = shard.vthi.embed_prepared(items)
-            for (request, ts, page, seq, _), (steps, _) in zip(
-                write_meta, stats
+            for (request, ts, page, seq, _), pp_steps in zip(
+                write_meta, steps
             ):
                 ts.slots[request.lba] = (page, len(request.payload), seq)
                 # Echo the payload so callers can account bytes exactly.
                 outcome[request.tenant] = Response(
                     request.tenant, "write", request.lba, "ok",
-                    payload=request.payload, pp_steps=steps,
+                    payload=request.payload, pp_steps=pp_steps,
                 )
 
         # -- plan reads -------------------------------------------------
@@ -580,10 +579,8 @@ class FleetService:
 
         # -- one threshold read + one batch decode for all reads --------
         if read_meta:
-            blobs = self._recover_blobs(
-                shard,
-                [(ts, page) for _, ts, page, _ in read_meta],
-                on_error="return",
+            blobs = self._recover_slots(
+                shard, [(ts, page) for _, ts, page, _ in read_meta]
             )
             for (request, ts, page, length), blob in zip(read_meta, blobs):
                 response = Response(
@@ -607,31 +604,22 @@ class FleetService:
             for page in self._host_pages:
                 mount_meta.append((request, ts, page))
         if mount_meta:
-            blobs = self._recover_blobs(
-                shard,
-                [(ts, page) for _, ts, page in mount_meta],
-                on_error="return",
+            blobs = self._recover_slots(
+                shard, [(ts, page) for _, ts, page in mount_meta]
             )
-            found: Dict[int, Dict[int, Tuple[int, int]]] = {}
+            found: Dict[int, List[Tuple[int, SlotHeader]]] = {}
             for (request, ts, page), blob in zip(mount_meta, blobs):
-                per_tenant = found.setdefault(request.tenant, {})
-                if blob is None:
-                    continue
-                slot = unpack_slot(ts.key, blob)
-                if slot is None or slot[0].is_tombstone:
-                    continue
-                header = slot[0]
-                best = per_tenant.get(header.lba)
-                if best is None or header.seq > best[0]:
-                    per_tenant[header.lba] = (header.seq, header.length)
+                slot = None if blob is None else unpack_slot(ts.key, blob)
+                if slot is not None:
+                    found.setdefault(request.tenant, []).append((page, slot[0]))
             for request in requests:
                 if request.kind != "mount":
                     continue
-                per_tenant = found.get(request.tenant, {})
+                live = latest_slots(found.get(request.tenant, []))
                 directory = tuple(
                     sorted(
-                        (lba, length)
-                        for lba, (_, length) in per_tenant.items()
+                        (lba, header.length)
+                        for lba, (_, header) in live.items()
                     )
                 )
                 outcome[request.tenant] = Response(
@@ -659,35 +647,37 @@ class FleetService:
     # ------------------------------------------------------------------
     # shared helpers
 
-    def _recover_blobs(
+    def _embed_slots(
         self,
         shard: Shard,
         targets: Sequence[Tuple[TenantState, int]],
-        on_error: str,
-    ) -> List[Optional[bytes]]:
-        """Threshold-read + batch-decode slot blobs at (tenant, page).
+        blobs: Sequence[bytes],
+    ) -> List[int]:
+        """Encode and embed slot blobs at (tenant, host page) targets.
 
-        One :meth:`~repro.nand.chip.FlashChip.read_locations` over every
-        target and one keyed batch ECC decode; selection maps come from
-        the per-epoch cache (identical in both schedulers).
+        One keyed batch encode and one ``embed_prepared`` over cached
+        selection maps; returns the PP steps per target.
         """
-        locations = [(ts.block, page) for ts, page in targets]
-        shifted = shard.chip.read_locations(
-            locations, threshold=self.config.hiding.threshold
-        )
-        coded = [
-            shifted[i][self._selection(ts, page)]
-            for i, (ts, page) in enumerate(targets)
-        ]
-        return shard.vthi.codec.decode_pages_keyed(
+        coded = shard.vthi.codec.encode_pages_keyed(
             [ts.key for ts, _ in targets],
-            [
-                self.model.geometry.page_address(ts.block, page)
-                for ts, page in targets
-            ],
-            coded,
+            [self.model.geometry.page_address(ts.block, p) for ts, p in targets],
+            blobs,
+        )
+        items = [
+            (ts.block, page, self._selection(ts, page)[bits == 0])
+            for (ts, page), bits in zip(targets, coded)
+        ]
+        return [steps for steps, _ in shard.vthi.embed_prepared(items)]
+
+    def _recover_slots(
+        self, shard: Shard, targets: Sequence[Tuple[TenantState, int]]
+    ) -> List[Optional[bytes]]:
+        """Slot blobs at (tenant, host page) targets, ``None`` if
+        uncorrectable: one ``recover_prepared`` over cached selections."""
+        return shard.vthi.recover_prepared(
+            [(ts.block, p, ts.key, self._selection(ts, p)) for ts, p in targets],
             self.slot_bytes,
-            on_error=on_error,
+            on_error="return",
         )
 
     def _rebuild(self, ts: TenantState, drop_lba: int) -> None:
@@ -712,10 +702,8 @@ class FleetService:
         live: List[Tuple[int, Tuple[int, int, int]]] = []
         payloads: List[bytes] = []
         if candidates:
-            blobs = self._recover_blobs(
-                shard,
-                [(ts, entry[0]) for _, entry in candidates],
-                on_error="return",
+            blobs = self._recover_slots(
+                shard, [(ts, entry[0]) for _, entry in candidates]
             )
             for (lba, entry), blob in zip(candidates, blobs):
                 if blob is None:
@@ -744,18 +732,7 @@ class FleetService:
         keep = self._host_pages[: len(live)]
         ts.free_pages = list(self._host_pages[len(live):])
         if live:
-            addresses = [
-                self.model.geometry.page_address(ts.block, page)
-                for page in keep
-            ]
-            coded = shard.vthi.codec.encode_pages_keyed(
-                [ts.key] * len(live), addresses, payloads
-            )
-            items = []
-            for page, bits in zip(keep, coded):
-                cells = self._selection(ts, page)
-                items.append((ts.block, page, cells[bits == 0]))
-            shard.vthi.embed_prepared(items)
+            self._embed_slots(shard, [(ts, page) for page in keep], payloads)
             for (lba, entry), page in zip(live, keep):
                 ts.slots[lba] = (page, entry[1], entry[2])
 

@@ -113,23 +113,7 @@ class PayloadCodec:
 
     def encode(self, key: HidingKey, page_address: int, data: bytes) -> np.ndarray:
         """Whiten and encode a payload into hidden bits for one page."""
-        return self.encode_pages(key, [page_address], [data])[0]
-
-    def encode_pages(
-        self,
-        key: HidingKey,
-        page_addresses: Sequence[int],
-        payloads: Sequence[bytes],
-    ) -> List[np.ndarray]:
-        """Batch :meth:`encode`: several pages' payloads, all their BCH
-        codewords through one vectorised ``encode_many`` pass.
-
-        Identical output to encoding page by page (whitening nonces are
-        per page address), minus the per-page parity passes.
-        """
-        return self.encode_pages_keyed(
-            [key] * len(page_addresses), page_addresses, payloads
-        )
+        return self.encode_pages_keyed([key], [page_address], [data])[0]
 
     def encode_pages_keyed(
         self,
@@ -137,13 +121,11 @@ class PayloadCodec:
         page_addresses: Sequence[int],
         payloads: Sequence[bytes],
     ) -> List[np.ndarray]:
-        """Like :meth:`encode_pages`, but with one key *per page*.
+        """Batch :meth:`encode` with one key *per page*.
 
-        A fleet coalescing many tenants' writes into one batch carries a
-        different hiding key per page; whitening stays per-(key, page
-        address) while the BCH parity of every page still runs in one
-        ``encode_many`` pass.  With a constant key list this is exactly
-        :meth:`encode_pages`.
+        Whitening stays per-(key, page address) — a fleet coalescing
+        many tenants' writes carries a different key per page — while
+        the BCH parity of every page runs in one ``encode_many`` pass.
         """
         if len(payloads) != len(page_addresses):
             raise ValueError(
@@ -196,32 +178,9 @@ class PayloadCodec:
 
         Raises :class:`PayloadError` when ECC cannot correct the word.
         """
-        return self.decode_pages(
-            key, [page_address], [coded_bits], n_bytes
-        )[0]
-
-    def decode_pages(
-        self,
-        key: HidingKey,
-        page_addresses: Sequence[int],
-        coded_pages: Sequence[np.ndarray],
-        n_bytes: int,
-        on_error: str = "raise",
-    ) -> List[Optional[bytes]]:
-        """Batch :meth:`decode`: payloads of the same known length from
-        several pages' read-back bits, their ECC in one vectorised pass.
-
-        With ``on_error="return"``, a page whose ECC fails yields ``None``
-        instead of raising — the mount scan probes every eligible page and
-        expects most to fail.
-        """
         return self.decode_pages_keyed(
-            [key] * len(page_addresses),
-            page_addresses,
-            coded_pages,
-            n_bytes,
-            on_error=on_error,
-        )
+            [key], [page_address], [coded_bits], n_bytes
+        )[0]
 
     def decode_pages_keyed(
         self,
@@ -231,12 +190,14 @@ class PayloadCodec:
         n_bytes: int,
         on_error: str = "raise",
     ) -> List[Optional[bytes]]:
-        """Like :meth:`decode_pages`, but with one key *per page*.
+        """Batch :meth:`decode` with one key *per page*.
 
-        The decode counterpart of :meth:`encode_pages_keyed`: the ECC of
-        every page (whoever it belongs to) corrects in one vectorised
+        Payloads of the same known length: the ECC of every page
+        (whoever it belongs to) corrects in one vectorised
         ``decode_many`` pass, then each page unwhitens under its own key.
-        With a constant key list this is exactly :meth:`decode_pages`.
+        With ``on_error="return"``, a page whose ECC fails yields
+        ``None`` instead of raising — the mount scan probes every
+        eligible page and expects most to fail.
         """
         if len(coded_pages) != len(page_addresses):
             raise ValueError(

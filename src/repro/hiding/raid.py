@@ -15,16 +15,14 @@ for hidden data").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..crypto.keys import HidingKey
 from ..ecc.parity import ParityGroup
 from .payload import PayloadError
-from .vthi import VtHi
-
-Location = Tuple[int, int]
+from .vthi import Location, VtHi
 
 
 @dataclass(frozen=True)
@@ -86,32 +84,18 @@ class ProtectedGroup:
         ).parity
         parity_bytes = np.packbits(parity).tobytes()
 
-        # The whole stripe's payload BCH encodes run as one batched
-        # pass; embedding then goes block by block (the step-synchronised
-        # embed loop works within one block).
+        # One batched payload encode, then one embed over every host.
         all_hosts = hosts + [parity_host]
         payloads = [data.tobytes() for data in chunks] + [parity_bytes]
         addresses = [
-            self.vthi.chip.geometry.page_address(block, page)
-            for block, page in all_hosts
+            self.vthi.chip.geometry.page_address(*host) for host in all_hosts
         ]
-        coded = self.vthi.codec.encode_pages(self.key, addresses, payloads)
-        publics = (
-            list(public_pages)
-            if public_pages is not None
-            else [None] * len(all_hosts)
+        coded = self.vthi.codec.encode_pages_keyed(
+            [self.key] * len(all_hosts), addresses, payloads
         )
-        by_block = {}
-        for index, (block, _) in enumerate(all_hosts):
-            by_block.setdefault(block, []).append(index)
-        for block, indices in by_block.items():
-            self.vthi.embed_pages(
-                block,
-                [all_hosts[i][1] for i in indices],
-                [coded[i] for i in indices],
-                self.key,
-                public_bits=[publics[i] for i in indices],
-            )
+        self.vthi.embed_locations(
+            all_hosts, coded, self.key, public_bits=public_pages
+        )
         return StripeLayout(hosts, parity_host, chunk)
 
     def read(
@@ -120,20 +104,20 @@ class ProtectedGroup:
         n_bytes: int,
         public_pages: Sequence[Optional[np.ndarray]] = None,
     ) -> bytes:
-        """Read a stripe back, rebuilding one lost chunk if needed."""
-        chunk_bits = layout.chunk_bytes * 8
-        members = self._recover_members(
-            layout.data_hosts, chunk_bits, public_pages
+        """Read a stripe back, rebuilding one lost chunk if needed.
+
+        `public_pages` optionally supplies the public bits per host, in
+        :meth:`write`'s order; the parity host is read only when a data
+        chunk is lost.
+        """
+        n_data = len(layout.data_hosts)
+        publics = public_pages or [None] * (n_data + 1)
+        members = self._recover_chunks(
+            layout.data_hosts, layout.chunk_bytes, publics[:n_data]
         )
-        missing = [i for i, m in enumerate(members) if m is None]
-        if missing:
-            parity_public = (
-                public_pages[len(layout.data_hosts)]
-                if public_pages
-                else None
-            )
-            parity = self._recover_bits(
-                layout.parity_host, chunk_bits, parity_public
+        if any(member is None for member in members):
+            (parity,) = self._recover_chunks(
+                [layout.parity_host], layout.chunk_bytes, publics[n_data:]
             )
             if parity is None:
                 raise PayloadError(
@@ -146,55 +130,27 @@ class ProtectedGroup:
 
     # ------------------------------------------------------------------
 
-    def _recover_members(
+    def _recover_chunks(
         self,
         hosts: Sequence[Location],
-        n_bits: int,
-        public_pages: Sequence[Optional[np.ndarray]] = None,
+        chunk_bytes: int,
+        publics: Sequence[Optional[np.ndarray]],
     ) -> List[Optional[np.ndarray]]:
-        """All data chunks' bits, ``None`` per lost host.
-
-        Without caller-supplied public pages, hosts group by block and
-        each group's payloads decode through one batched
-        :meth:`VtHi.recover_pages` call; with them, the per-host path
-        keeps its skip-the-read semantics.
-        """
-        if public_pages is not None:
-            return [
-                self._recover_bits(host, n_bits, public_pages[i])
-                for i, host in enumerate(hosts)
-            ]
-        members: List[Optional[np.ndarray]] = [None] * len(hosts)
-        by_block = {}
-        for index, (block, page) in enumerate(hosts):
-            if self.vthi.chip.is_page_programmed(block, page):
-                by_block.setdefault(block, []).append(index)
-        for block, indices in by_block.items():
-            recovered = self.vthi.recover_pages(
-                block,
-                [hosts[i][1] for i in indices],
-                self.key,
-                n_bits // 8,
-                on_error="return",
-            )
-            for index, data in zip(indices, recovered):
-                if data is not None:
-                    members[index] = np.unpackbits(
-                        np.frombuffer(data, dtype=np.uint8)
-                    )
-        return members
-
-    def _recover_bits(
-        self, host: Location, n_bits: int, public: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """A chunk's bits, or None if the host page is gone/uncorrectable."""
-        block, page = host
-        if not self.vthi.chip.is_page_programmed(block, page):
-            return None
-        try:
-            data = self.vthi.recover(
-                block, page, self.key, n_bits // 8, public_bits=public
-            )
-        except PayloadError:
-            return None
-        return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        """Each host's chunk bits via one ``recover_locations`` call;
+        ``None`` where the page holds no public data or is uncorrectable."""
+        live = [
+            i for i, host in enumerate(hosts)
+            if self.vthi.chip.is_page_programmed(*host)
+        ]
+        recovered = self.vthi.recover_locations(
+            [hosts[i] for i in live],
+            self.key,
+            chunk_bytes,
+            public_bits=[publics[i] for i in live],
+            on_error="return",
+        )
+        chunks: List[Optional[np.ndarray]] = [None] * len(hosts)
+        for i, data in zip(live, recovered):
+            if data is not None:
+                chunks[i] = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        return chunks

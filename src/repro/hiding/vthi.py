@@ -18,12 +18,18 @@ Encoding follows Algorithm 1:
 (The implementation programs public data first and then selects cells,
 since selection draws from the public bits actually stored — the same
 observable order the paper's prototype uses.)
+
+Two kernels do all the chip work, over ``(block, page)`` lists that may
+span blocks: :meth:`VtHi.embed_prepared` runs step 4's read-PP loop and
+:meth:`VtHi.recover_prepared` runs the threshold-shifted read plus the
+batch decode.  Every other entry point derives selection maps from the
+key and the public view, then calls one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +44,8 @@ _OBS_EMBED_PAGES = obs.counter("vthi.embed.pages")
 _OBS_EMBED_PP_STEPS = obs.counter("vthi.embed.pp_steps")
 _OBS_STEPS_HIST = obs.histogram("vthi.embed.steps_per_page")
 _OBS_RECOVER_PAGES = obs.counter("vthi.recover.pages")
+
+Location = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -78,10 +86,7 @@ class VtHi:
         The ECC-corrected page when a public codec is configured, otherwise
         the raw read.
         """
-        raw = self.chip.read_page(block, page)
-        if self.public_codec is None:
-            return raw
-        return self.public_codec.correct(raw)
+        return self._public_views([(block, page)], [None])[0]
 
     # ------------------------------------------------------------------
     # capacity / layout helpers
@@ -102,134 +107,7 @@ class VtHi:
         return self.max_data_bytes_per_page * len(self.hidden_pages(0))
 
     # ------------------------------------------------------------------
-    # low-level bit embedding (Algorithm 1 without the payload framing)
-
-    def embed_bits(
-        self,
-        block: int,
-        page: int,
-        hidden_bits: np.ndarray,
-        key: HidingKey,
-        public_bits: Optional[np.ndarray] = None,
-    ) -> EmbedStats:
-        """Embed raw hidden bits into a page already holding public data.
-
-        `hidden_bits` should already be whitened (uniform 0/1); the
-        high-level :meth:`hide` handles encryption and ECC.  If the caller
-        knows the public bits (it usually does — it just programmed them),
-        passing them skips one public read.
-        """
-        return self.embed_pages(
-            block,
-            [page],
-            [hidden_bits],
-            key,
-            public_bits=None if public_bits is None else [public_bits],
-        )[0]
-
-    def embed_pages(
-        self,
-        block: int,
-        pages: Sequence[int],
-        hidden_bits: Sequence[np.ndarray],
-        key: HidingKey,
-        public_bits: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> List[EmbedStats]:
-        """Embed hidden bits into several pages of one block at once.
-
-        Runs Algorithm 1's read-PP loop *step-synchronised* across the
-        pages: each iteration issues one
-        :meth:`~repro.nand.chip.FlashChip.probe_voltages_batch` over every
-        page still converging, then pulses each page's remaining cells.
-        Per-page outcomes are bit-identical to embedding the pages one
-        after another (pulse randomness, probe values and step counts are
-        all per-page state), but the probe — the embed hot path — runs as
-        one vectorised chip op per step instead of one per page per step.
-        """
-        if len(hidden_bits) != len(pages):
-            raise ValueError(
-                f"got {len(hidden_bits)} hidden-bit vectors for "
-                f"{len(pages)} pages"
-            )
-        if public_bits is None:
-            public_bits = [None] * len(pages)
-        elif len(public_bits) != len(pages):
-            raise ValueError(
-                f"got {len(public_bits)} public-bit vectors for "
-                f"{len(pages)} pages"
-            )
-        all_bits: List[np.ndarray] = []
-        for bits in hidden_bits:
-            bits = np.asarray(bits, dtype=np.uint8)
-            if bits.ndim != 1 or bits.size > self.config.bits_per_page:
-                raise ValueError(
-                    f"hidden bits must be a vector of <= "
-                    f"{self.config.bits_per_page} bits, got shape "
-                    f"{bits.shape}"
-                )
-            all_bits.append(bits)
-        for page in pages:
-            if not self.chip.is_page_programmed(block, page):
-                raise SelectionError(
-                    f"page {page} of block {block} holds no public data; "
-                    "VT-HI hides inside public data (§5.1)"
-                )
-        addresses = [
-            self.chip.geometry.page_address(block, page) for page in pages
-        ]
-        zero_cells: List[np.ndarray] = []
-        for i, page in enumerate(pages):
-            public = public_bits[i]
-            if public is None:
-                public = self.public_view(block, page)
-            cells = select_cells(
-                key, addresses[i], public, all_bits[i].size
-            )
-            zero_cells.append(cells[all_bits[i] == 0])
-        target = self.config.threshold + self.config.guard
-        steps = [0] * len(pages)
-        below = list(zero_cells)
-        active = list(range(len(pages)))
-        with obs.span("vthi.embed", block=block, pages=len(pages)):
-            for _ in range(self.config.pp_steps):
-                if not active:
-                    break
-                probe_pages = [pages[i] for i in active]
-                voltages = self.chip.probe_voltages_batch(
-                    block, probe_pages
-                )
-                still_active = []
-                for row, i in enumerate(active):
-                    below[i] = zero_cells[i][
-                        voltages[row, zero_cells[i]] < target
-                    ]
-                    if below[i].size == 0:
-                        continue
-                    self.chip.partial_program(
-                        block,
-                        pages[i],
-                        below[i],
-                        fraction=self.config.pp_fraction,
-                        precision=self.config.pp_precision,
-                    )
-                    steps[i] += 1
-                    still_active.append(i)
-                active = still_active
-        _OBS_EMBED_PAGES.inc(len(pages))
-        _OBS_EMBED_PP_STEPS.inc(sum(steps))
-        if obs.is_enabled():
-            for count in steps:
-                _OBS_STEPS_HIST.observe(count)
-        return [
-            EmbedStats(
-                page_address=addresses[i],
-                n_hidden_bits=int(all_bits[i].size),
-                n_zero_bits=int(zero_cells[i].size),
-                pp_steps_used=steps[i],
-                cells_left_below=int(below[i].size),
-            )
-            for i in range(len(pages))
-        ]
+    # the two kernels: Algorithm 1's read-PP loop and its decode
 
     def embed_prepared(
         self, items: Sequence[tuple]
@@ -237,16 +115,13 @@ class VtHi:
         """Algorithm 1's read-PP loop over prepared items *across blocks*.
 
         Each item is ``(block, page, zero_cells)`` — the hidden-'0' cell
-        indices the caller already derived from its selection map (a
-        multi-tenant service computes those under per-tenant keys).  The
-        loop runs step-synchronised like :meth:`embed_pages`, but each
-        step's probe is one
-        :meth:`~repro.nand.chip.FlashChip.probe_voltages_locations` call
-        spanning blocks.  Per-item outcomes — probe values, pulse
-        randomness, step counts — are bit-identical to embedding each
-        item alone, in any grouping: every input to the loop (voltages,
-        PP pulse streams, pulse counts) is per-(block, page) state, and
-        items in one batch never share a page.
+        indices the caller derived from its selection map.  Each step is
+        one :meth:`~repro.nand.chip.FlashChip.probe_voltages_locations`
+        call, then a pulse per item still below target; an item without
+        hidden '0' cells is never probed.  Per-item outcomes are
+        bit-identical to embedding each item alone, in any grouping:
+        every input to the loop is per-(block, page) state, and items in
+        one batch never share a page.
 
         Returns ``(pp_steps_used, cells_left_below)`` per item.
         """
@@ -254,12 +129,7 @@ class VtHi:
             (int(block), int(page), np.asarray(cells, dtype=np.int64))
             for block, page, cells in items
         ]
-        for block, page, _ in prepared:
-            if not self.chip.is_page_programmed(block, page):
-                raise SelectionError(
-                    f"page {page} of block {block} holds no public data; "
-                    "VT-HI hides inside public data (§5.1)"
-                )
+        self._require_programmed([item[:2] for item in prepared])
         target = self.config.threshold + self.config.guard
         steps = [0] * len(prepared)
         below = [cells for _, _, cells in prepared]
@@ -297,6 +167,102 @@ class VtHi:
             (steps[i], int(below[i].size)) for i in range(len(prepared))
         ]
 
+    def recover_prepared(
+        self,
+        items: Sequence[tuple],
+        n_bytes: int,
+        on_error: str = "raise",
+    ) -> List[Optional[bytes]]:
+        """Read back and decode prepared items *across blocks* (§5.3).
+
+        Each item is ``(block, page, key, cells)``: the selection map the
+        caller derived under that item's key.  One threshold-shifted
+        ``read_locations`` and one ``decode_pages_keyed`` pass recover
+        the same-length payloads; with ``on_error="return"`` an
+        uncorrectable one yields ``None`` instead of raising.
+        """
+        if not items:
+            return []
+        _OBS_RECOVER_PAGES.inc(len(items))
+        with obs.span("vthi.recover", items=len(items)):
+            locations = [(int(item[0]), int(item[1])) for item in items]
+            shifted = self.chip.read_locations(
+                locations, threshold=self.config.threshold
+            )
+            return self.codec.decode_pages_keyed(
+                [key for _, _, key, _ in items],
+                [self._address(location) for location in locations],
+                [row[item[3]] for row, item in zip(shifted, items)],
+                n_bytes,
+                on_error=on_error,
+            )
+
+    # ------------------------------------------------------------------
+    # location forms: selection from the key, then a kernel
+
+    def embed_locations(
+        self,
+        locations: Sequence[Location],
+        hidden_bits: Sequence[np.ndarray],
+        key: HidingKey,
+        public_bits: Optional[Sequence[Optional[np.ndarray]]] = None,
+    ) -> List[EmbedStats]:
+        """Embed raw hidden bits at locations already holding public data.
+
+        `hidden_bits` should already be whitened (uniform 0/1);
+        :meth:`hide_locations` adds encryption and ECC.  Selection maps
+        come from `key` and each location's public bits; a supplied
+        ``public_bits`` entry skips that location's public read.
+        """
+        locations = [(int(block), int(page)) for block, page in locations]
+        if len(hidden_bits) != len(locations):
+            raise ValueError(
+                f"got {len(hidden_bits)} hidden-bit vectors for "
+                f"{len(locations)} locations"
+            )
+        publics = self._public_bits_list(public_bits, len(locations))
+        all_bits = [np.asarray(bits, dtype=np.uint8) for bits in hidden_bits]
+        for bits in all_bits:
+            if bits.ndim != 1 or bits.size > self.config.bits_per_page:
+                raise ValueError(
+                    f"hidden bits must be a vector of <= "
+                    f"{self.config.bits_per_page} bits, got shape "
+                    f"{bits.shape}"
+                )
+        # Never read the public view of a page that holds no public data;
+        # embed_prepared checks the locations whose bits were supplied.
+        self._require_programmed(
+            [loc for loc, bits in zip(locations, publics) if bits is None]
+        )
+        views = self._public_views(locations, publics)
+        addresses = [self._address(loc) for loc in locations]
+        zero_cells = [
+            select_cells(key, address, view, bits.size)[bits == 0]
+            for address, view, bits in zip(addresses, views, all_bits)
+        ]
+        outcomes = self.embed_prepared(
+            [loc + (cells,) for loc, cells in zip(locations, zero_cells)]
+        )
+        return [
+            EmbedStats(address, bits.size, cells.size, *outcome)
+            for address, bits, cells, outcome in zip(
+                addresses, all_bits, zero_cells, outcomes
+            )
+        ]
+
+    def embed_bits(
+        self,
+        block: int,
+        page: int,
+        hidden_bits: np.ndarray,
+        key: HidingKey,
+        public_bits: Optional[np.ndarray] = None,
+    ) -> EmbedStats:
+        """One-location :meth:`embed_locations`."""
+        return self.embed_locations(
+            [(block, page)], [hidden_bits], key, public_bits=[public_bits]
+        )[0]
+
     def read_bits(
         self,
         block: int,
@@ -326,6 +292,42 @@ class VtHi:
     # ------------------------------------------------------------------
     # high-level payload API
 
+    def hide_locations(
+        self,
+        locations: Sequence[Location],
+        public_data: Sequence,
+        hidden_data: Sequence[bytes],
+        key: HidingKey,
+    ) -> List[EmbedStats]:
+        """Program public data and hide encrypted payloads inside it.
+
+        Each `public_data` entry is page-sized bytes or a full bit vector
+        — the NU's data — unless a public codec is configured, in which
+        case it is the user payload (up to ``public_codec.data_bytes``)
+        and the codec produces the page bits including parity.  Each
+        `hidden_data` entry must fit :attr:`max_data_bytes_per_page`.
+        """
+        locations = [(int(block), int(page)) for block, page in locations]
+        if not len(public_data) == len(hidden_data) == len(locations):
+            raise ValueError(
+                f"got {len(public_data)} public and {len(hidden_data)} "
+                f"hidden payloads for {len(locations)} locations"
+            )
+        addresses = [self._address(loc) for loc in locations]
+        if self.public_codec is not None:
+            public_bits = self.public_codec.encode_pages(
+                [bytes(data) for data in public_data], addresses
+            )
+        else:
+            public_bits = [self._as_bits(data) for data in public_data]
+        self.chip.program_locations(locations, public_bits)
+        coded = self.codec.encode_pages_keyed(
+            [key] * len(locations), addresses, list(hidden_data)
+        )
+        return self.embed_locations(
+            locations, coded, key, public_bits=public_bits
+        )
+
     def hide(
         self,
         block: int,
@@ -334,61 +336,38 @@ class VtHi:
         hidden_data: bytes,
         key: HidingKey,
     ) -> EmbedStats:
-        """Program public data and hide an encrypted payload inside it.
+        """One-location :meth:`hide_locations`."""
+        return self.hide_locations(
+            [(block, page)], [public_data], [hidden_data], key
+        )[0]
 
-        `public_data` is page-sized bytes or a full bit vector — the NU's
-        data — unless a public codec is configured, in which case it is the
-        user payload (up to ``public_codec.data_bytes``) and the codec
-        produces the page bits including parity.  `hidden_data` must fit
-        :attr:`max_data_bytes_per_page`.
-        """
-        address = self.chip.geometry.page_address(block, page)
-        if self.public_codec is not None:
-            public_bits = self.public_codec.encode(
-                bytes(public_data), page_address=address
-            )
-        else:
-            public_bits = self._as_bits(public_data)
-        self.chip.program_page(block, page, public_bits)
-        coded = self.codec.encode(key, address, hidden_data)
-        return self.embed_bits(
-            block, page, coded, key, public_bits=public_bits
-        )
-
-    def hide_pages(
+    def recover_locations(
         self,
-        block: int,
-        pages: Sequence[int],
-        public_data: Sequence,
-        hidden_data: Sequence[bytes],
+        locations: Sequence[Location],
         key: HidingKey,
-    ) -> List[EmbedStats]:
-        """Batch :meth:`hide`: several pages of one block in one go.
+        n_bytes: int,
+        public_bits: Optional[Sequence[Optional[np.ndarray]]] = None,
+        on_error: str = "raise",
+    ) -> List[Optional[bytes]]:
+        """Recover same-length payloads from locations that may span blocks.
 
-        Per-page outcomes are bit-identical to hiding page by page, but
-        the public-page ECC encodes, the payload BCH encodes, and the
-        embed read-PP loop all run batched (the embed loop
-        step-synchronised across pages via :meth:`embed_pages`).
+        Selection maps come from `key` and each location's public view
+        (a supplied ``public_bits`` entry skips that read); with
+        ``on_error="return"`` an uncorrectable payload yields ``None``.
         """
-        if len(public_data) != len(pages) or len(hidden_data) != len(pages):
-            raise ValueError(
-                f"got {len(public_data)} public and {len(hidden_data)} "
-                f"hidden payloads for {len(pages)} pages"
-            )
-        addresses = [
-            self.chip.geometry.page_address(block, page) for page in pages
-        ]
-        if self.public_codec is not None:
-            public_bits = self.public_codec.encode_pages(
-                [bytes(data) for data in public_data], addresses
-            )
-        else:
-            public_bits = [self._as_bits(data) for data in public_data]
-        for page, bits in zip(pages, public_bits):
-            self.chip.program_page(block, page, bits)
-        coded = self.codec.encode_pages(key, addresses, list(hidden_data))
-        return self.embed_pages(
-            block, pages, coded, key, public_bits=public_bits
+        locations = [(int(block), int(page)) for block, page in locations]
+        publics = self._public_bits_list(public_bits, len(locations))
+        coded_len = self.codec.coded_length(n_bytes)
+        views = self._public_views(locations, publics)
+        return self.recover_prepared(
+            [
+                loc + (key, select_cells(
+                    key, self._address(loc), view, coded_len
+                ))
+                for loc, view in zip(locations, views)
+            ],
+            n_bytes,
+            on_error=on_error,
         )
 
     def recover(
@@ -399,57 +378,10 @@ class VtHi:
         n_bytes: int,
         public_bits: Optional[np.ndarray] = None,
     ) -> bytes:
-        """Recover a hidden payload of known length from a page."""
-        address = self.chip.geometry.page_address(block, page)
-        coded_len = self.codec.coded_length(n_bytes)
-        coded = self.read_bits(
-            block, page, coded_len, key, public_bits=public_bits
-        )
-        return self.codec.decode(key, address, coded, n_bytes)
-
-    def recover_pages(
-        self,
-        block: int,
-        pages: Sequence[int],
-        key: HidingKey,
-        n_bytes: int,
-        on_error: str = "raise",
-    ) -> List[Optional[bytes]]:
-        """Recover same-length payloads from several pages of one block.
-
-        Per-page results are bit-identical to calling :meth:`recover`
-        page by page, but the chip reads run as two batched ops (one raw
-        read per page for the selection maps, one threshold-shifted read
-        per page for the hidden bits) and the ECC of all pages decodes in
-        one vectorised pass.  With ``on_error="return"``, a page whose
-        payload is uncorrectable yields ``None`` instead of raising —
-        the mount scan's expected case.
-        """
-        if not pages:
-            return []
-        _OBS_RECOVER_PAGES.inc(len(pages))
-        with obs.span("vthi.recover", block=block, pages=len(pages)):
-            addresses = [
-                self.chip.geometry.page_address(block, page)
-                for page in pages
-            ]
-            coded_len = self.codec.coded_length(n_bytes)
-            raw = self.chip.read_pages(block, pages)
-            if self.public_codec is None:
-                views = list(raw)
-            else:
-                views = self.public_codec.correct_pages(raw)
-            cells = [
-                select_cells(key, addresses[i], views[i], coded_len)
-                for i in range(len(pages))
-            ]
-            shifted = self.chip.read_pages(
-                block, pages, threshold=self.config.threshold
-            )
-            coded = [shifted[i][cells[i]] for i in range(len(pages))]
-            return self.codec.decode_pages(
-                key, addresses, coded, n_bytes, on_error=on_error
-            )
+        """One-location :meth:`recover_locations`."""
+        return self.recover_locations(
+            [(block, page)], key, n_bytes, public_bits=[public_bits]
+        )[0]
 
     # ------------------------------------------------------------------
     # lifecycle (§5.1, §9.1)
@@ -488,3 +420,41 @@ class VtHi:
         if isinstance(data, (bytes, bytearray)):
             return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
         return np.asarray(data, dtype=np.uint8)
+
+    def _address(self, location: Location) -> int:
+        return self.chip.geometry.page_address(*location)
+
+    def _require_programmed(self, locations: Sequence[Location]) -> None:
+        for block, page in locations:
+            if not self.chip.is_page_programmed(block, page):
+                raise SelectionError(
+                    f"page {page} of block {block} holds no public data; "
+                    "VT-HI hides inside public data (§5.1)"
+                )
+
+    @staticmethod
+    def _public_bits_list(public_bits, count: int) -> list:
+        publics = [None] * count if public_bits is None else list(public_bits)
+        if len(publics) != count:
+            raise ValueError(
+                f"got {len(publics)} public-bit vectors for {count} locations"
+            )
+        return publics
+
+    def _public_views(
+        self,
+        locations: Sequence[Location],
+        public_bits: Sequence[Optional[np.ndarray]],
+    ) -> List[np.ndarray]:
+        """Each location's public bits: supplied, or its public view
+        (one read over the missing ones, ECC-corrected in one batch when
+        a public codec is configured)."""
+        views = list(public_bits)
+        missing = [i for i, bits in enumerate(views) if bits is None]
+        if missing:
+            raw = self.chip.read_locations([locations[i] for i in missing])
+            if self.public_codec is not None:
+                raw = self.public_codec.correct_pages(raw)
+            for i, view in zip(missing, raw):
+                views[i] = view
+        return views

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from ..crypto.keys import HidingKey
 
@@ -79,3 +79,21 @@ def unpack_slot(key: HidingKey, blob: bytes) -> Optional[tuple]:
     if _mac(key, lba, seq, payload) != mac:
         return None
     return SlotHeader(lba=lba, seq=seq, length=length), payload
+
+
+def latest_slots(
+    found: Iterable[Tuple[Hashable, SlotHeader]],
+) -> Dict[int, Tuple[Hashable, SlotHeader]]:
+    """The mount rule over ``(host, header)`` pairs in scan order.
+
+    Per LBA the highest ``seq`` wins (a live slot beats a tombstone of
+    equal ``seq``, else the first scanned), and a winning tombstone
+    deletes the LBA.  Returns ``lba -> (host, header)`` for live LBAs.
+    """
+    latest: Dict[int, Tuple[Hashable, SlotHeader]] = {}
+    for host, header in found:
+        rank = (header.seq, not header.is_tombstone)
+        best = latest.get(header.lba)
+        if best is None or rank > (best[1].seq, not best[1].is_tombstone):
+            latest[header.lba] = (host, header)
+    return {lba: e for lba, e in latest.items() if not e[1].is_tombstone}

@@ -29,7 +29,8 @@ from .. import obs
 from ..crypto.keys import HidingKey
 from ..ftl.ftl import Ftl
 from ..hiding.vthi import VtHi
-from .metadata import HEADER_BYTES, SlotHeader, pack_slot, unpack_slot
+from .metadata import HEADER_BYTES, SlotHeader, latest_slots, pack_slot, unpack_slot
+from .wear_policy import WearBand, public_wear_band
 
 _OBS_SLOT_EMBEDS = obs.counter("stego.slot_embeds")
 _OBS_RESCUES = obs.counter("stego.rescues")
@@ -104,13 +105,7 @@ class HiddenVolume:
                 f"{self.slot_data_bytes}"
             )
         self._seq += 1
-        host = self._find_host()
-        self._embed(host, SlotHeader(lba, self._seq, len(data)), data)
-        old = self._slots.get(lba)
-        self._slots[lba] = (host, len(data), self._seq)
-        self._hosts.add(host)
-        if old is not None:
-            self._hosts.discard(old[0])
+        self._place(lba, data, self._find_host())
 
     def write_at(
         self,
@@ -145,17 +140,7 @@ class HiddenVolume:
                 f"host {host} holds no valid public data"
             )
         self._seq += 1
-        self._embed(
-            host,
-            SlotHeader(lba, self._seq, len(data)),
-            data,
-            public_bits=public_bits,
-        )
-        old = self._slots.get(lba)
-        self._slots[lba] = (host, len(data), self._seq)
-        self._hosts.add(host)
-        if old is not None:
-            self._hosts.discard(old[0])
+        self._place(lba, data, host, public_bits=public_bits)
 
     def read(self, lba: int) -> Optional[bytes]:
         """Read a hidden logical block; None if never written or deleted."""
@@ -194,54 +179,35 @@ class HiddenVolume:
 
         Tries every hidden-eligible physical page holding valid public
         data; a slot is recognised purely by its keyed MAC.  Returns the
-        number of live hidden blocks found.  The scan batches per block:
-        all of a block's candidate pages are read and ECC-decoded in one
-        vectorised pass (``recover_pages``), with uncorrectable pages —
-        the common case, since most candidates hold no slot — skipped
-        instead of raising.
+        number of live hidden blocks found.  The scan is one
+        ``recover_locations`` call over every candidate page, with
+        uncorrectable pages — the common case, since most candidates
+        hold no slot — skipped instead of raising; the surviving slots
+        fold under :func:`~repro.stego.metadata.latest_slots`.
         """
-        found: Dict[int, Tuple[Location, int, int]] = {}
-        tombstones: Dict[int, int] = {}
-        max_blob = self.vthi.max_data_bytes_per_page
-        by_block: Dict[int, list] = {}
-        for block, page in sorted(self._eligible_hosts()):
-            by_block.setdefault(block, []).append(page)
-        n_probed = sum(len(pages) for pages in by_block.values())
-        candidates = []
-        with obs.span("stego.mount", pages_probed=n_probed):
-            for block, pages in by_block.items():
-                blobs = self.vthi.recover_pages(
-                    block, pages, self.key, max_blob, on_error="return"
-                )
-                candidates.extend(
-                    ((block, page), blob)
-                    for page, blob in zip(pages, blobs)
-                    if blob is not None
-                )
-        _OBS_MOUNT_CANDIDATES.inc(n_probed)
-        for host, blob in candidates:
-            parsed = unpack_slot(self.key, blob)
-            if parsed is None:
-                continue
-            header, _ = parsed
-            if header.is_tombstone:
-                if header.seq > tombstones.get(header.lba, -1):
-                    tombstones[header.lba] = header.seq
-                continue
-            current = found.get(header.lba)
-            if current is None or header.seq > current[2]:
-                found[header.lba] = (host, header.length, header.seq)
-        for lba, seq in tombstones.items():
-            if lba in found and found[lba][2] < seq:
-                del found[lba]
-        _OBS_MOUNT_SLOTS.inc(len(found))
-        self._slots = found
-        self._hosts = {entry[0] for entry in found.values()}
-        self._seq = max(
-            [entry[2] for entry in found.values()] + list(tombstones.values()),
-            default=0,
-        )
-        return len(found)
+        hosts = sorted(self._eligible_hosts())
+        with obs.span("stego.mount", pages_probed=len(hosts)):
+            blobs = self.vthi.recover_locations(
+                hosts,
+                self.key,
+                self.vthi.max_data_bytes_per_page,
+                on_error="return",
+            )
+        _OBS_MOUNT_CANDIDATES.inc(len(hosts))
+        found = []
+        for host, blob in zip(hosts, blobs):
+            parsed = None if blob is None else unpack_slot(self.key, blob)
+            if parsed is not None:
+                found.append((host, parsed[0]))
+        live = latest_slots(found)
+        _OBS_MOUNT_SLOTS.inc(len(live))
+        self._slots = {
+            lba: (host, header.length, header.seq)
+            for lba, (host, header) in live.items()
+        }
+        self._hosts = {host for host, _ in live.values()}
+        self._seq = max((header.seq for _, header in found), default=0)
+        return len(live)
 
     def panic_erase(self) -> None:
         """Destroy the hidden volume without touching the map metadata
@@ -272,13 +238,7 @@ class HiddenVolume:
                 "slots (hidden capacity rides on public data, §5.1)"
             )
         if self.wear_policy is not None:
-            from .wear_policy import public_wear_band
-
-            public_blocks = {
-                loc[0] for loc, _ in self.ftl.page_map.valid_locations()
-            }
-            band = public_wear_band(self.ftl.chip, public_blocks)
-            choice = self.wear_policy.choose(candidates, band)
+            choice = self.wear_policy.choose(candidates, self._wear_band())
             if choice is None:
                 raise HiddenVolumeError(
                     "no wear-inconspicuous host available: every candidate "
@@ -290,6 +250,29 @@ class HiddenVolume:
             candidates,
             key=lambda loc: (self.ftl.chip.block_pec(loc[0]), loc),
         )
+
+    def _wear_band(self) -> WearBand:
+        public_blocks = {
+            loc[0] for loc, _ in self.ftl.page_map.valid_locations()
+        }
+        return public_wear_band(self.ftl.chip, public_blocks)
+
+    def _place(
+        self, lba: int, data: bytes, host: Location, public_bits=None
+    ) -> None:
+        """Embed `data` at `host` as version ``_seq`` of `lba` and make it
+        the live copy, releasing the previous host."""
+        self._embed(
+            host,
+            SlotHeader(lba, self._seq, len(data)),
+            data,
+            public_bits=public_bits,
+        )
+        old = self._slots.get(lba)
+        self._slots[lba] = (host, len(data), self._seq)
+        self._hosts.add(host)
+        if old is not None:
+            self._hosts.discard(old[0])
 
     def _embed(
         self,
@@ -331,6 +314,20 @@ class HiddenVolume:
     def _on_erase(self, block: int) -> None:
         self._burned = {loc for loc in self._burned if loc[0] != block}
 
+    def _can_take(self, preferred: Optional[Location]) -> bool:
+        """Whether the FTL's rescue target is on the hidden stride, unused
+        this erase cycle and, under a wear policy, inside the band."""
+        if (
+            preferred is None
+            or preferred[1] % self.vthi.config.page_stride != 0
+            or preferred in self._hosts
+            or preferred in self._burned
+        ):
+            return False
+        return self.wear_policy is None or bool(
+            self.wear_policy.eligible([preferred], self._wear_band())
+        )
+
     def _rescue(
         self,
         old: Location,
@@ -349,43 +346,13 @@ class HiddenVolume:
                     f"hidden block {lba} lost during relocation of {old}"
                 )
             _, payload = parsed
-            stride = self.vthi.config.page_stride
-            target = None
-            target_bits = None
-            if (
-                preferred is not None
-                and preferred[1] % stride == 0
-                and preferred not in self._hosts
-                and preferred not in self._burned
-            ):
-                target = preferred
+            if self._can_take(preferred):
                 # The FTL hands over the bits it just programmed there,
                 # so the re-embedding skips the public-page read.
-                target_bits = preferred_bits
+                target, target_bits = preferred, preferred_bits
             else:
-                candidates = (
-                    self._eligible_hosts() - self._hosts - self._burned - {old}
-                )
-                if candidates:
-                    target = min(
-                        candidates,
-                        key=lambda loc: (
-                            self.ftl.chip.block_pec(loc[0]),
-                            loc,
-                        ),
-                    )
-            if target is None:
-                raise HiddenVolumeError(
-                    f"no host available to rescue hidden block {lba}"
-                )
+                # `old` still counts as a live host, so it is excluded.
+                target, target_bits = self._find_host(), None
             self._seq += 1
-            self._embed(
-                target,
-                SlotHeader(lba, self._seq, length),
-                payload,
-                public_bits=target_bits,
-            )
+            self._place(lba, payload, target, public_bits=target_bits)
             _OBS_RESCUES.inc()
-            self._slots[lba] = (target, length, self._seq)
-            self._hosts.discard(old)
-            self._hosts.add(target)

@@ -217,3 +217,21 @@ class TestRoundInvariants:
     def test_bad_request_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown request kind"):
             Request(0, "erase")
+
+    @pytest.mark.parametrize(
+        "lba, payload", [(5, b""), (-1, b"x"), (2**32, b"x")]
+    )
+    def test_unrepresentable_write_rejected(self, lba, payload):
+        # A zero-length slot is a deletion tombstone; the LBA is a u32.
+        with pytest.raises(ValueError):
+            Request(1, "write", lba, payload)
+
+    def test_rejected_write_leaves_the_volume_alone(self):
+        service = small_service()
+        service.submit(Request(1, "write", 5, b"hello"))
+        with pytest.raises(ValueError):
+            service.submit(Request(1, "write", 5, b""))
+        service.submit(Request(1, "read", 5))
+        service.submit(Request(1, "mount"))
+        _, read, mount = drain(service)
+        assert (read.payload, mount.directory) == (b"hello", ((5, 5),))

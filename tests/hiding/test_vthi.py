@@ -5,7 +5,7 @@ import pytest
 
 from repro.crypto import HidingKey
 from repro.ecc.page import PagePipeline
-from repro.hiding import STANDARD_CONFIG, SelectionError, VtHi
+from repro.hiding import STANDARD_CONFIG, PayloadError, SelectionError, VtHi
 from repro.hiding.selection import select_cells
 from repro.rng import substream
 
@@ -35,6 +35,7 @@ class TestEmbedReadBits:
         vthi = VtHi(chip, RAW)
         with pytest.raises(SelectionError):
             vthi.embed_bits(0, 0, hidden_bits(16), key)
+        assert chip.counters.total_ops == 0  # checked before any read
 
     def test_embed_size_cap(self, chip, key, random_page):
         vthi = VtHi(chip, RAW)
@@ -106,8 +107,6 @@ class TestHideRecover:
         assert data.startswith(b"the normal user's data")
 
     def test_wrong_key_cannot_recover(self, chip, key, random_page):
-        from repro.hiding import PayloadError
-
         vthi = VtHi(chip, CFG)
         public = random_page(2)
         secret = b"only for the HU"[: vthi.max_data_bytes_per_page]
@@ -121,8 +120,6 @@ class TestHideRecover:
             pass  # uncorrectable garbage is equally fine
 
     def test_erase_hidden_destroys_everything(self, chip, key, random_page):
-        from repro.hiding import PayloadError
-
         vthi = VtHi(chip, CFG)
         public = random_page(3)
         secret = b"panic"[: vthi.max_data_bytes_per_page]
@@ -138,6 +135,49 @@ class TestHideRecover:
         vthi.hide(0, 0, public_a, secret, key)
         vthi.reembed((0, 0), (1, 0), key, len(secret), public_b)
         assert vthi.recover(1, 0, key, len(secret), public_bits=public_b) == secret
+
+
+class TestLocationForms:
+    """Location lists spanning blocks, out of block order."""
+
+    LOCATIONS = [(1, 2), (0, 0), (2, 1), (0, 3)]
+    SECRETS = [b"secret #%d" % i for i in range(4)]
+
+    def hidden_on(self, chip, key, codec=None):
+        vthi = VtHi(chip, CFG, public_codec=codec)
+        publics = [hidden_bits(chip.geometry.cells_per_page, i) for i in range(4)]
+        if codec:
+            publics = [b"public %d" % i for i in range(4)]
+        vthi.hide_locations(self.LOCATIONS, publics, self.SECRETS, key)
+        return vthi
+
+    @pytest.mark.parametrize("ecc", [False, True])
+    def test_recover_locations_matches_recover(self, chip, key, ecc):
+        codec = PagePipeline(chip.geometry.cells_per_page, ecc_m=13, ecc_t=8)
+        vthi = self.hidden_on(chip, key, codec if ecc else None)
+        # Supply the public views of every other location; read the rest.
+        publics = [
+            vthi.public_view(*loc) if i % 2 else None
+            for i, loc in enumerate(self.LOCATIONS)
+        ]
+        batch = vthi.recover_locations(
+            self.LOCATIONS, key, 9, public_bits=publics
+        )
+        loop = [
+            vthi.recover(*loc, key, 9, public_bits=public)
+            for loc, public in zip(self.LOCATIONS, publics)
+        ]
+        assert batch == loop == self.SECRETS
+
+    def test_erased_page_returns_none_or_raises(self, chip, key):
+        vthi = self.hidden_on(chip, key)
+        vthi.erase_hidden(2)
+        found = vthi.recover_locations(
+            self.LOCATIONS, key, 9, on_error="return"
+        )
+        assert found == self.SECRETS[:2] + [None] + self.SECRETS[3:]
+        with pytest.raises(PayloadError):
+            vthi.recover_locations(self.LOCATIONS, key, 9)
 
 
 class TestLayout:

@@ -4,7 +4,8 @@ Two identically-seeded chips run the same workload — one through
 ``program_pages``/``probe_voltages_batch``/``read_pages``, the other
 through loops of the single-page ops — and must end in the same state:
 same voltages, same readback, same ``OpCounters`` (including the float
-time/energy totals).
+time/energy totals).  ``VtHi.embed_locations`` is held to the same
+standard against a per-location ``embed_bits`` loop.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import HidingKey
 from repro.hiding import STANDARD_CONFIG, VtHi
 from repro.nand import TEST_MODEL, FlashChip
 from repro.nand.errors import AddressError, ProgramError
@@ -203,37 +205,65 @@ def test_batch_ops_property(pages, seed):
     assert counters_tuple(batch_chip) == counters_tuple(loop_chip)
 
 
+def assert_embed_matches_loop(locations, pass_publics, key, seed=42):
+    """``embed_locations`` == a per-location ``embed_bits`` loop on a twin
+    chip; float counters sum in another order, so to near-ulp only."""
+    batch_chip, loop_chip = chip_pair(seed)
+    config = STANDARD_CONFIG.replace(ecc_t=0, bits_per_page=64)
+    publics = [page_bits(batch_chip, b * PAGES_PER_BLOCK + p) for b, p in locations]
+    batch_chip.program_locations(locations, publics)
+    for location, bits in zip(locations, publics):
+        loop_chip.program_page(*location, bits)
+    hiddens = [
+        (substream(888, "batch-hidden", *loc).random(64) < 0.5).astype(np.uint8)
+        for loc in locations
+    ]
+    supplied = [bits if keep else None for bits, keep in zip(publics, pass_publics)]
+    batch = VtHi(batch_chip, config).embed_locations(
+        locations, hiddens, key, public_bits=supplied
+    )
+    loop_vthi = VtHi(loop_chip, config)
+    assert batch == [
+        loop_vthi.embed_bits(*loc, hidden, key, public_bits=public)
+        for loc, hidden, public in zip(locations, hiddens, supplied)
+    ]
+    for block in {block for block, _ in locations}:
+        np.testing.assert_array_equal(
+            batch_chip._block(block).voltages, loop_chip._block(block).voltages
+        )
+    batch_counts, loop_counts = map(counters_tuple, (batch_chip, loop_chip))
+    assert batch_counts[:4] == loop_counts[:4]
+    np.testing.assert_allclose(batch_counts[4:], loop_counts[4:], rtol=1e-12)
+
+
 class TestEmbedPages:
     def test_matches_sequential_embed_bits(self, key):
-        batch_chip, loop_chip = chip_pair()
-        config = STANDARD_CONFIG.replace(ecc_t=0, bits_per_page=64)
-        pages = [0, 1, 3]
-        publics = program_both(batch_chip, loop_chip, 0, pages)
-        hiddens = [
-            (substream(888, "batch-hidden", p).random(64) < 0.5).astype(
-                np.uint8
-            )
-            for p in pages
-        ]
-        batch_stats = VtHi(batch_chip, config).embed_pages(
-            0, pages, hiddens, key, public_bits=publics
+        # Spans three blocks, out of block order, public bits half given.
+        assert_embed_matches_loop(
+            [(2, 1), (0, 3), (2, 0), (1, 5), (0, 0)],
+            [True, False, True, False, True],
+            key,
         )
-        loop_vthi = VtHi(loop_chip, config)
-        loop_stats = [
-            loop_vthi.embed_bits(0, page, hidden, key, public_bits=public)
-            for page, hidden, public in zip(pages, hiddens, publics)
-        ]
-        assert batch_stats == loop_stats
-        np.testing.assert_array_equal(
-            batch_chip._block(0).voltages, loop_chip._block(0).voltages
+
+    def test_all_ones_hidden_vector_costs_no_read(self, chip, key):
+        public = page_bits(chip, 0)
+        chip.program_page(0, 0, public)
+        VtHi(chip, STANDARD_CONFIG).embed_bits(
+            0, 0, np.ones(64, np.uint8), key, public_bits=public
         )
-        # Same ops, but step-synchronised ordering accumulates the float
-        # time/energy totals in a different order: counts must match
-        # exactly, the floats to near-ulp tolerance.
-        batch_counts, loop_counts = (
-            counters_tuple(batch_chip), counters_tuple(loop_chip)
-        )
-        assert batch_counts[:4] == loop_counts[:4]
-        np.testing.assert_allclose(
-            batch_counts[4:], loop_counts[4:], rtol=1e-12
-        )
+        assert chip.counters.reads == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    locations=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, PAGES_PER_BLOCK - 1)),
+        unique=True, min_size=1, max_size=6,
+    ),
+    pass_publics=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_embed_locations_property(locations, pass_publics, seed):
+    """Any location subset, in any order: embed_locations == embed_bits."""
+    key = HidingKey.generate(b"batch-property-key")
+    assert_embed_matches_loop(locations, pass_publics, key, seed)

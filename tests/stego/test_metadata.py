@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import HidingKey
 from repro.stego import HEADER_BYTES, SlotHeader, pack_slot, unpack_slot
+from repro.stego.metadata import latest_slots
 
 KEY = HidingKey.generate(b"meta")
 
@@ -72,3 +73,22 @@ def test_field_bounds():
         pack_slot(KEY, SlotHeader(2**32, 0, 0), b"")
     with pytest.raises(ValueError):
         pack_slot(KEY, SlotHeader(0, 2**32, 0), b"")
+
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20),
+                          st.integers(0, 2)), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_latest_slots_is_the_mount_rule(slots):
+    """Per LBA the highest-seq live slot, first scanned on ties, unless a
+    tombstone (length 0) with a higher seq deletes the LBA."""
+    found = [(i, SlotHeader(*slot)) for i, slot in enumerate(slots)]
+    live = latest_slots(found)
+    for lba in {header.lba for _, header in found}:
+        lives = [(h.seq, -i) for i, h in found if h.lba == lba and h.length]
+        tombs = [h.seq for _, h in found if h.lba == lba and not h.length]
+        if lives and max(lives)[0] >= max(tombs, default=-1):
+            assert live[lba][0] == -max(lives)[1]
+        else:
+            assert lba not in live
+    assert latest_slots([]) == {}

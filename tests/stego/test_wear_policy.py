@@ -79,32 +79,69 @@ class TestPolicy:
             assert policy.exposure(host, band) > 300
 
 
+def policy_volume(chip, key, n_lpas, lpa_bytes):
+    """A hidden volume under a 300-PEC-slack wear policy, over `n_lpas`
+    public pages; returns the FTL, the volume and a host's exposure."""
+    import numpy as np
+    from repro.ecc.page import PagePipeline
+    from repro.ftl import Ftl
+    from repro.hiding import STANDARD_CONFIG, VtHi
+    from repro.stego import HiddenVolume
+
+    pipeline = PagePipeline(chip.geometry.cells_per_page, ecc_m=13, ecc_t=8)
+    ftl = Ftl(chip, pipeline, overprovision_blocks=4)
+    vthi = VtHi(
+        chip,
+        STANDARD_CONFIG.replace(bits_per_page=512, ecc_m=10, ecc_t=18),
+        public_codec=pipeline,
+    )
+    policy = WearBandPolicy(chip, slack_pec=300)
+    volume = HiddenVolume(ftl, vthi, key, wear_policy=policy)
+    rng = np.random.default_rng(0)
+    for lpa in range(n_lpas):
+        ftl.write(lpa, bytes(rng.integers(0, 256, lpa_bytes).astype(np.uint8)))
+
+    def exposure(host):
+        blocks = {loc[0] for loc, _ in ftl.page_map.valid_locations()}
+        return policy.exposure(host, public_wear_band(chip, blocks))
+
+    return ftl, volume, exposure
+
+
 class TestVolumeIntegration:
     def test_volume_respects_the_band(self, chip, key):
-        import numpy as np
-        from repro.ecc.page import PagePipeline
-        from repro.ftl import Ftl
-        from repro.hiding import STANDARD_CONFIG, VtHi
-        from repro.stego import HiddenVolume
-
-        pipeline = PagePipeline(
-            chip.geometry.cells_per_page, ecc_m=13, ecc_t=8
-        )
-        ftl = Ftl(chip, pipeline, overprovision_blocks=4)
-        vthi = VtHi(
-            chip,
-            STANDARD_CONFIG.replace(bits_per_page=512, ecc_m=10, ecc_t=18),
-            public_codec=pipeline,
-        )
-        policy = WearBandPolicy(chip, slack_pec=300)
-        volume = HiddenVolume(ftl, vthi, key, wear_policy=policy)
-        rng = np.random.default_rng(0)
-        for lpa in range(30):
-            ftl.write(lpa, bytes(rng.integers(0, 256, 100).astype(np.uint8)))
+        _, volume, exposure = policy_volume(chip, key, 30, 100)
         volume.write(0, b"in band")
-        host = volume._slots[0][0]
-        band = public_wear_band(
-            chip, {loc[0] for loc, _ in ftl.page_map.valid_locations()}
-        )
-        assert policy.exposure(host, band) <= 300
+        assert exposure(volume._slots[0][0]) <= 300
         assert volume.read(0) == b"in band"
+
+
+class TestRescueRespectsTheBand:
+    """Blocks at 1000 PEC, except block 0 at PEC 0: the wear outlier
+    §7's SVM would spot.  Rescued slots must stay inside the band."""
+
+    @pytest.fixture
+    def worn(self, chip, key):
+        for block in range(1, chip.geometry.n_blocks):
+            chip.age_block(block, 1000)
+        ftl, volume, exposure = policy_volume(chip, key, 60, 400)
+        volume.write(0, b"stay inconspicuous")
+        return ftl, volume, exposure
+
+    def test_invalidated_host_rescues_inside_the_band(self, worn):
+        ftl, volume, exposure = worn
+        host = volume._slots[0][0]
+        ftl.trim(next(lpa for lpa in range(60) if ftl.locate(lpa) == host))
+        assert volume._slots[0][0] != host
+        assert exposure(volume._slots[0][0]) <= 300
+        assert volume.read(0) == b"stay inconspicuous"
+
+    def test_out_of_band_relocation_target_is_refused(self, worn):
+        ftl, volume, exposure = worn
+        host = volume._slots[0][0]
+        outlier = min(loc for loc, _ in ftl.page_map.valid_locations())
+        assert exposure(outlier) > 300
+        volume._on_relocation(0, host, outlier)  # GC's offered target
+        assert volume._slots[0][0] not in (host, outlier)
+        assert exposure(volume._slots[0][0]) <= 300
+        assert volume.read(0) == b"stay inconspicuous"
