@@ -122,10 +122,7 @@ def remote_transport_section(tiny: bool = False) -> dict:
 
     disabled_s, disabled_sent = run(False)
     enabled_s, _ = run(True)
-    obs_frames = (
-        disabled_sent.get(int(Op.OBS_COLLECT), 0)
-        + disabled_sent.get(int(Op.OBS_RESET), 0)
-    )
+    obs_frames = disabled_sent.get(int(Op.OBS_COLLECT), 0)
     assert obs_frames == 0, (
         f"disabled mode put {obs_frames} obs frames on the wire"
     )

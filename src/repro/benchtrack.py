@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .obs.report import _table
+from .obs.report import table
 
 #: Version stamped on every history row.  Bump when the row layout
 #: changes; readers skip rows newer than they understand.
@@ -307,7 +307,7 @@ def render_report(deltas: Sequence[Delta], baseline_row: dict) -> str:
         )
         for d in deltas
     ]
-    return header + "\n\n" + _table(
+    return header + "\n\n" + table(
         ("metric", "baseline", "current", "change", "status"), rows
     )
 

@@ -17,6 +17,7 @@ import numpy as np
 from ..crypto.keys import HidingKey
 from ..nand.chip import FlashChip
 from ..nand.vendor import VENDOR_A, ChipModel, scaled_model
+from ..obs.report import table
 from ..rng import substream
 
 
@@ -81,23 +82,10 @@ class Table:
         self.rows.append(row)
 
     def render(self) -> str:
-        widths = [len(str(h)) for h in self.headers]
-        text_rows = [
-            [_fmt(cell) for cell in row] for row in self.rows
-        ]
-        for row in text_rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [self.title, ""]
-        lines.append(
-            "  ".join(str(h).ljust(w) for h, w in zip(self.headers, widths))
+        return self.title + "\n\n" + table(
+            [str(h) for h in self.headers],
+            [[_fmt(cell) for cell in row] for row in self.rows],
         )
-        lines.append("  ".join("-" * w for w in widths))
-        for row in text_rows:
-            lines.append(
-                "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-            )
-        return "\n".join(lines)
 
 
 def _fmt(cell) -> str:

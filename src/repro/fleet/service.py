@@ -30,6 +30,7 @@ the batch-kernel fill factor the benchmark measures.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -241,7 +242,9 @@ class FleetService:
             max_per_tenant=config.max_queue_per_tenant,
             max_round_requests=config.max_round_requests,
         )
-        self.aggregator = obs.ShardAggregator()
+        #: One running telemetry total per shard: each (round, shard)
+        #: snapshot folds in as it arrives, in arrival order.
+        self._shard_totals = [obs.ObsSnapshot() for _ in self.shards]
         self._drain_origin = 0.0
         #: tenant -> (completion round, submitted round) for the round
         #: currently executing.  Written by the main thread in ``drain``
@@ -273,7 +276,7 @@ class FleetService:
         for shard in self.shards:
             locations = []
             data = []
-            with obs.collect(absorb=True) as col:
+            with obs.collect(absorb=False) as col:
                 for tenant in sorted(self.tenants):
                     ts = self.tenants[tenant]
                     if ts.shard != shard.index:
@@ -286,7 +289,13 @@ class FleetService:
                         data.append(cover)
                 shard.chip.program_locations(locations, data)
                 self._harvest_remote_obs(shard)
-            self.aggregator.add(shard.index, col.snapshot)
+            self._account(shard.index, col.snapshot)
+
+    def _account(self, shard_id: int, snapshot: obs.ObsSnapshot) -> None:
+        """Absorb one (round, shard) snapshot into the caller's registry
+        and fold it into the shard's running total (main thread only)."""
+        obs.get_registry().absorb(snapshot)
+        obs.fold_snapshot(self._shard_totals[shard_id], snapshot)
 
     def _harvest_remote_obs(self, shard: "Shard") -> None:
         """Fold a remote shard's server-side telemetry into this scope.
@@ -294,8 +303,8 @@ class FleetService:
         In-process shards record chip metrics directly into the active
         collection scope; a remote shard's land in its ChipServer's
         registry instead.  Harvesting the delta (OBS_COLLECT with reset)
-        into the same scope makes the aggregator's entries — and hence
-        every fleet total — bit-identical between the two modes: the
+        into the same scope makes each (round, shard) snapshot — and
+        hence every fleet total — bit-identical between the two modes: the
         chip-side metrics are integer counter increments, so folding
         them once per scope instead of interleaved per operation changes
         no float sum.  ``op_counters`` are stripped because in-process
@@ -344,23 +353,22 @@ class FleetService:
     ) -> List[Response]:
         """Serve every queued request through `scheduler`, in rounds.
 
-        Each round is split per shard (ascending shard order) and handed
-        to ``scheduler.run_round``; per-(round, shard) observability
-        snapshots accumulate in :attr:`aggregator` in submission order.
-        Responses carry wall-clock latency relative to the drain start.
-
-        ``shard_workers`` fans a round's shards out over that many
-        threads.  Shards are fully disjoint (a tenant lives on exactly
-        one shard), worker metrics collect into thread-local registries,
-        and the main thread absorbs snapshots / appends responses in
-        ascending shard order — so results and aggregator contents are
-        identical to the sequential path.  Threads buy wall-clock only
-        when the shard chips release the GIL or live in their own server
-        processes (``FleetConfig.remote``).
+        Each round is split per shard and handed to
+        ``scheduler.run_round``, one non-absorbing obs scope per
+        (round, shard).  ``shard_workers`` runs a round's shards on that
+        many threads; otherwise they run inline, in ascending shard
+        order.  Either way the main thread then takes the outcomes in
+        ascending shard order: it absorbs each snapshot into the
+        caller's registry, folds it into the shard's running total and
+        appends the responses — so results and totals do not depend on
+        the worker count.  Shards are fully disjoint (a tenant lives on
+        exactly one), and threads buy wall-clock only when the shard
+        chips release the GIL or live in their own server processes
+        (``FleetConfig.remote``).  Responses carry wall-clock latency
+        relative to the drain start.
         """
         responses: List[Response] = []
         self._drain_origin = time.perf_counter()
-        fan_out = shard_workers is not None and shard_workers > 1
         while len(self.queue):
             round_entries = self.queue.next_round_entries()
             round_no = self.queue.stats.rounds - 1
@@ -378,21 +386,22 @@ class FleetService:
                 shard_id = self.tenants[request.tenant].shard
                 by_shard.setdefault(shard_id, []).append(request)
             ordered = sorted(by_shard)
-            if fan_out and len(ordered) > 1:
-                outcomes = self._run_shards_threaded(
-                    scheduler, by_shard, ordered, shard_workers
+
+            def run(shard_id: int):
+                return self._run_shard_round(
+                    scheduler, shard_id, by_shard[shard_id]
                 )
+
+            workers = min(shard_workers or 1, len(ordered))
+            if workers > 1:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    outcomes = list(pool.map(run, ordered))
             else:
-                outcomes = {
-                    shard_id: self._run_shard_round(
-                        scheduler, shard_id, by_shard[shard_id],
-                        absorb=True,
-                    )
-                    for shard_id in ordered
-                }
-            for shard_id in ordered:
-                shard_responses, snapshot = outcomes[shard_id]
-                self.aggregator.add(shard_id, snapshot)
+                outcomes = [run(shard_id) for shard_id in ordered]
+            for shard_id, (shard_responses, snapshot) in zip(
+                ordered, outcomes
+            ):
+                self._account(shard_id, snapshot)
                 responses.extend(shard_responses)
         # Stale stamps must not leak into out-of-drain execute_round
         # calls (mount_directory): those carry the -1 sentinel instead.
@@ -404,10 +413,9 @@ class FleetService:
         scheduler,
         shard_id: int,
         shard_requests: List[Request],
-        absorb: bool,
     ):
-        """One (round, shard) execution under an obs collection scope."""
-        with obs.collect(absorb=absorb) as col:
+        """One (round, shard) execution under a non-absorbing obs scope."""
+        with obs.collect(absorb=False) as col:
             _OBS_SHARD_ROUNDS.inc()
             _OBS_REQUESTS.inc(len(shard_requests))
             _OBS_ROUND_SIZE.observe(len(shard_requests))
@@ -434,45 +442,6 @@ class FleetService:
             )
             self._harvest_remote_obs(self.shards[shard_id])
         return shard_responses, col.snapshot
-
-    def _run_shards_threaded(
-        self,
-        scheduler,
-        by_shard: Dict[int, List[Request]],
-        ordered: List[int],
-        shard_workers: int,
-    ):
-        """Run one round's shards on worker threads.
-
-        Workers collect without absorbing (their registries are
-        thread-local); the caller's registry absorbs every snapshot on
-        the main thread, in ascending shard order, so parent totals
-        match the sequential path exactly.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            max_workers=min(shard_workers, len(ordered))
-        ) as pool:
-            futures = {
-                shard_id: pool.submit(
-                    self._run_shard_round,
-                    scheduler,
-                    shard_id,
-                    by_shard[shard_id],
-                    False,
-                )
-                for shard_id in ordered
-            }
-            outcomes = {
-                shard_id: future.result()
-                for shard_id, future in futures.items()
-            }
-        if obs.is_enabled():
-            registry = obs.get_registry()
-            for shard_id in ordered:
-                registry.absorb(outcomes[shard_id][1])
-        return outcomes
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -740,19 +709,18 @@ class FleetService:
     # observability
 
     def fleet_snapshot(self) -> obs.ObsSnapshot:
-        """Fleet totals: per-shard merges + exact chip op counters.
+        """Fleet totals: per-shard running totals + exact chip op counters.
 
-        Per-shard snapshots merge in submission order; shards fold in
-        ascending index order; each shard's ``op_counters`` is its
-        chip's live totals — so the fleet-wide ``OpCounters`` equals the
-        ordered sum over shards, float-exact.
+        Each shard's running total already holds its snapshots folded in
+        arrival order; shards fold in ascending index order; each
+        shard's ``op_counters`` is its chip's live totals (set on a copy,
+        never on the running total) — so the fleet-wide ``OpCounters``
+        equals the ordered sum over shards, float-exact.
         """
-        shard_snapshots = []
-        for shard in self.shards:
-            snapshot = self.aggregator.shard_total(shard.index)
-            snapshot.op_counters = shard.chip.counters.copy()
-            shard_snapshots.append(snapshot)
-        return obs.merge_snapshots(shard_snapshots)
+        return obs.merge_snapshots(
+            replace(total, op_counters=shard.chip.counters.copy())
+            for shard, total in zip(self.shards, self._shard_totals)
+        )
 
     def mount_directory(self, tenant: int) -> Tuple[Tuple[int, int], ...]:
         """Convenience scan of one tenant's volume (outside any round)."""

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from ..obs.report import _table
+from ..obs.report import table
 from .requests import Response
 
 #: The percentiles the SLO table reports.
@@ -91,7 +91,7 @@ def render_slo_table(
         return "(no stamped responses)"
     return (
         "SLO: round latency percentiles (virtual time, deterministic)\n\n"
-        + _table(
+        + table(
             ("scheduler", "kind", "count", "p50", "p99", "p99.9"),
             [
                 (r.scheduler, r.kind, r.count, r.p50, r.p99, r.p999)

@@ -6,11 +6,14 @@ The observability layer for the whole stack (DESIGN.md §9):
   attributes, recorded into a ring buffer, exportable as JSONL, and
   aggregated into a per-name self-time profile;
 * :func:`counter` / :func:`gauge` / :func:`histogram` — the metrics
-  registry with a pluggable sink, compiled to no-ops when
-  ``REPRO_OBS=0``;
+  registry, compiled to no-ops when ``REPRO_OBS=0``;
 * :func:`collect` + :func:`merge_snapshots` — scoped collection and the
   deterministic cross-worker merge :mod:`repro.parallel` uses to ship
   each worker's metrics and chip ``OpCounters`` back to the parent.
+  Every merge, registry absorb and fleet per-shard total goes through
+  one fold, :func:`fold_snapshot`;
+* :func:`encode_snapshot` / :func:`decode_snapshot` — the versioned
+  JSON snapshot document ``OBS_COLLECT`` carries over the ONFI wire.
 
 Environment variables: ``REPRO_OBS`` (``0`` disables everything),
 ``REPRO_OBS_TRACE`` (default JSONL trace export path for the CLI).
@@ -18,7 +21,7 @@ Instrumentation never touches RNG or numeric state: experiment rows are
 bit-identical with observability enabled or disabled.
 """
 
-from .aggregate import Collection, ShardAggregator, collect, scoped_call
+from .aggregate import Collection, collect, scoped_call
 from .metrics import (
     DEFAULT_SPAN_CAPACITY,
     Counter,
@@ -32,15 +35,14 @@ from .metrics import (
     TRACE_ENV,
     counter,
     default_trace_path,
+    fold_snapshot,
     gauge,
     get_registry,
-    global_registry,
     histogram,
     is_enabled,
     merge_snapshots,
     pop_registry,
     push_registry,
-    refresh_from_env,
     register_op_counters,
     set_enabled,
 )
@@ -73,7 +75,6 @@ __all__ = [
     "ObsSnapshot",
     "ProfileEntry",
     "Registry",
-    "ShardAggregator",
     "SpanRecord",
     "TRACE_ENV",
     "adopt_parent",
@@ -84,9 +85,9 @@ __all__ = [
     "default_trace_path",
     "encode_snapshot",
     "export_jsonl",
+    "fold_snapshot",
     "gauge",
     "get_registry",
-    "global_registry",
     "histogram",
     "is_enabled",
     "load_jsonl",
@@ -94,7 +95,6 @@ __all__ = [
     "one_line_summary",
     "pop_registry",
     "push_registry",
-    "refresh_from_env",
     "register_op_counters",
     "render_metrics",
     "render_profile",

@@ -18,20 +18,24 @@ fixed — so fleet-wide totals are bit-identical on the ``process``,
 On exit the scope's snapshot is (by default) absorbed into the enclosing
 registry, so nested scopes roll up and the process-global registry ends
 up with the same totals it would have accumulated without scoping.
+
+A sharded service (``repro.fleet``) runs each (round, shard) in a
+non-absorbing scope and folds the snapshot into a running per-shard
+total with :func:`~repro.obs.metrics.fold_snapshot`, so its memory is
+one snapshot per shard however long it serves.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from .metrics import (
     ObsSnapshot,
     Registry,
     get_registry,
     is_enabled,
-    merge_snapshots,
     pop_registry,
     push_registry,
 )
@@ -80,55 +84,6 @@ def collect(absorb: bool = True) -> Iterator[Collection]:
         holder.snapshot = snapshot
         if absorb:
             get_registry().absorb(snapshot)
-
-
-class ShardAggregator:
-    """Deterministic fleet-wide rollup of per-shard snapshots.
-
-    A sharded service (``repro.fleet``) records each shard's work into
-    its own :func:`collect` scope and feeds the resulting snapshots
-    here, tagged with the shard id.  Snapshots are retained **in
-    submission order**; :meth:`totals` folds them through
-    :func:`~repro.obs.metrics.merge_snapshots` in exactly that order, so
-    float accumulation order — and hence every fleet total — is fixed
-    and bit-identical run to run, regardless of how work interleaved
-    across shards.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: List[Tuple[int, ObsSnapshot]] = []
-
-    def add(self, shard_id: int, snapshot: ObsSnapshot) -> None:
-        """Record one shard's snapshot (appended in submission order)."""
-        self._entries.append((shard_id, snapshot))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def shard_ids(self) -> List[int]:
-        """Distinct shard ids, in first-submission order."""
-        seen: Dict[int, None] = {}
-        for shard_id, _ in self._entries:
-            seen.setdefault(shard_id, None)
-        return list(seen)
-
-    def shard_total(self, shard_id: int) -> ObsSnapshot:
-        """One shard's snapshots merged in their submission order."""
-        return merge_snapshots(
-            snapshot for sid, snapshot in self._entries if sid == shard_id
-        )
-
-    def totals(self) -> ObsSnapshot:
-        """All snapshots merged in global submission order.
-
-        Equal — float-exact — to manually folding the same snapshots
-        through ``merge_snapshots`` one at a time in the same order.
-        """
-        return merge_snapshots(
-            snapshot for _, snapshot in self._entries
-        )
 
 
 def scoped_call(

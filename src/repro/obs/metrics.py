@@ -21,7 +21,9 @@ global — so the same instrumented code transparently records into a
 worker's private registry inside a :func:`repro.obs.collect` scope and
 into the process registry otherwise.  That indirection is what makes
 cross-worker aggregation deterministic: each work unit's metrics are
-captured in isolation and merged in submission order by the parent.
+captured in isolation and merged in submission order by the parent,
+through :func:`fold_snapshot` — the one fold behind
+:func:`merge_snapshots` and :meth:`Registry.absorb`.
 
 Everything compiles to a near-no-op when observability is disabled
 (``REPRO_OBS=0``): every update starts with one module-global flag check
@@ -35,7 +37,18 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    MutableSequence,
+    Optional,
+    Tuple,
+    Union,
+)
 
 #: Environment variable gating the whole subsystem.  ``0``/``false``/
 #: ``no``/``off`` disable it; anything else (including unset) enables it.
@@ -45,9 +58,10 @@ OBS_ENV = "REPRO_OBS"
 #: consults it when ``--trace`` is not given.
 TRACE_ENV = "REPRO_OBS_TRACE"
 
-#: Span ring-buffer capacity per registry.  Old spans are evicted; the
-#: aggregated self-time profile is updated at span exit, so eviction
-#: never loses profile data — only raw trace rows.
+#: Span ring-buffer capacity of every registry and every merged
+#: snapshot.  Old spans are evicted; the aggregated self-time profile is
+#: updated at span exit, so eviction never loses profile data — only
+#: raw trace rows.
 DEFAULT_SPAN_CAPACITY = 4096
 
 _DISABLED_VALUES = ("0", "false", "no", "off")
@@ -69,12 +83,6 @@ def set_enabled(value: bool) -> None:
     """Programmatically enable/disable recording (tests, the obs CLI)."""
     global _ENABLED
     _ENABLED = bool(value)
-
-
-def refresh_from_env() -> bool:
-    """Re-read :data:`OBS_ENV` (after the environment changed)."""
-    set_enabled(_enabled_from_env())
-    return _ENABLED
 
 
 def default_trace_path() -> Optional[str]:
@@ -154,8 +162,9 @@ class ObsSnapshot:
     the parent alongside their result rows.  ``op_counters`` is the sum
     of every registered chip's :class:`~repro.nand.chip.OpCounters`
     (``None`` when no chip was created in scope).  ``spans`` holds the
-    (ring-bounded) raw trace rows; ``profile`` the complete aggregated
-    self-time profile, unaffected by ring eviction.
+    raw trace rows, oldest first and at most :data:`DEFAULT_SPAN_CAPACITY`
+    of them; ``profile`` the complete aggregated self-time profile,
+    unaffected by ring eviction.
     """
 
     counters: Dict[str, float] = field(default_factory=dict)
@@ -177,21 +186,32 @@ class ObsSnapshot:
 
 
 def merge_snapshots(snapshots: Iterable[ObsSnapshot]) -> ObsSnapshot:
-    """Fold worker snapshots, **in the given order**, into one.
+    """Fold worker snapshots, **in the given order**, into a fresh one.
 
-    Counters and histogram fields add in order (float addition is
-    order-sensitive, so a fixed submission order makes fleet totals
-    bit-identical across backends); gauges are last-writer-wins;
-    op counters sum via ``OpCounters.__add__``; profiles merge; spans
-    concatenate.
+    Each step is :func:`fold_snapshot`, so a merge is bounded exactly as
+    a registry is: it keeps the newest :data:`DEFAULT_SPAN_CAPACITY`
+    spans and sums every ``wall_s``.
     """
     merged = ObsSnapshot()
     for snapshot in snapshots:
-        _fold(merged, snapshot)
+        fold_snapshot(merged, snapshot)
     return merged
 
 
-def _fold(into: ObsSnapshot, snapshot: ObsSnapshot) -> None:
+def fold_snapshot(
+    into: Union[ObsSnapshot, "Registry"], snapshot: ObsSnapshot
+) -> None:
+    """Fold `snapshot` into `into` in place: the one way telemetry combines.
+
+    :func:`merge_snapshots`, :meth:`Registry.absorb` and the fleet's
+    per-shard running totals all go through here.  Counters and
+    histogram fields add in call order (float addition is
+    order-sensitive, so a fixed fold order makes fleet totals
+    bit-identical across backends); gauges are last-writer-wins; op
+    counters sum via ``OpCounters.__add__``; profiles merge; spans
+    append and only the newest :data:`DEFAULT_SPAN_CAPACITY` stay — the
+    registry's ring bound.  A snapshot target also sums ``wall_s``.
+    """
     for name, value in snapshot.counters.items():
         into.counters[name] = into.counters.get(name, 0) + value
     into.gauges.update(snapshot.gauges)
@@ -208,13 +228,19 @@ def _fold(into: ObsSnapshot, snapshot: ObsSnapshot) -> None:
             else into.op_counters + snapshot.op_counters
         )
     for name, entry in snapshot.profile.items():
-        target = into.profile.get(name)
-        if target is None:
+        target_entry = into.profile.get(name)
+        if target_entry is None:
             into.profile[name] = replace(entry)
         else:
-            target.merge(entry)
-    into.spans.extend(snapshot.spans)
-    into.wall_s += snapshot.wall_s
+            target_entry.merge(entry)
+    spans: MutableSequence[Any] = into.spans
+    spans.extend(snapshot.spans)
+    excess = len(spans) - DEFAULT_SPAN_CAPACITY
+    if excess > 0:
+        # Lists only: a registry's deque never outgrows its maxlen.
+        del spans[:excess]
+    if isinstance(into, ObsSnapshot):
+        into.wall_s += snapshot.wall_s
 
 
 # ----------------------------------------------------------------------
@@ -228,50 +254,40 @@ class Registry:
     scopes push private ones so work units record in isolation.  A
     registry is only ever written from the thread(s) inside its scope —
     the scope stack is thread-local — so plain dict updates suffice.
+    Its state is named as :class:`ObsSnapshot`'s, so
+    :func:`fold_snapshot` folds into either.
     """
 
-    def __init__(
-        self,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
-        proc_label: str = "",
-    ) -> None:
+    def __init__(self, proc_label: str = "") -> None:
         #: Stamped onto every span recorded here whose ``proc`` is empty.
         #: Chip servers label their registries (``chip:3``) so stitched
         #: multi-process traces attribute spans to the recording process.
         self.proc_label = proc_label
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.hists: Dict[str, HistStats] = {}
+        self.histograms: Dict[str, HistStats] = {}
         self.profile: Dict[str, ProfileEntry] = {}
-        self.spans: Deque[Any] = deque(maxlen=span_capacity)
+        self.spans: Deque[Any] = deque(maxlen=DEFAULT_SPAN_CAPACITY)
         #: ``OpCounters`` objects registered by chips created in scope.
         #: Strong references: snapshots read their *current* values.
         self.op_sources: List[Any] = []
-        #: Running sum of absorbed child snapshots' op counters.
-        self._ops_base: Optional[Any] = None
-        #: Pluggable sinks: callables ``(kind, name, value)`` invoked on
-        #: every counter/gauge/histogram update routed here.
-        self.sinks: List[Callable[[str, str, float], None]] = []
+        #: Running sum of absorbed snapshots' op counters (the live
+        #: sources are added on top at snapshot time).
+        self.op_counters: Optional[Any] = None
 
     # -- updates (called through the handles below) --------------------
 
     def counter_add(self, name: str, value: float) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
-        for sink in self.sinks:
-            sink("counter", name, value)
 
     def gauge_set(self, name: str, value: float) -> None:
         self.gauges[name] = value
-        for sink in self.sinks:
-            sink("gauge", name, value)
 
     def hist_observe(self, name: str, value: float) -> None:
-        hist = self.hists.get(name)
+        hist = self.histograms.get(name)
         if hist is None:
-            hist = self.hists[name] = HistStats()
+            hist = self.histograms[name] = HistStats()
         hist.observe(value)
-        for sink in self.sinks:
-            sink("histogram", name, value)
 
     def record_span(self, record: Any) -> None:
         """Append a finished span and fold it into the profile."""
@@ -286,21 +302,18 @@ class Registry:
     def register_op_source(self, op_counters: Any) -> None:
         self.op_sources.append(op_counters)
 
-    def add_sink(self, sink: Callable[[str, str, float], None]) -> None:
-        self.sinks.append(sink)
-
     # -- snapshot / absorb ---------------------------------------------
 
     def snapshot(self) -> ObsSnapshot:
         """Freeze the registry's current state (sources read live)."""
-        ops = None if self._ops_base is None else self._ops_base.copy()
+        ops = None if self.op_counters is None else self.op_counters.copy()
         for source in self.op_sources:
             current = source.copy()
             ops = current if ops is None else ops + current
         return ObsSnapshot(
             counters=dict(self.counters),
             gauges=dict(self.gauges),
-            histograms={k: replace(v) for k, v in self.hists.items()},
+            histograms={k: replace(v) for k, v in self.histograms.items()},
             op_counters=ops,
             profile={k: replace(v) for k, v in self.profile.items()},
             spans=list(self.spans),
@@ -313,38 +326,17 @@ class Registry:
         scope), in deterministic order, so totals roll up identically
         on every execution backend.
         """
-        for name, value in snapshot.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(snapshot.gauges)
-        for name, hist in snapshot.histograms.items():
-            target = self.hists.get(name)
-            if target is None:
-                self.hists[name] = replace(hist)
-            else:
-                target.merge(hist)
-        if snapshot.op_counters is not None:
-            self._ops_base = (
-                snapshot.op_counters.copy()
-                if self._ops_base is None
-                else self._ops_base + snapshot.op_counters
-            )
-        for name, entry in snapshot.profile.items():
-            target = self.profile.get(name)
-            if target is None:
-                self.profile[name] = replace(entry)
-            else:
-                target.merge(entry)
-        self.spans.extend(snapshot.spans)
+        fold_snapshot(self, snapshot)
 
     def reset(self) -> None:
         """Drop all recorded state (tests, long-lived CLI sessions)."""
         self.counters.clear()
         self.gauges.clear()
-        self.hists.clear()
+        self.histograms.clear()
         self.profile.clear()
         self.spans.clear()
         self.op_sources.clear()
-        self._ops_base = None
+        self.op_counters = None
 
 
 # ----------------------------------------------------------------------
@@ -352,11 +344,6 @@ class Registry:
 
 _GLOBAL = Registry()
 _TLS = threading.local()
-
-
-def global_registry() -> Registry:
-    """The process-wide default registry."""
-    return _GLOBAL
 
 
 def get_registry() -> Registry:

@@ -10,9 +10,14 @@ from .metrics import ObsSnapshot, ProfileEntry
 from .trace import SpanRecord
 
 
-def _table(
+def table(
     headers: Sequence[str], rows: Sequence[Sequence[object]]
 ) -> str:
+    """An ASCII table: left-justified columns, two-space gaps, a dash rule.
+
+    The one table layout of the CLI: metric tables, the self-time
+    profile, the SLO table, ``bench-report`` and the experiment tables.
+    """
     text_rows = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in text_rows:
@@ -41,13 +46,13 @@ def render_metrics(snapshot: ObsSnapshot) -> str:
             (name, _num(value))
             for name, value in sorted(snapshot.counters.items())
         ]
-        sections.append("counters\n\n" + _table(("name", "value"), rows))
+        sections.append("counters\n\n" + table(("name", "value"), rows))
     if snapshot.gauges:
         rows = [
             (name, _num(value))
             for name, value in sorted(snapshot.gauges.items())
         ]
-        sections.append("gauges\n\n" + _table(("name", "value"), rows))
+        sections.append("gauges\n\n" + table(("name", "value"), rows))
     if snapshot.histograms:
         rows = [
             (name, h.count, _num(round(h.mean, 6)), _num(h.min), _num(h.max))
@@ -55,13 +60,13 @@ def render_metrics(snapshot: ObsSnapshot) -> str:
         ]
         sections.append(
             "histograms\n\n"
-            + _table(("name", "count", "mean", "min", "max"), rows)
+            + table(("name", "count", "mean", "min", "max"), rows)
         )
     ops = snapshot.op_counters
     if ops is not None:
         sections.append(
             "chip op counters\n\n"
-            + _table(
+            + table(
                 ("reads", "programs", "erases", "partial_programs",
                  "busy_s", "energy_j"),
                 [(
@@ -94,7 +99,7 @@ def render_profile(profile: Dict[str, ProfileEntry], top: int = 10) -> str:
         ))
     return (
         f"self-time profile (top {len(rows)} by self time)\n\n"
-        + _table(("span", "count", "self ms", "total ms", "avg ms"), rows)
+        + table(("span", "count", "self ms", "total ms", "avg ms"), rows)
     )
 
 

@@ -23,7 +23,9 @@ exception type) even when the body raises.  When observability is
 disabled every ``span(...)`` call returns a shared no-op object.
 
 Traces export as JSONL (one span per line) and round-trip losslessly
-through :func:`export_jsonl` / :func:`load_jsonl`.
+through :func:`export_jsonl` / :func:`load_jsonl`.  A line is the span's
+JSON object from :func:`span_to_json`, the same object the OBS_COLLECT
+snapshot document (:mod:`repro.obs.wirefmt`) carries per span.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import functools
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from types import TracebackType
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Type, Union
 
@@ -211,7 +213,67 @@ def span(name: str, **attrs: Any) -> Union[Span, _NoopSpan]:
 
 
 # ----------------------------------------------------------------------
-# JSONL export / import
+# JSON mapping, JSONL export / import
+
+
+def json_value(
+    value: Any, kind: type, what: str, nullable: bool = False
+) -> Any:
+    """`value`, taken from a decoded JSON document, checked to be `kind`.
+
+    A float field also takes a JSON integer (as ``float(value)``); a
+    bool is never a number.  ``None`` passes only when `nullable`.
+    Anything else raises :class:`ValueError` naming `what`.
+    """
+    if type(value) is kind or (nullable and value is None):
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ValueError(
+        f"{what} must be {'null or ' if nullable else ''}{kind.__name__}, "
+        f"got {type(value).__name__}"
+    )
+
+
+_SPAN_KEYS = frozenset(spec.name for spec in fields(SpanRecord))
+
+
+def span_to_json(record: SpanRecord) -> Dict[str, Any]:
+    """One span as a JSON object (a JSONL line, a snapshot-document row)."""
+    return {
+        "name": record.name,
+        "start_s": record.start_s,
+        "duration_s": record.duration_s,
+        "self_s": record.self_s,
+        "depth": record.depth,
+        "parent": record.parent,
+        "attrs": record.attrs,
+        "error": record.error,
+        "proc": record.proc,
+    }
+
+
+def span_from_json(obj: Any) -> SpanRecord:
+    """The span a :func:`span_to_json` object describes.
+
+    Raises :class:`ValueError` unless `obj` has exactly the record's
+    keys, each holding a value of the field's type.
+    """
+    if type(obj) is not dict or obj.keys() != _SPAN_KEYS:
+        raise ValueError(
+            f"a span must be an object with keys {sorted(_SPAN_KEYS)}"
+        )
+    return SpanRecord(
+        name=json_value(obj["name"], str, "span name"),
+        start_s=json_value(obj["start_s"], float, "span start_s"),
+        duration_s=json_value(obj["duration_s"], float, "span duration_s"),
+        self_s=json_value(obj["self_s"], float, "span self_s"),
+        depth=json_value(obj["depth"], int, "span depth"),
+        parent=json_value(obj["parent"], str, "span parent", nullable=True),
+        attrs=json_value(obj["attrs"], dict, "span attrs"),
+        error=json_value(obj["error"], str, "span error", nullable=True),
+        proc=json_value(obj["proc"], str, "span proc"),
+    )
 
 
 def export_jsonl(
@@ -227,14 +289,17 @@ def export_jsonl(
 def _write_jsonl(spans: Iterable[SpanRecord], handle: IO[str]) -> int:
     count = 0
     for record in spans:
-        handle.write(json.dumps(asdict(record), sort_keys=True))
+        handle.write(json.dumps(span_to_json(record), sort_keys=True))
         handle.write("\n")
         count += 1
     return count
 
 
 def load_jsonl(source: Union[str, IO[str]]) -> List[SpanRecord]:
-    """Read a JSONL trace back into :class:`SpanRecord` objects."""
+    """Read a JSONL trace back into :class:`SpanRecord` objects.
+
+    A line that is not a span object raises :class:`ValueError`.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return _read_jsonl(handle)
@@ -246,5 +311,5 @@ def _read_jsonl(handle: IO[str]) -> List[SpanRecord]:
     for line in handle:
         line = line.strip()
         if line:
-            records.append(SpanRecord(**json.loads(line)))
+            records.append(span_from_json(json.loads(line)))
     return records

@@ -1,319 +1,160 @@
-"""Deterministic binary encoding of :class:`ObsSnapshot` (DESIGN §14).
+"""The OBS_COLLECT snapshot document: an :class:`ObsSnapshot` as JSON.
 
-The ONFI transport (PR 8) moved chips out of process; this codec is how
+The ONFI transport moved chips out of process; this codec is how
 their telemetry comes back.  A server-side registry snapshot — counters,
 gauges, histograms, the chip's ``OpCounters``, the span self-time
-profile and the raw span ring — is serialised to a compact little-endian
-byte string, shipped over an ``OBS_COLLECT`` response frame, and decoded
-into an equal snapshot on the client.
+profile and the raw span ring — is written as one compact stdlib
+:mod:`json` document, shipped in an ``OBS_COLLECT`` response frame, and
+decoded into an equal snapshot on the client::
 
-Exactness is the contract: every float travels as an IEEE-754 binary64
-(``<d``), so a decoded snapshot is *bit-identical* to the encoded one —
-no repr round-trips, no JSON float formatting.  That is what lets
-``repro.fleet`` merge remote snapshots through
-:func:`~repro.obs.metrics.merge_snapshots` and land on exactly the same
-fleet totals as in-process mode.
+    {"version": 2, "counters": {name: x}, "gauges": {name: x},
+     "histograms": [[name, count, total, min, max], ...],
+     "op_counters": {field: value} | null,
+     "profile": [[name, count, total_s, self_s, min_s, max_s], ...],
+     "spans": [span object, ...], "wall_s": x}
 
-``OpCounters`` is encoded generically from ``dataclasses.fields`` with a
-per-field kind tag (i64 / f64), so new counter fields transport without
-touching this module — the field-by-field reconstruction that used to
-live in ``repro.onfi.client`` is gone for good.
+Exactness is the contract.  :mod:`json` writes every float as its
+shortest round-tripping ``repr`` (``Infinity``/``-Infinity`` for the
+histogram sentinels) and reads it back with ``float()``, so every
+non-NaN double — ``-0.0`` and subnormals included — decodes bit for bit.
+That is what lets ``repro.fleet`` fold remote snapshots and land on
+exactly the same fleet totals as in-process mode.  Counters, gauges and
+histogram/profile statistics travel as floats, as they always have on
+this wire; ``OpCounters`` travel by field name with their own int or
+float values, so new counter fields transport without touching this
+module.  A span is the object :func:`~repro.obs.trace.span_to_json`
+maps, the same one a JSONL trace line holds.
 
-Malformed input raises :class:`ValueError` (the ONFI layer maps that to
-a wire error frame).  The format is versioned with a leading byte;
-decoders reject versions they do not understand.
+Malformed input — a wrong version, bad JSON, the wrong shape or type
+anywhere, an op-counter field set other than ``OpCounters``' — raises
+:class:`ValueError` (the ONFI layer maps that to a wire error frame), as
+does encoding a span whose attrs are not JSON-able.  The frame cap
+(:data:`repro.onfi.wire.MAX_PAYLOAD`) bounds the document's size.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import struct
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .metrics import HistStats, ObsSnapshot, ProfileEntry
-from .trace import SpanRecord
+from .trace import json_value, span_from_json, span_to_json
 
 #: Format version; bump on any layout change.
-OBS_WIRE_VERSION = 1
+OBS_WIRE_VERSION = 2
 
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
+_KEYS = frozenset((
+    "version", "counters", "gauges", "histograms", "op_counters",
+    "profile", "spans", "wall_s",
+))
 
-#: ``OpCounters`` field kind tags.
-_KIND_I64 = 0
-_KIND_F64 = 1
-
-#: Ceiling on any decoded collection size — a corrupt length prefix must
-#: fail fast instead of attempting a multi-gigabyte allocation.
-_MAX_ITEMS = 1 << 24
-
-
-class _Writer:
-    """Accumulates encoded chunks (join once at the end)."""
-
-    __slots__ = ("_chunks",)
-
-    def __init__(self) -> None:
-        self._chunks: List[bytes] = []
-
-    def u8(self, value: int) -> None:
-        self._chunks.append(_U8.pack(value))
-
-    def u32(self, value: int) -> None:
-        self._chunks.append(_U32.pack(value))
-
-    def i64(self, value: int) -> None:
-        self._chunks.append(_I64.pack(value))
-
-    def f64(self, value: float) -> None:
-        self._chunks.append(_F64.pack(value))
-
-    def str_(self, value: str) -> None:
-        raw = value.encode("utf-8")
-        self.u32(len(raw))
-        self._chunks.append(raw)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-class _Reader:
-    """Sequential decoder over one payload; every read bounds-checks."""
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, payload: bytes) -> None:
-        self._view = memoryview(payload)
-        self._pos = 0
-
-    def _take(self, size: int) -> memoryview:
-        end = self._pos + size
-        if end > len(self._view):
-            raise ValueError("obs wire payload truncated")
-        chunk = self._view[self._pos:end]
-        self._pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return int(_U8.unpack(self._take(1))[0])
-
-    def u32(self) -> int:
-        return int(_U32.unpack(self._take(4))[0])
-
-    def i64(self) -> int:
-        return int(_I64.unpack(self._take(8))[0])
-
-    def f64(self) -> float:
-        return float(_F64.unpack(self._take(8))[0])
-
-    def count(self) -> int:
-        value = self.u32()
-        if value > _MAX_ITEMS:
-            raise ValueError(f"obs wire count {value} exceeds sanity bound")
-        return value
-
-    def str_(self) -> str:
-        size = self.count()
-        try:
-            return str(self._take(size), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"obs wire string not UTF-8: {exc}") from exc
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._view):
-            extra = len(self._view) - self._pos
-            raise ValueError(f"obs wire payload has {extra} trailing bytes")
-
-
-# ----------------------------------------------------------------------
-# encode
+#: Row types after the name: HistStats' and ProfileEntry's fields.
+_HIST_ROW = (str, int, float, float, float)
+_PROFILE_ROW = (str, int, float, float, float, float)
 
 
 def encode_snapshot(snapshot: ObsSnapshot) -> bytes:
-    """Serialise a snapshot to the versioned binary wire format."""
-    w = _Writer()
-    w.u8(OBS_WIRE_VERSION)
-    _encode_scalar_map(w, snapshot.counters)
-    _encode_scalar_map(w, snapshot.gauges)
-    w.u32(len(snapshot.histograms))
-    for name in snapshot.histograms:
-        hist = snapshot.histograms[name]
-        w.str_(name)
-        w.i64(hist.count)
-        w.f64(hist.total)
-        w.f64(hist.min)
-        w.f64(hist.max)
-    _encode_op_counters(w, snapshot.op_counters)
-    w.u32(len(snapshot.profile))
-    for name in snapshot.profile:
-        entry = snapshot.profile[name]
-        w.str_(name)
-        w.i64(entry.count)
-        w.f64(entry.total_s)
-        w.f64(entry.self_s)
-        w.f64(entry.min_s)
-        w.f64(entry.max_s)
-    w.u32(len(snapshot.spans))
-    for span in snapshot.spans:
-        _encode_span(w, span)
-    w.f64(snapshot.wall_s)
-    return w.getvalue()
-
-
-def _encode_scalar_map(w: _Writer, values: Dict[str, float]) -> None:
-    w.u32(len(values))
-    for name in values:
-        w.str_(name)
-        w.f64(values[name])
-
-
-def _encode_op_counters(w: _Writer, ops: Any) -> None:
-    if ops is None:
-        w.u8(0)
-        return
-    w.u8(1)
-    fields = dataclasses.fields(ops)
-    w.u32(len(fields))
-    for spec in fields:
-        value = getattr(ops, spec.name)
-        w.str_(spec.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"op counter field {spec.name!r} is not numeric: {value!r}"
-            )
-        if isinstance(value, int):
-            w.u8(_KIND_I64)
-            w.i64(value)
-        else:
-            w.u8(_KIND_F64)
-            w.f64(value)
-
-
-def _encode_span(w: _Writer, span: SpanRecord) -> None:
-    w.str_(span.name)
-    w.f64(span.start_s)
-    w.f64(span.duration_s)
-    w.f64(span.self_s)
-    w.i64(span.depth)
-    if span.parent is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.str_(span.parent)
-    w.str_(span.proc)
+    """Serialise a snapshot to the versioned JSON document."""
+    ops = snapshot.op_counters
+    document = {
+        "version": OBS_WIRE_VERSION,
+        "counters": {k: float(v) for k, v in snapshot.counters.items()},
+        "gauges": {k: float(v) for k, v in snapshot.gauges.items()},
+        "histograms": [
+            [name, h.count, float(h.total), float(h.min), float(h.max)]
+            for name, h in snapshot.histograms.items()
+        ],
+        "op_counters": None if ops is None else {
+            spec.name: getattr(ops, spec.name)
+            for spec in dataclasses.fields(ops)
+        },
+        "profile": [
+            [name, e.count, float(e.total_s), float(e.self_s),
+             float(e.min_s), float(e.max_s)]
+            for name, e in snapshot.profile.items()
+        ],
+        "spans": [span_to_json(record) for record in snapshot.spans],
+        "wall_s": float(snapshot.wall_s),
+    }
     try:
-        w.str_(json.dumps(span.attrs, sort_keys=True))
+        text = json.dumps(document, separators=(",", ":"))
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"span attrs not JSON-able: {exc}") from exc
-    if span.error is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.str_(span.error)
-
-
-# ----------------------------------------------------------------------
-# decode
+        raise ValueError(f"obs snapshot not JSON-able: {exc}") from exc
+    return text.encode("ascii")
 
 
 def decode_snapshot(payload: bytes) -> ObsSnapshot:
     """Decode :func:`encode_snapshot` output; :class:`ValueError` on junk."""
-    r = _Reader(payload)
-    version = r.u8()
-    if version != OBS_WIRE_VERSION:
+    try:
+        return _snapshot(json.loads(payload))
+    except (OverflowError, RecursionError) as exc:
+        # A float field holding a huge JSON integer; absurd nesting.
+        raise ValueError(f"obs wire document undecodable: {exc!r}") from exc
+
+
+def _snapshot(document: Any) -> ObsSnapshot:
+    if type(document) is not dict:
+        raise ValueError("obs wire document must be a JSON object")
+    version = document.get("version")
+    if type(version) is not int or version != OBS_WIRE_VERSION:
         raise ValueError(
-            f"obs wire version {version} unsupported "
+            f"obs wire version {version!r} unsupported "
             f"(expected {OBS_WIRE_VERSION})"
         )
-    counters = _decode_scalar_map(r)
-    gauges = _decode_scalar_map(r)
+    if document.keys() != _KEYS:
+        raise ValueError(
+            f"obs wire document keys {sorted(document)} != {sorted(_KEYS)}"
+        )
     histograms: Dict[str, HistStats] = {}
-    for _ in range(r.count()):
-        name = r.str_()
-        histograms[name] = HistStats(
-            count=r.i64(), total=r.f64(), min=r.f64(), max=r.f64()
-        )
-    op_counters = _decode_op_counters(r)
+    for row in _rows(document["histograms"], _HIST_ROW, "histogram row"):
+        histograms[row[0]] = HistStats(*row[1:])
     profile: Dict[str, ProfileEntry] = {}
-    for _ in range(r.count()):
-        name = r.str_()
-        profile[name] = ProfileEntry(
-            count=r.i64(),
-            total_s=r.f64(),
-            self_s=r.f64(),
-            min_s=r.f64(),
-            max_s=r.f64(),
-        )
-    spans: List[Any] = [_decode_span(r) for _ in range(r.count())]
-    wall_s = r.f64()
-    r.expect_end()
+    for row in _rows(document["profile"], _PROFILE_ROW, "profile row"):
+        profile[row[0]] = ProfileEntry(*row[1:])
+    spans = json_value(document["spans"], list, "spans")
     return ObsSnapshot(
-        counters=counters,
-        gauges=gauges,
+        counters=_floats(document["counters"], "counters"),
+        gauges=_floats(document["gauges"], "gauges"),
         histograms=histograms,
-        op_counters=op_counters,
+        op_counters=_op_counters(document["op_counters"]),
         profile=profile,
-        spans=spans,
-        wall_s=wall_s,
+        spans=[span_from_json(obj) for obj in spans],
+        wall_s=json_value(document["wall_s"], float, "wall_s"),
     )
 
 
-def _decode_scalar_map(r: _Reader) -> Dict[str, float]:
-    return {r.str_(): r.f64() for _ in range(r.count())}
+def _floats(value: Any, what: str) -> Dict[str, float]:
+    values = json_value(value, dict, what)
+    return {name: json_value(x, float, what) for name, x in values.items()}
 
 
-def _decode_op_counters(r: _Reader) -> Any:
-    if r.u8() == 0:
+def _rows(
+    value: Any, kinds: Tuple[type, ...], what: str
+) -> List[List[Any]]:
+    rows: List[List[Any]] = []
+    for row in json_value(value, list, what + "s"):
+        if type(row) is not list or len(row) != len(kinds):
+            raise ValueError(f"a {what} must be a list of {len(kinds)} items")
+        rows.append([json_value(x, k, what) for x, k in zip(row, kinds)])
+    return rows
+
+
+def _op_counters(value: Any) -> Any:
+    values = json_value(value, dict, "op_counters", nullable=True)
+    if values is None:
         return None
     # Imported lazily: repro.nand imports repro.obs for its handles, so a
     # module-level import here would be circular.
     from ..nand.chip import OpCounters
 
     expected = {spec.name for spec in dataclasses.fields(OpCounters)}
-    values: Dict[str, Any] = {}
-    for _ in range(r.count()):
-        name = r.str_()
-        kind = r.u8()
-        if kind == _KIND_I64:
-            values[name] = r.i64()
-        elif kind == _KIND_F64:
-            values[name] = r.f64()
-        else:
-            raise ValueError(f"unknown op counter kind tag {kind}")
-    if set(values) != expected:
+    if values.keys() != expected:
         raise ValueError(
             "op counter fields mismatch: "
             f"got {sorted(values)}, expected {sorted(expected)}"
         )
+    for name, x in values.items():
+        if type(x) not in (int, float):
+            raise ValueError(f"op counter field {name!r} is not a number")
     return OpCounters(**values)
-
-
-def _decode_span(r: _Reader) -> SpanRecord:
-    name = r.str_()
-    start_s = r.f64()
-    duration_s = r.f64()
-    self_s = r.f64()
-    depth = r.i64()
-    parent = r.str_() if r.u8() else None
-    proc = r.str_()
-    try:
-        attrs = json.loads(r.str_())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"span attrs not valid JSON: {exc}") from exc
-    if not isinstance(attrs, dict):
-        raise ValueError("span attrs must decode to an object")
-    error = r.str_() if r.u8() else None
-    return SpanRecord(
-        name=name,
-        start_s=start_s,
-        duration_s=duration_s,
-        self_s=self_s,
-        depth=depth,
-        parent=parent,
-        attrs=attrs,
-        error=error,
-        proc=proc,
-    )

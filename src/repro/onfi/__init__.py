@@ -25,9 +25,6 @@ from .wire import (
     FLAG_THRESHOLD,
     FLAG_TRACE,
     HEADER,
-    HELLO_FLAGS_MASK,
-    HELLO_OBS,
-    HELLO_TRACE,
     MAX_PAYLOAD,
     MIN_LENGTH,
     FrameReader,
@@ -48,9 +45,6 @@ __all__ = [
     "FLAG_THRESHOLD",
     "FLAG_TRACE",
     "FrameReader",
-    "HELLO_FLAGS_MASK",
-    "HELLO_OBS",
-    "HELLO_TRACE",
     "HEADER",
     "MAX_OUTSTANDING",
     "MAX_PAYLOAD",

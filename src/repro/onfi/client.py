@@ -60,8 +60,6 @@ from .wire import (
     FLAG_THRESHOLD,
     FLAG_TRACE,
     GEOMETRY_FIELDS,
-    HELLO_FLAGS_MASK,
-    HELLO_TRACE,
     OPS,
     FrameReader,
     Op,
@@ -113,8 +111,6 @@ class RemoteChip(PageOps):
         #: Request frames sent, by opcode — transport accounting only
         #: (tests assert the disabled-obs path adds zero frames).
         self.sent_ops: Dict[int, int] = {}
-        #: HELLO-negotiated capability bits from the server.
-        self.server_flags = 0
         self._hello()
 
     # ------------------------------------------------------------------
@@ -153,14 +149,13 @@ class RemoteChip(PageOps):
             raise error
 
     def _wrap_trace(self, flags: int, payload: bytes) -> Tuple[int, bytes]:
-        """Prefix the frame with the current span name, when negotiated.
+        """Prefix the frame with the current span name, if one is open.
 
         Zero bytes and zero branches beyond one flag check when
-        observability is disabled or the server lacks HELLO_TRACE — the
-        wire image of a disabled-obs run is byte-identical to one
-        without this feature.
+        observability is disabled — the wire image of a disabled-obs run
+        is byte-identical to one without this feature.
         """
-        if self.server_flags & HELLO_TRACE and _obs_enabled():
+        if _obs_enabled():
             parent = current_span_name()
             if parent is not None:
                 return flags | FLAG_TRACE, pack_trace_parent(parent) + payload
@@ -228,12 +223,8 @@ class RemoteChip(PageOps):
         )
 
     def _hello(self) -> None:
-        # Request every capability this client knows; the server answers
-        # the accepted subset (absent on pre-obs servers, which is a
-        # clean "no capabilities").
-        hello = self._request(Op.HELLO, capabilities=HELLO_FLAGS_MASK)
+        hello = self._request(Op.HELLO)
         self.seed, self.clock = hello["seed"], hello["clock"]
-        self.server_flags = (hello["capabilities"] or 0) & HELLO_FLAGS_MASK
         served = tuple(hello[name] for name in GEOMETRY_FIELDS)
         expected = tuple(getattr(self.geometry, n) for n in GEOMETRY_FIELDS)
         if served != expected:
@@ -357,8 +348,10 @@ class RemoteChip(PageOps):
         server recorded since its last reset; ``op_counters`` are always
         the chip's cumulative totals.  ``reset=True`` clears the
         registry (not the op counters) after the snapshot — the fleet's
-        per-round delta harvest.  Every float is f64 on the wire, so the
-        snapshot is bit-identical to one taken in the server's process.
+        per-round delta harvest.  The snapshot travels as the JSON
+        document of :mod:`repro.obs.wirefmt`, whose floats round-trip
+        exactly, so it is bit-identical to one taken in the server's
+        process.
         """
         answer = self._request(Op.OBS_COLLECT, reset=1 if reset else None)
         try:
@@ -367,10 +360,6 @@ class RemoteChip(PageOps):
             raise CommandError(
                 f"OBS_COLLECT payload undecodable: {exc}"
             ) from exc
-
-    def obs_reset(self) -> None:
-        """Clear the server's telemetry registry (op counters persist)."""
-        self._request(Op.OBS_RESET)
 
     @property
     def counters(self) -> OpCounters:

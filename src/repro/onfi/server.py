@@ -45,7 +45,6 @@ from .wire import (
     FLAG_PARTIAL,
     FLAG_TRACE,
     GEOMETRY_FIELDS,
-    HELLO_FLAGS_MASK,
     OPS,
     FrameReader,
     Op,
@@ -248,16 +247,10 @@ class ChipServer:
     def _op_program_locations(self, flags, count, locations, bits):
         self.chip.program_locations(locations, bits)
 
-    def _op_hello(self, flags, capabilities):
+    def _op_hello(self, flags):
         geometry = self.chip.geometry
         answer = {name: getattr(geometry, name) for name in GEOMETRY_FIELDS}
-        # Echo the accepted capabilities; an absent byte is a legacy
-        # client with no obs/trace.
-        answer.update(
-            seed=self.chip.seed,
-            clock=self.chip.clock,
-            capabilities=(capabilities or 0) & HELLO_FLAGS_MASK,
-        )
+        answer.update(seed=self.chip.seed, clock=self.chip.clock)
         return answer
 
     def _op_advance_time(self, flags, seconds):
@@ -277,9 +270,6 @@ class ChipServer:
         if reset:
             self.registry.reset()
         return {"snapshot": out}
-
-    def _op_obs_reset(self, flags):
-        self.registry.reset()
 
     def _op_is_programmed(self, flags, block, page):
         return {"programmed": int(self.chip.is_page_programmed(block, page))}
@@ -305,7 +295,6 @@ class ChipServer:
         Op.IS_PROGRAMMED: _op_is_programmed,
         Op.BLOCK_PEC: _op_block_pec,
         Op.OBS_COLLECT: _op_obs_collect,
-        Op.OBS_RESET: _op_obs_reset,
         Op.SHUTDOWN: _op_shutdown,
     }
 

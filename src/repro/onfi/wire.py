@@ -89,7 +89,6 @@ class Op(IntEnum):
     IS_PROGRAMMED = 0xA3
     BLOCK_PEC = 0xA4
     OBS_COLLECT = 0xA5
-    OBS_RESET = 0xA6
     SHUTDOWN = 0xAF
 
 
@@ -103,17 +102,11 @@ FLAG_THRESHOLD = 0x02
 
 #: Request flag: the payload starts with a trace-parent prefix (u16
 #: length + UTF-8 span name) naming the client-side span this frame's
-#: server-side spans should stitch under.  Only ever set when the client
-#: negotiated tracing at HELLO *and* observability is enabled — with
+#: server-side spans should stitch under.  Only ever set while
+#: observability is enabled and a client span is open — with
 #: ``REPRO_OBS=0`` the flag stays clear and the frame carries zero extra
 #: bytes.  The prefix precedes a FLAG_THRESHOLD prefix when both are set.
 FLAG_TRACE = 0x04
-
-#: HELLO capability bits (u8 in the request payload; the server echoes
-#: the accepted subset as a trailing u8 in its response).
-HELLO_OBS = 0x01  # client may issue OBS_COLLECT / OBS_RESET
-HELLO_TRACE = 0x02  # client may prefix frames with FLAG_TRACE parents
-HELLO_FLAGS_MASK = HELLO_OBS | HELLO_TRACE
 
 #: Error payload kinds — ``u8`` codes mapping wire errors back onto the
 #: exact exception type the in-process chip raises.
@@ -344,10 +337,8 @@ OPS: Dict[Op, OpSpec] = {
         posted=True,
     ),
     Op.HELLO: OpSpec(
-        (Field("capabilities", U8, optional=True),),
-        (*(Field(name, I64) for name in GEOMETRY_FIELDS),
-         Field("seed", U64), Field("clock", F64),
-         Field("capabilities", U8, optional=True)),
+        response=(*(Field(name, I64) for name in GEOMETRY_FIELDS),
+                  Field("seed", U64), Field("clock", F64)),
         rolls=False,
     ),
     Op.ADVANCE_TIME: OpSpec((Field("seconds", F64),), (Field("clock", F64),)),
@@ -361,7 +352,6 @@ OPS: Dict[Op, OpSpec] = {
         (Field("snapshot", BLOB),),
         rolls=False,
     ),
-    Op.OBS_RESET: OpSpec(rolls=False),
     Op.SHUTDOWN: OpSpec(rolls=False),
 }
 

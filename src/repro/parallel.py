@@ -31,6 +31,13 @@ deterministic regardless of backend, worker count or OS scheduling:
     measured pool "speedup" is < 1) all degrade to serial, with a log
     line saying why.
 
+Observability rides along: with ``REPRO_OBS`` on, each unit runs through
+:func:`repro.obs.scoped_call` (module-level, so the process backend can
+pickle it) and its snapshot travels back with its result.  The parent
+merges the snapshots in submission order with
+:func:`repro.obs.merge_snapshots` — the same fold a registry absorbs
+with, so the merge keeps the newest ``DEFAULT_SPAN_CAPACITY`` spans.
+
 Resolution priority, for both knobs:
 
 1. explicit ``workers=`` / ``backend=`` arguments (drivers expose them;
@@ -114,19 +121,6 @@ def split_range(n: int, n_units: int) -> List[Tuple[int, int]]:
     return spans
 
 
-def _scoped_unit(
-    fn: Callable[..., Any], unit: Tuple[Any, ...]
-) -> Tuple[Any, Optional[ObsSnapshot]]:
-    """Worker-side wrapper: run one unit inside a private obs scope.
-
-    Module-level so the process backend can pickle it.  Returns
-    ``(result, snapshot)``: the unit's metrics, spans and chip
-    ``OpCounters`` travel back to the parent with the result rows —
-    this is how per-worker accounting survives process isolation.
-    """
-    return obs.scoped_call(fn, unit)
-
-
 class ParallelRunner:
     """Run independent, deterministic work units through a backend.
 
@@ -208,8 +202,9 @@ class ParallelRunner:
             "parallel.map", backend=backend, units=len(units),
             workers=self.workers,
         ):
-            pairs = self._run(_scoped_unit, [(fn, unit) for unit in units],
-                              backend)
+            pairs = self._run(
+                obs.scoped_call, [(fn, unit) for unit in units], backend
+            )
             obs.counter("parallel.units").inc(len(units))
             snapshots = [snap for _, snap in pairs if snap is not None]
             return [result for result, _ in pairs], obs.merge_snapshots(

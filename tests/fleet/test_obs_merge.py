@@ -1,13 +1,13 @@
-"""Fleet observability totals are exact, ordered merges — never samples.
+"""Fleet observability totals are exact, ordered folds — never samples.
 
-``ShardAggregator`` retains per-(round, shard) snapshots in submission
-order and folds them through ``merge_snapshots`` in exactly that order,
-so fleet totals must equal a manual one-at-a-time fold float-for-float,
-and the merged ``OpCounters`` must equal the ordered sum of the per-shard
-chip counters.
+``FleetService`` folds each (round, shard) snapshot into that shard's
+running total as it arrives, and ``fleet_snapshot`` merges the shard
+totals in ascending shard order.  So fleet totals must equal a manual
+one-at-a-time fold of the same snapshots float-for-float, and the
+merged ``OpCounters`` must equal the ordered sum of the per-shard chip
+counters.
 """
 
-from repro import obs
 from repro.fleet import (
     CoalescingScheduler,
     FleetConfig,
@@ -16,7 +16,7 @@ from repro.fleet import (
     WorkloadConfig,
     generate_requests,
 )
-from repro.obs import ShardAggregator, merge_snapshots
+from repro.obs import merge_snapshots
 
 
 def drained_service(tenants=6, n_shards=3, seed=21):
@@ -30,6 +30,19 @@ def drained_service(tenants=6, n_shards=3, seed=21):
     return service
 
 
+def recorded_service(monkeypatch):
+    """A drained service and every (shard, snapshot) it folded, in order."""
+    arrivals = []
+    account = FleetService._account
+
+    def spy(self, shard_id, snapshot):
+        arrivals.append((shard_id, snapshot))
+        account(self, shard_id, snapshot)
+
+    monkeypatch.setattr(FleetService, "_account", spy)
+    return drained_service(), arrivals
+
+
 def snapshot_key(snapshot):
     """Every float-bearing field that must match bit-for-bit."""
     return (
@@ -37,36 +50,48 @@ def snapshot_key(snapshot):
         snapshot.gauges,
         {name: (h.count, h.total, h.min, h.max)
          for name, h in snapshot.histograms.items()},
+        snapshot.op_counters,
+        snapshot.profile,
+        snapshot.spans,
         snapshot.wall_s,
     )
 
 
 class TestAggregatorExactness:
-    def test_totals_equal_manual_fold(self):
-        service = drained_service()
-        entries = [snap for _, snap in service.aggregator._entries]
-        manual = merge_snapshots([])
-        for snapshot in entries:
-            manual = merge_snapshots([manual, snapshot])
-        totals = service.aggregator.totals()
-        assert snapshot_key(totals) == snapshot_key(manual)
-
-    def test_shard_totals_partition_the_entries(self):
-        service = drained_service()
-        agg = service.aggregator
-        assert sorted(agg.shard_ids()) == [0, 1, 2]
-        # Each shard total equals folding just that shard's snapshots.
-        for shard_id in agg.shard_ids():
-            own = [s for sid, s in agg._entries if sid == shard_id]
-            assert snapshot_key(agg.shard_total(shard_id)) == snapshot_key(
-                merge_snapshots(own)
+    def test_totals_equal_manual_fold(self, monkeypatch):
+        service, arrivals = recorded_service(monkeypatch)
+        manual = {}
+        for shard_id, snapshot in arrivals:
+            manual[shard_id] = merge_snapshots(
+                [manual.get(shard_id, merge_snapshots([])), snapshot]
             )
-        # And the per-shard counter sums recompose the global counters.
+        for shard in service.shards:
+            manual[shard.index].op_counters = shard.chip.counters.copy()
+        fleet = merge_snapshots(manual[i] for i in sorted(manual))
+        assert snapshot_key(service.fleet_snapshot()) == snapshot_key(fleet)
+
+    def test_shard_totals_partition_the_entries(self, monkeypatch):
+        service, arrivals = recorded_service(monkeypatch)
+        # Provisioning plus one snapshot per (round, shard) with work.
+        assert sorted({sid for sid, _ in arrivals}) == [0, 1, 2]
+        for shard_id, total in enumerate(service._shard_totals):
+            own = [s for sid, s in arrivals if sid == shard_id]
+            assert snapshot_key(total) == snapshot_key(merge_snapshots(own))
+        # And the per-shard counter sums recompose the fleet counters.
         recomposed = {}
-        for _, snapshot in agg._entries:
-            for name, value in snapshot.counters.items():
+        for total in service._shard_totals:
+            for name, value in total.counters.items():
                 recomposed[name] = recomposed.get(name, 0) + value
-        assert recomposed == agg.totals().counters
+        assert recomposed == service.fleet_snapshot().counters
+
+    def test_fleet_snapshot_leaves_running_totals_alone(self):
+        service = drained_service()
+        before = [snapshot_key(t) for t in service._shard_totals]
+        first = service.fleet_snapshot()
+        assert first.op_counters is not None
+        assert [snapshot_key(t) for t in service._shard_totals] == before
+        assert all(t.op_counters is None for t in service._shard_totals)
+        assert snapshot_key(service.fleet_snapshot()) == snapshot_key(first)
 
     def test_fleet_op_counters_equal_chip_sums(self):
         service = drained_service()
@@ -96,20 +121,6 @@ class TestAggregatorExactness:
             == totals.op_counters.partial_programs
         )
 
-    def test_submission_order_is_preserved_not_sorted(self):
-        agg = ShardAggregator()
-        with obs.collect(absorb=False) as col_a:
-            obs.counter("merge.test").inc(1)
-        with obs.collect(absorb=False) as col_b:
-            obs.counter("merge.test").inc(2)
-        agg.add(7, col_a.snapshot)
-        agg.add(3, col_b.snapshot)
-        assert agg.shard_ids() == [7, 3]  # first-submission order
-        assert len(agg) == 2
-        assert agg.totals().counters["merge.test"] == 3.0
-        assert agg.shard_total(7).counters["merge.test"] == 1.0
-        assert agg.shard_total(3).counters["merge.test"] == 2.0
-
 
 class TestRequestAccounting:
     def test_fleet_counters_count_requests_and_rounds(self):
@@ -118,7 +129,7 @@ class TestRequestAccounting:
             service.submit(Request(tenant, "write", 0, b"x"))
             service.submit(Request(tenant, "mount"))
         service.drain(CoalescingScheduler())
-        totals = service.aggregator.totals()
+        totals = service.fleet_snapshot()
         assert totals.counters["fleet.requests"] == 8.0
         # 2 rounds x 2 shards with every tenant active
         assert totals.counters["fleet.shard_rounds"] == 4.0

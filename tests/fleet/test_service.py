@@ -117,7 +117,7 @@ class TestRebuild:
             for lba in range(slots):
                 service.submit(Request(0, "read", lba))
             statuses = [r.status for r in service.drain(scheduler)]
-            lost = service.aggregator.totals().counters.get(
+            lost = service.fleet_snapshot().counters.get(
                 "fleet.lost_slots", 0
             )
             return statuses, lost

@@ -148,7 +148,7 @@ class TestSloMetrics:
                 tenants=4, ops_per_tenant=3, seed=5
             )
             # Admission counters record at submit() time — in the
-            # *caller's* scope, not the per-round aggregator scopes.
+            # *caller's* scope, not the per-round collect scopes.
             with obs.collect(absorb=False) as sub:
                 for request in generate_requests(workload):
                     assert service.submit(request)

@@ -6,10 +6,12 @@ The fleet's exactness story leans on specific algebraic facts:
   per-round deltas; the in-process path interleaves increments — both
   must reach the same totals);
 * float counters are order-sensitive *only* up to float addition —
-  merging in one fixed order is what the aggregator guarantees, and
+  merging in one fixed order is what the fleet's fold guarantees, and
   permuting snapshots may legitimately change low bits (documented);
 * histogram merge equals recomputing the stats over the pooled samples;
-* gauges are last-writer-wins, so order matters by design.
+* gauges are last-writer-wins, so order matters by design;
+* a merge keeps the newest ``DEFAULT_SPAN_CAPACITY`` spans, exactly as
+  a registry's ring does on absorb.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import HistStats, ObsSnapshot, merge_snapshots
+from repro.obs.metrics import (
+    DEFAULT_SPAN_CAPACITY,
+    HistStats,
+    ObsSnapshot,
+    ProfileEntry,
+    Registry,
+    merge_snapshots,
+)
+from repro.obs.trace import SpanRecord
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -39,7 +49,7 @@ def int_snapshots(max_size: int = 4):
 # 2**53), so pooling and sub-sum merging agree bit-for-bit.  With
 # general floats the *totals* legitimately differ in low bits — merge
 # sums sub-sums, pooling adds sequentially — which is exactly why the
-# aggregator pins one fold order instead of claiming permutability.
+# fleet pins one fold order instead of claiming permutability.
 samples_strategy = st.dictionaries(
     names,
     st.lists(
@@ -146,3 +156,40 @@ class TestHistogramPooling:
         merged.histograms["h"].observe(99.0)
         assert source.histograms["h"].count == 2
         assert source.histograms["h"].max == 2.0
+
+
+class TestSpanRing:
+    @staticmethod
+    def spanned(tag: str, n_spans: int) -> ObsSnapshot:
+        return ObsSnapshot(
+            counters={"n": 1.0},
+            histograms={"h": HistStats(1, 2.0, 2.0, 2.0)},
+            profile={"s": ProfileEntry(n_spans, 1.0, 1.0, 0.0, 1.0)},
+            spans=[
+                SpanRecord(f"{tag}{i}", float(i), 0.0, 0.0, 0)
+                for i in range(n_spans)
+            ],
+        )
+
+    def test_merge_and_absorb_keep_the_newest_spans(self):
+        cap = DEFAULT_SPAN_CAPACITY
+        for second_size in (cap, cap // 2):
+            first = self.spanned("a", cap)
+            second = self.spanned("b", second_size)
+            newest = (first.spans + second.spans)[-cap:]
+            merged = merge_snapshots([first, second])
+            assert merged.spans == newest
+            registry = Registry()
+            registry.absorb(first)
+            registry.absorb(second)
+            absorbed = registry.snapshot()
+            assert absorbed.spans == newest
+            # Only the raw span rows are bounded.
+            for snapshot in (merged, absorbed):
+                assert snapshot.counters == {"n": 2.0}
+                assert snapshot.histograms == {
+                    "h": HistStats(2, 4.0, 2.0, 2.0)
+                }
+                assert snapshot.profile["s"].count == cap + second_size
+        # The inputs are left alone.
+        assert len(first.spans) == cap and len(second.spans) == second_size

@@ -1,4 +1,4 @@
-"""Metrics registry: handles, scoping, sinks, op-counter capture."""
+"""Metrics registry: handles, scoping, op-counter capture."""
 
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ class TestHandles:
             obs.pop_registry()
         assert not registry.counters
         assert not registry.gauges
-        assert not registry.hists
+        assert not registry.histograms
 
 
 class TestScoping:
@@ -76,23 +76,6 @@ class TestScoping:
             pass
         assert col.snapshot.wall_s >= 0
         assert col.snapshot.counters == {}
-
-
-class TestSinks:
-    def test_sink_sees_every_update(self, enabled):
-        events = []
-        with obs.collect(absorb=False):
-            obs.get_registry().add_sink(
-                lambda kind, name, value: events.append((kind, name, value))
-            )
-            obs.counter("t.sink").inc(2)
-            obs.gauge("t.sink").set(5)
-            obs.histogram("t.sink").observe(7)
-        assert events == [
-            ("counter", "t.sink", 2),
-            ("gauge", "t.sink", 5),
-            ("histogram", "t.sink", 7),
-        ]
 
 
 class TestOpCounterCapture:

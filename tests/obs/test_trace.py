@@ -150,17 +150,19 @@ class TestProfileAndRing:
 
     def test_ring_eviction_keeps_profile_complete(self, enabled):
         obs.set_enabled(True)
-        registry = obs.Registry(span_capacity=8)
+        registry = obs.Registry()
+        recorded = obs.DEFAULT_SPAN_CAPACITY + 50
         obs.push_registry(registry)
         try:
-            for _ in range(50):
+            for _ in range(recorded):
                 with obs.span("hot"):
                     pass
         finally:
             obs.pop_registry()
         snapshot = registry.snapshot()
-        assert len(snapshot.spans) == 8  # ring bounded
-        assert snapshot.profile["hot"].count == 50  # profile complete
+        # ring bounded
+        assert len(snapshot.spans) == obs.DEFAULT_SPAN_CAPACITY
+        assert snapshot.profile["hot"].count == recorded  # profile complete
 
 
 class TestJsonl:

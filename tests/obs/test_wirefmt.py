@@ -1,13 +1,15 @@
-"""The binary ObsSnapshot codec: exact round-trips, hostile inputs.
+"""The JSON ObsSnapshot document: exact round-trips, hostile inputs.
 
 ``encode_snapshot``/``decode_snapshot`` carry telemetry over the ONFI
 wire (OBS_COLLECT), so the bar is the transport's own: every float is
 IEEE-754 bit-exact after a round trip, every field survives, and
-malformed bytes raise ``ValueError`` instead of corrupting state.
+malformed bytes — or a well-formed document of the wrong shape — raise
+``ValueError`` instead of corrupting state.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -159,10 +161,15 @@ class TestRoundTrip:
 
     def test_known_values_survive_exactly(self):
         snapshot = ObsSnapshot(
-            counters={"chip.reads": 3.0, "x": 0.1 + 0.2},
+            counters={
+                "chip.reads": 3.0, "x": 0.1 + 0.2,
+                "up": math.inf, "down": -math.inf,
+            },
             gauges={"depth": -0.0},
             histograms={"lat": HistStats(2, 1e-9, 1e-9, 1.0)},
             op_counters=OpCounters(1, 2, 3, 4, 0.125, 5e-324),
+            profile={"p": ProfileEntry(1, -0.0, -0.0, -0.0, -0.0)},
+            spans=[SpanRecord("s", 1.5, 5e-324, 5e-324, 0)],
             wall_s=math.pi,
         )
         out = decode_snapshot(encode_snapshot(snapshot))
@@ -175,6 +182,12 @@ class TestRoundTrip:
             snapshot, decode_snapshot(encode_snapshot(snapshot))
         )
 
+    def test_counters_and_gauges_decode_as_floats(self):
+        snapshot = ObsSnapshot(counters={"n": 3}, gauges={"g": 7})
+        out = decode_snapshot(encode_snapshot(snapshot))
+        assert type(out.counters["n"]) is float and out.counters["n"] == 3
+        assert type(out.gauges["g"]) is float and out.gauges["g"] == 7
+
     def test_infinite_histogram_sentinels_survive(self):
         # A never-observed histogram carries +inf/-inf min/max.
         snapshot = ObsSnapshot(histograms={"empty": HistStats()})
@@ -183,21 +196,33 @@ class TestRoundTrip:
         assert out.histograms["empty"].max == float("-inf")
 
 
+def reencoded(snapshot: ObsSnapshot, edit) -> bytes:
+    """`snapshot`'s document after `edit` mutates it in place."""
+    document = json.loads(encode_snapshot(snapshot))
+    edit(document)
+    return json.dumps(document).encode()
+
+
+OPS_SNAPSHOT = ObsSnapshot(
+    counters={"a": 1.0},
+    histograms={"h": HistStats(1, 2.0, 2.0, 2.0)},
+    op_counters=OpCounters(1, 1, 1, 1, 0.5, 0.25),
+    profile={"p": ProfileEntry(1, 1.0, 1.0, 1.0, 1.0)},
+    spans=[SpanRecord("s", 0.0, 1.0, 1.0, 0)],
+)
+
+
 class TestHostileBytes:
     def test_wrong_version_rejected(self):
-        blob = bytearray(encode_snapshot(ObsSnapshot()))
-        blob[0] = OBS_WIRE_VERSION + 1
+        blob = reencoded(
+            ObsSnapshot(),
+            lambda doc: doc.update(version=OBS_WIRE_VERSION + 1),
+        )
         with pytest.raises(ValueError, match="version"):
-            decode_snapshot(bytes(blob))
+            decode_snapshot(blob)
 
     def test_truncation_rejected_everywhere(self):
-        blob = encode_snapshot(
-            ObsSnapshot(
-                counters={"a": 1.0},
-                op_counters=OpCounters(1, 1, 1, 1, 0.5, 0.25),
-                spans=[SpanRecord("s", 0.0, 1.0, 1.0, 0)],
-            )
-        )
+        blob = encode_snapshot(OPS_SNAPSHOT)
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 decode_snapshot(blob[:cut])
@@ -214,3 +239,58 @@ class TestHostileBytes:
             decode_snapshot(junk)
         except ValueError:
             pass  # the only acceptable failure mode
+
+
+#: Edits that leave valid JSON of the wrong shape.
+WRONG_SHAPES = {
+    "missing-key": lambda doc: doc.pop("spans"),
+    "extra-key": lambda doc: doc.update(extra=1),
+    "counters-as-list": lambda doc: doc.update(counters=[]),
+    "string-counter": lambda doc: doc["counters"].update(a="1.0"),
+    "bool-counter": lambda doc: doc["counters"].update(a=True),
+    "short-histogram-row": lambda doc: doc["histograms"][0].pop(),
+    "profile-as-object": lambda doc: doc.update(profile={"p": [1, 1.0]}),
+    "float-span-depth": lambda doc: doc["spans"][0].update(depth=0.5),
+    "span-missing-proc": lambda doc: doc["spans"][0].pop("proc"),
+    "null-wall": lambda doc: doc.update(wall_s=None),
+    "bool-op-counter": lambda doc: doc["op_counters"].update(reads=True),
+    "string-op-counter": lambda doc: doc["op_counters"].update(reads="1"),
+    "unknown-op-counter": lambda doc: doc["op_counters"].update(frobs=1),
+    "missing-op-counter": lambda doc: doc["op_counters"].pop("reads"),
+}
+
+
+class TestWrongShape:
+    """Valid JSON that is not a snapshot document raises ValueError."""
+
+    @pytest.mark.parametrize(
+        "edit", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES)
+    )
+    def test_wrong_shape_rejected(self, edit):
+        blob = reencoded(OPS_SNAPSHOT, edit)
+        with pytest.raises(ValueError):
+            decode_snapshot(blob)
+
+    @pytest.mark.parametrize("document", [[], "snapshot", 2, None])
+    def test_non_object_document_rejected(self, document):
+        with pytest.raises(ValueError, match="object"):
+            decode_snapshot(json.dumps(document).encode())
+
+    def test_huge_integer_in_a_float_field_rejected(self):
+        blob = reencoded(
+            OPS_SNAPSHOT, lambda doc: doc.update(wall_s=10**400)
+        )
+        with pytest.raises(ValueError):
+            decode_snapshot(blob)
+
+    def test_deep_nesting_rejected(self):
+        depth = 100_000
+        with pytest.raises(ValueError):
+            decode_snapshot(b"[" * depth + b"]" * depth)
+
+    def test_attrs_that_are_not_json_able_fail_to_encode(self):
+        snapshot = ObsSnapshot(
+            spans=[SpanRecord("s", 0.0, 1.0, 1.0, 0, attrs={"x": object()})]
+        )
+        with pytest.raises(ValueError, match="JSON"):
+            encode_snapshot(snapshot)

@@ -1,4 +1,4 @@
-"""Telemetry over the wire: OBS_COLLECT/OBS_RESET, traces, exactness.
+"""Telemetry over the wire: OBS_COLLECT, traces, exactness.
 
 The tentpole invariants of the cross-process telemetry layer:
 
@@ -100,7 +100,7 @@ class TestObsCollect:
         remote, cleanup = remote_chip()
         try:
             remote.program_page(0, 0, page_bits(GEOMETRY, 5))
-            remote.obs_reset()
+            remote.obs_collect(reset=True)
             harvest = remote.obs_collect()
             assert harvest.counters == {}
             assert harvest.spans == []
@@ -159,10 +159,12 @@ class TestTracePropagation:
         obs.set_enabled(False)
         remote, cleanup = remote_chip()
         try:
-            # HELLO still negotiates the capability...
-            assert remote.server_flags != 0
-            # ...but the wrapper must never touch the payload.
-            flags, payload = remote._wrap_trace(0, b"abc")
+            # Even with a span still open, the wrapper must never touch
+            # the payload once observability is off.
+            obs.set_enabled(True)
+            with obs.collect(absorb=False), obs.span("client.op"):
+                obs.set_enabled(False)
+                flags, payload = remote._wrap_trace(0, b"abc")
             assert (flags, payload) == (0, b"abc")
         finally:
             cleanup()
@@ -232,4 +234,3 @@ class TestRemoteFleetExactness:
             for shard in service.shards:
                 sent = shard.chip.sent_ops
                 assert sent.get(int(Op.OBS_COLLECT), 0) == 0
-                assert sent.get(int(Op.OBS_RESET), 0) == 0

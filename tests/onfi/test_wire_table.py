@@ -16,14 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nand import TEST_MODEL
-from repro.obs import wirefmt
 from repro.onfi import ChipServer, RemoteChip, spawn_chip_server, wire
 from repro.onfi.wire import (
     BLOB,
     ERROR_KINDS,
     F64,
     FLAG_THRESHOLD,
-    HELLO_FLAGS_MASK,
     I64,
     I64S,
     LOCS,
@@ -90,7 +88,6 @@ def test_every_op_has_one_row_a_handler_and_a_sender():
     remote.is_page_programmed(0, 0)
     remote.block_pec(0)
     remote.obs_collect()
-    remote.obs_reset()
     remote.close()
     handle.close()
     assert set(remote.sent_ops) == {int(op) for op in Op}
@@ -179,18 +176,12 @@ def is_power_of_two(value):
 def test_flag_bits_are_distinct_powers_of_two():
     names = vars(wire)
     request_flags = [v for k, v in names.items() if k.startswith("FLAG_")]
-    hello_bits = [
-        v for k, v in names.items()
-        if k.startswith("HELLO_") and k != "HELLO_FLAGS_MASK"
-    ]
-    for group in (request_flags, hello_bits):
-        assert len(group) >= 2
-        assert all(is_power_of_two(bit) and bit <= 0xFF for bit in group)
-        assert len(set(group)) == len(group)
-    assert HELLO_FLAGS_MASK == sum(hello_bits)  # distinct bits: sum == OR
+    assert len(request_flags) >= 2
+    assert all(is_power_of_two(bit) and bit <= 0xFF for bit in request_flags)
+    assert len(set(request_flags)) == len(request_flags)
 
 
-@pytest.mark.parametrize("module", [wire, wirefmt], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [wire], ids=lambda m: m.__name__)
 def test_every_struct_sets_little_endian_byte_order(module):
     found = []
     for value in vars(module).values():
@@ -210,7 +201,8 @@ BITS_2 = np.array(
 PAIRS = [(0, 1), (2, 3)]
 
 #: op -> (request fields, request flags, request hex,
-#:        response fields, response hex)
+#:        response fields, response hex).  HELLO alone differs from the
+#: old packers: it no longer carries a capability byte either way.
 GOLDEN = {
     Op.ERASE: ({"block": 3}, 0, "0300000000000000", {}, ""),
     Op.READ_STATUS: ({}, 0, "", {"status": 0xE2}, "e2"),
@@ -246,12 +238,11 @@ GOLDEN = {
         "00010100010001010101010100000000", {}, "",
     ),
     Op.HELLO: (
-        {"capabilities": HELLO_FLAGS_MASK}, 0, "03",
+        {}, 0, "",
         {"n_blocks": 4, "pages_per_block": 8, "cells_per_page": 8,
-         "page_bytes": 1, "seed": 2**64 - 5, "clock": 12.5,
-         "capabilities": HELLO_FLAGS_MASK},
+         "page_bytes": 1, "seed": 2**64 - 5, "clock": 12.5},
         "0400000000000000" "0800000000000000" "0800000000000000"
-        "0100000000000000" "fbffffffffffffff" "0000000000002940" "03",
+        "0100000000000000" "fbffffffffffffff" "0000000000002940",
     ),
     Op.ADVANCE_TIME: (
         {"seconds": 3600.0}, 0, "000000000020ac40",
@@ -269,7 +260,6 @@ GOLDEN = {
         {"reset": 1}, 0, "01", {"snapshot": b"\x01snapshot"},
         "01736e617073686f74",
     ),
-    Op.OBS_RESET: ({}, 0, "", {}, ""),
     Op.SHUTDOWN: ({}, 0, "", {}, ""),
 }
 
