@@ -14,6 +14,16 @@ does for the TEST_MODEL page):
   try/except scalar loop, the retention/high-PEC shape where failures are
   expected.
 
+and the fleet's hidden-page code (BCH m=10, t=30 on 640-bit words, as
+``FLEET_HIDING`` configures it) at the batch sizes a fleet round hands to
+``decode_many``:
+
+- ``fleet_b<B>`` for B in 1, 2, 8, 64: ``FLEET_WORDS`` words decoded in
+  batches of B, times per batch.  Every fleet word is dirty: most carry
+  1-20 raw errors (the natural-charge tail), and ``FLEET_RANDOM_SHARE``
+  of them are random — mount-scan misses, pages holding no slot under
+  the scanning key, which always fail.
+
 Acceptance bars: batch/scalar >= 5x for ``decode_clean`` and
 ``decode_dirty`` (ISSUE 3), >= 2x for ``encode`` (ISSUE 2).  Usage::
 
@@ -24,7 +34,10 @@ Acceptance bars: batch/scalar >= 5x for ``decode_clean`` and
 skips the speedup floors (tiny batches can't amortise anything); it still
 exercises every kernel, verifies bit-exact scalar/batch agreement on every
 workload — including which words fail and with what message — and asserts
-the batch dirty path is not slower than the scalar loop even at toy sizes.
+the batch dirty path is not slower than the scalar loop even at toy sizes,
+and that a 2-word fleet batch costs at most ``FLEET_B2_CEILING`` times the
+scalar loop on the same words (the fleet's real batch size; the fleet
+rows run at full size in both modes).
 """
 
 from __future__ import annotations
@@ -51,6 +64,27 @@ TINY = dict(words_per_page=2, word_bits=512, pages=16, repeats=3)
 #: (benchmark name, minimum batch/scalar speedup) — ISSUE 2/3 acceptance.
 SPEEDUP_FLOORS = {"decode_clean": 5.0, "encode": 2.0, "decode_dirty": 5.0}
 
+#: The fleet's hidden-page code and word length (fleet.FLEET_HIDING).
+FLEET_CODE_PARAMS = (10, 30)
+FLEET_WORD_BITS = 640
+
+#: Words in the fleet rows, in both modes: they take about a second.
+FLEET_WORDS = 64
+
+#: Raw errors per non-random fleet word, inclusive bounds.
+FLEET_ERRORS = (1, 20)
+
+#: Share of fleet words that are random: the mount scan's misses (a
+#: traced remote-open run reports ecc.decode.failed_ratio 0.27).
+FLEET_RANDOM_SHARE = 0.27
+
+#: Words per ``decode_many`` call in the fleet rows.  A remote-open
+#: round averages under 2 words per call; 64 is a large coalesced round.
+FLEET_BATCH_SIZES = (1, 2, 8, 64)
+
+#: ``--tiny`` ceiling on the fleet_b2 batch/scalar time ratio.
+FLEET_B2_CEILING = 2.0
+
 
 def _page_words(code, word_bits, pages, words_per_page, weight):
     """Encoded words for `pages` pages with `weight` errors per word."""
@@ -65,6 +99,29 @@ def _page_words(code, word_bits, pages, words_per_page, weight):
         positions = rng.choice(word.size, size=weight, replace=False)
         word[positions] ^= 1
     return datas, coded
+
+
+def _fleet_words(code):
+    """Fleet-shaped received words: encoded 640-bit words carrying
+    ``FLEET_ERRORS`` raw errors each, with a ``FLEET_RANDOM_SHARE`` of
+    them replaced by random bits."""
+    rng = np.random.default_rng(FLEET_WORD_BITS)
+    data_bits = FLEET_WORD_BITS - code.n_parity
+    words = code.encode_many([
+        rng.integers(0, 2, data_bits).astype(np.uint8)
+        for _ in range(FLEET_WORDS)
+    ])
+    low, high = FLEET_ERRORS
+    for word in words:
+        errors = int(rng.integers(low, high + 1))
+        word[rng.choice(word.size, size=errors, replace=False)] ^= 1
+    misses = rng.choice(
+        FLEET_WORDS, size=round(FLEET_RANDOM_SHARE * FLEET_WORDS),
+        replace=False,
+    )
+    for index in misses:
+        words[index] = rng.integers(0, 2, FLEET_WORD_BITS).astype(np.uint8)
+    return words
 
 
 def _scalar_decode_all(code, words):
@@ -126,12 +183,14 @@ def collect(params) -> dict:
 
     benchmarks = {}
 
-    def record(name, scalar_fn, batch_fn):
-        scalar_s = _time(scalar_fn, repeats)
-        batch_s = _time(batch_fn, repeats)
+    def record(name, scalar_fn, batch_fn, calls=1):
+        """Best-of-`repeats` times, per call when one run makes
+        `calls` batch calls."""
+        scalar_s = _time(scalar_fn, repeats) / calls
+        batch_s = _time(batch_fn, repeats) / calls
         benchmarks[name] = {
-            "scalar_s": round(scalar_s, 4),
-            "batch_s": round(batch_s, 4),
+            "scalar_s": round(scalar_s, 6),
+            "batch_s": round(batch_s, 6),
             "speedup": round(scalar_s / batch_s, 2),
         }
 
@@ -167,6 +226,27 @@ def collect(params) -> dict:
         )
         _assert_agreement(code, words)
 
+    fleet_code = get_code(*FLEET_CODE_PARAMS)
+    fleet = _fleet_words(fleet_code)
+    for size in FLEET_BATCH_SIZES:
+        batches = [
+            fleet[start:start + size]
+            for start in range(0, len(fleet), size)
+        ]
+        record(
+            f"fleet_b{size}",
+            lambda batches=batches: [
+                _scalar_decode_all(fleet_code, batch) for batch in batches
+            ],
+            lambda batches=batches: [
+                fleet_code.decode_many(batch, on_error="return")
+                for batch in batches
+            ],
+            calls=len(batches),
+        )
+        for batch in batches:
+            _assert_agreement(fleet_code, batch)
+
     return {
         "machine": {
             "cpu_count": os.cpu_count(),
@@ -179,6 +259,13 @@ def collect(params) -> dict:
         },
         "workload": {k: params[k] for k in
                      ("words_per_page", "word_bits", "pages", "repeats")},
+        "fleet_workload": {
+            "m": FLEET_CODE_PARAMS[0], "t": FLEET_CODE_PARAMS[1],
+            "word_bits": FLEET_WORD_BITS, "words": FLEET_WORDS,
+            "random_share": FLEET_RANDOM_SHARE,
+            "errors": list(FLEET_ERRORS),
+            "batch_sizes": list(FLEET_BATCH_SIZES),
+        },
         "benchmarks": benchmarks,
     }
 
@@ -206,8 +293,16 @@ def main(argv=None) -> int:
             f"tiny dirty batch ({entry['batch_s']}s) slower than scalar "
             f"({entry['scalar_s']}s)"
         )
+        entry = results["benchmarks"]["fleet_b2"]
+        ratio = entry["batch_s"] / entry["scalar_s"]
+        assert ratio <= FLEET_B2_CEILING, (
+            f"fleet 2-word batch ({entry['batch_s']}s) costs {ratio:.2f}x "
+            f"the scalar loop ({entry['scalar_s']}s), above "
+            f"{FLEET_B2_CEILING}x"
+        )
         print("tiny smoke: batch dirty path agrees with scalar and is "
-              "not slower")
+              "not slower; fleet 2-word batches within "
+              f"{FLEET_B2_CEILING}x of scalar")
     else:
         for name, floor in SPEEDUP_FLOORS.items():
             speedup = results["benchmarks"][name]["speedup"]

@@ -18,13 +18,16 @@ against the precomputed parity generator, and decoding re-encodes the
 whole batch to find the dirty words, so the common error-free case never
 touches Berlekamp-Massey or Chien search.  Dirty words no longer fall
 back to scalar Python either: Berlekamp-Massey runs in lockstep over the
-whole dirty batch as numpy int arrays (fixed 2t iterations, vectorised
-GF arithmetic from :mod:`repro.ecc.gf`), and Chien search evaluates all
-error locators at all positions via a precomputed ``(t+1, n)`` exponent
-matrix — log-domain adds plus antilog gathers, no per-root loop.  Codecs
-are cached in a process-wide registry (:func:`get_code`), so the
-expensive generator / remainder / Chien tables are built once per
-process — including pool workers.
+whole dirty batch as numpy int arrays (fixed 2t iterations, each a fixed
+handful of gathers on the zero-sentinel log/antilog tables of
+:mod:`repro.ecc.gf`, so its numpy call count does not grow with the
+locator length and one kernel serves a 1-word batch as well as a
+500-word one), and Chien search evaluates all error locators at all
+positions via a precomputed ``(t+1, n)`` exponent matrix — log-domain
+adds plus antilog gathers, no per-root loop.  Codecs are cached in a
+process-wide registry (:func:`get_code`), so the expensive generator /
+remainder / Chien tables are built once per process — including pool
+workers.
 """
 
 from __future__ import annotations
@@ -127,14 +130,17 @@ class BchCode:
         #: temporaries are the largest arrays on the dirty path, and the
         #: exponent sums fit exactly — log + table <= 2 * order - 2,
         #: which is 32764 < 2^15 for the largest supported field (m=14).
-        self._exp16 = self.field.exp_np.astype(np.int16)
+        #: The kernel skips zero coefficients, so it never reads the
+        #: zero sentinel ``_log16[0]`` or the antilog table's zero tail.
+        exp_duplicated = self.field.exp_np[: 2 * self.field.order]
+        self._exp16 = exp_duplicated.astype(np.int16)
         self._log16 = self.field.log_np.astype(np.int16)
         #: byte-folded exp table (high byte XORed into the low byte) for
         #: the Chien pre-screen.  Folding commutes with XOR, so a zero
         #: locator evaluation always folds to zero — the screen has no
         #: false negatives and candidates are ~1/256 of the positions.
         self._expf8 = (
-            self.field.exp_np ^ (self.field.exp_np >> 8)
+            exp_duplicated ^ (exp_duplicated >> 8)
         ).astype(np.uint8)
         #: syndrome indices 1..2t, precomputed for the batch kernels.
         self._js = np.arange(1, 2 * self.t + 1, dtype=np.int64)
@@ -701,51 +707,78 @@ class BchCode:
         advance together and per-word control flow becomes masks.  Width
         2t + 1 suffices because Massey's invariant deg(sigma) <= L <= 2t
         bounds every locator the scalar code can build.
+
+        Each iteration is a fixed handful of whole-batch gathers on the
+        field's zero-sentinel tables (a zero operand lands in the antilog
+        table's zero tail, so no product needs a zero mask): one for the
+        discrepancy window, one for the scale, one for the ``x^gap``
+        shift of the previous locator and one for the adjustment.
         """
-        field = self.field
+        exp = self.field.exp_np
+        log = self.field.log_np
+        log_zero = self.field.log_zero
+        order = self.field.order
         n_rows, n_syndromes = syndromes.shape
         width = n_syndromes + 1
-        row_ids = np.arange(n_rows, dtype=np.intp)[:, None]
-        columns = np.arange(width, dtype=np.int64)[None, :]
+        # Syndrome logs, taken once and reversed, so that the partners
+        # S_i, S_(i-1), ..., S_(i-L) of taps 0..L are one slice.
+        log_reversed = log[syndromes[:, ::-1]]
         sigma = np.zeros((n_rows, width), dtype=np.int64)
         sigma[:, 0] = 1
-        prev_sigma = sigma.copy()
+        # log(sigma) over taps 0..longest (the longest live LFSR), with
+        # the taps beyond each word's own length (j > length) set to the
+        # zero sentinel.  sigma and length change only on iterations
+        # with a nonzero discrepancy, so this is rebuilt there and
+        # reused by the discrepancy windows in between.
+        log_taps = np.zeros((n_rows, 1), dtype=np.int64)
+        columns = np.arange(width, dtype=np.int64)
+        # prev_sigma is the right half of a zero-padded buffer, so the
+        # x^gap shift of every row is one flat gather whose out-of-range
+        # columns read the zero padding.
+        padded = np.zeros((n_rows, 2 * width), dtype=np.int64)
+        prev_sigma = padded[:, width:]
+        prev_sigma[:, 0] = 1
+        shift_base = (
+            np.arange(n_rows, dtype=np.int64)[:, None] * (2 * width)
+            + width
+            + columns[None, :]
+        )
         prev_discrepancy = np.ones(n_rows, dtype=np.int64)
         m_gap = np.ones(n_rows, dtype=np.int64)
         length = np.zeros(n_rows, dtype=np.int64)
+        longest = 0
         for i in range(n_syndromes):
-            discrepancy = syndromes[:, i].copy()
-            # j runs over 1..length per word; length never exceeds i here
-            # (it was set at an earlier iteration), so the max() bound
-            # keeps the inner loop at the longest live LFSR.
-            for j in range(1, min(i, int(length.max())) + 1):
-                term = field.mul_vec(sigma[:, j], syndromes[:, i - j])
-                discrepancy ^= np.where(j <= length, term, 0)
+            # S_i + sum_j sigma_j S_(i-j) over taps j = 1..length, tap 0
+            # (sigma_0 = 1) contributing S_i.  longest <= i here (lengths
+            # were set at earlier iterations), so the window of partners
+            # stays inside the syndromes.
+            first = n_syndromes - 1 - i
+            discrepancy = np.bitwise_xor.reduce(
+                exp[log_taps + log_reversed[:, first:first + longest + 1]],
+                axis=1,
+            )
             active = discrepancy != 0
             if not active.any():
                 m_gap += 1
                 continue
-            # Inactive rows get scale 0, so their adjustment vanishes and
-            # sigma passes through unchanged — no scatter needed.
-            scale = field.div_vec(
-                np.where(active, discrepancy, 0), prev_discrepancy
-            )
-            # x^m_gap * prev_sigma, each row shifted by its own gap.
-            source = columns - m_gap[:, None]
-            shifted = np.where(
-                source >= 0,
-                prev_sigma[row_ids, np.maximum(source, 0)],
-                0,
-            )
-            adjustment = field.mul_vec(scale[:, None], shifted)
+            # Inactive rows have discrepancy 0, hence scale 0, so their
+            # adjustment vanishes and sigma passes through unchanged.
+            # prev_discrepancy is never 0: it only takes active values.
+            scale = exp[log[discrepancy] - log[prev_discrepancy] + order]
+            shifted = padded.take(shift_base - m_gap[:, None])
+            adjustment = exp[log[scale][:, None] + log[shifted]]
             update = active & (2 * length <= i)
-            prev_sigma = np.where(update[:, None], sigma, prev_sigma)
-            prev_discrepancy = np.where(
-                update, discrepancy, prev_discrepancy
-            )
+            np.copyto(prev_sigma, sigma, where=update[:, None])
+            np.copyto(prev_discrepancy, discrepancy, where=update)
             length = np.where(update, i + 1 - length, length)
             m_gap = np.where(update, 1, m_gap + 1)
             sigma ^= adjustment
+            longest = int(length.max())
+            log_taps = np.where(
+                columns[:longest + 1] <= length[:, None],
+                log[sigma[:, :longest + 1]],
+                log_zero,
+            )
         return sigma
 
     def _chien_table(self) -> np.ndarray:

@@ -4,10 +4,13 @@ The base layer for the BCH codec.  Elements are represented as integers in
 ``[0, 2^m)`` whose bits are polynomial coefficients over GF(2); arithmetic
 uses precomputed exponential/logarithm tables over a primitive element.
 
-Besides the scalar ops, the field exposes vectorised counterparts
-(:meth:`GF2m.mul_vec` / :meth:`GF2m.div_vec` / :meth:`GF2m.inv_vec`) that
-operate elementwise on integer numpy arrays; the batched Berlekamp-Massey
-kernel in :mod:`repro.ecc.bch` is built on them.
+Besides the scalar ops, the field carries one zero-sentinel pair of numpy
+tables (:attr:`GF2m.log_np` / :attr:`GF2m.exp_np`) on which products and
+quotients of whole arrays are single gathers, zero operands included:
+``exp_np[log_np[a] + log_np[b]]`` is ``a * b`` and
+``exp_np[log_np[a] - log_np[b] + order]`` is ``a / b`` for ``b != 0``.
+The batched Berlekamp-Massey and Chien kernels in :mod:`repro.ecc.bch`
+work on these tables directly.
 """
 
 from __future__ import annotations
@@ -89,11 +92,21 @@ class GF2m:
         # Duplicate the exp table so products of logs need no modulo.
         for i in range(self.order, 2 * self.order):
             self.exp[i] = self.exp[i - self.order]
-        #: numpy views of the tables for the vectorised ops.  ``exp_np`` is
-        #: the duplicated table, so any index in [0, 2*order) is valid —
-        #: a sum of two logs never needs a modulo.
-        self.exp_np = np.array(self.exp, dtype=np.int64)
+        #: The zero-sentinel table pair.  ``exp_np`` is the duplicated
+        #: antilog table followed by zeros up to index ``2 * log_zero``,
+        #: and ``log_np[0]`` is the sentinel ``log_zero``.  Product
+        #: indices (log + log) and quotient indices (log - log + order,
+        #: nonzero divisor) of nonzero elements stay below
+        #: ``2 * order = log_zero``; with a zero operand they land in the
+        #: zero tail.  So one gather computes either, with no modulo and
+        #: no zero mask.  The largest index a kernel forms is
+        #: ``2 * log_zero`` (0 * 0), past the int16 range for m = 14:
+        #: the tables are int64 throughout.
+        self.log_zero = 2 * self.order
+        self.exp_np = np.zeros(2 * self.log_zero + 1, dtype=np.int64)
+        self.exp_np[: 2 * self.order] = self.exp
         self.log_np = np.array(self.log, dtype=np.int64)
+        self.log_np[0] = self.log_zero
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -124,36 +137,6 @@ class GF2m:
     def alpha_pow(self, e: int) -> int:
         """alpha^e for the primitive element alpha."""
         return self.exp[e % self.order]
-
-    # ------------------------------------------------------------------
-    # vectorised arithmetic on integer numpy arrays (broadcasting like
-    # the underlying numpy ops); elementwise identical to the scalar ops
-
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        # log[0] is a placeholder 0; the zero-operand mask discards it.
-        products = self.exp_np[self.log_np[a] + self.log_np[b]]
-        return np.where((a == 0) | (b == 0), 0, products)
-
-    def div_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise quotient a / b; every element of b must be nonzero."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if (b == 0).any():
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        quotients = self.exp_np[
-            (self.log_np[a] - self.log_np[b]) % self.order
-        ]
-        return np.where(a == 0, 0, quotients)
-
-    def inv_vec(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise multiplicative inverse; all elements must be nonzero."""
-        a = np.asarray(a, dtype=np.int64)
-        if (a == 0).any():
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return self.exp_np[self.order - self.log_np[a]]
 
     # ------------------------------------------------------------------
     # polynomials over the field, coefficient lists lowest-degree first

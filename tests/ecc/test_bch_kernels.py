@@ -18,6 +18,10 @@ from repro.ecc.bch import get_code
 #: (m, t) pairs small enough that hypothesis can sweep them repeatedly.
 SMALL_PARAMS = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 2), (7, 5)]
 
+#: (m, t, word_len) of shipped codes: the fleet's hidden pages, the
+#: public page pipeline's words, and the page pipeline's m = 14 default.
+SHIPPED = [(10, 30, 640), (13, 8, 4512), (14, 40, 9000)]
+
 
 def _corrupted_batch(code, rng, n_words, weights=None):
     """Corrupted (possibly shortened) codewords plus their clean twins."""
@@ -82,6 +86,42 @@ class TestBerlekampMasseyBatch:
             )
             padded = scalar + [0] * (row.size - len(scalar))
             assert row.tolist() == padded
+
+    @pytest.mark.parametrize(
+        "m,t,word_len", SHIPPED, ids=[f"m{m}t{t}" for m, t, _ in SHIPPED]
+    )
+    def test_matches_scalar_at_shipped_sizes(self, m, t, word_len):
+        """Row-for-row agreement at the shipped field sizes, where the
+        hypothesis sweeps do not reach: syndromes of error patterns of
+        weight 0..t+1 (a corrupted codeword's syndromes are its error
+        pattern's), random words, all-zero rows, and arbitrary
+        syndromes with zeros — in one mixed batch and one row at a
+        time."""
+        code = get_code(m, t)
+        rng = np.random.default_rng(m * 100 + t)
+        shortening = code.n - word_len
+        patterns = []
+        for weight in range(t + 2):
+            pattern = np.zeros(word_len, dtype=np.uint8)
+            pattern[rng.choice(word_len, size=weight, replace=False)] = 1
+            patterns.append(pattern)
+        patterns += [
+            rng.integers(0, 2, word_len).astype(np.uint8) for _ in range(6)
+        ]
+        rows = [code._syndromes(p, shortening) for p in patterns]
+        rows += [[0] * (2 * t)] * 3
+        arbitrary = rng.integers(0, code.field.size, (6, 2 * t))
+        arbitrary[rng.random(arbitrary.shape) < 0.3] = 0
+        rows += arbitrary.tolist()
+        syndromes = np.array(rows, dtype=np.int64)
+        order = rng.permutation(len(rows))
+        batch = code._berlekamp_massey_batch(syndromes[order])
+        for position, index in enumerate(order):
+            scalar = code._berlekamp_massey(rows[index])
+            padded = scalar + [0] * (2 * t + 1 - len(scalar))
+            assert batch[position].tolist() == padded
+            single = code._berlekamp_massey_batch(syndromes[index:index + 1])
+            assert single[0].tolist() == padded
 
 
 class TestChienBatch:
