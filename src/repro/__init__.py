@@ -33,7 +33,6 @@ from .nand import (  # noqa: F401
     ChipParams,
     FlashChip,
     NandTester,
-    OnfiBus,
     bake,
     scaled_model,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ChipParams",
     "FlashChip",
     "NandTester",
-    "OnfiBus",
     "bake",
     "scaled_model",
     "__version__",

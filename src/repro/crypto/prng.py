@@ -46,13 +46,6 @@ class KeyedPrng:
         number (§5.3: "by combining the secret key with the page number")."""
         return self.derive(b"page:%d" % page_address)
 
-    def _refill(self) -> None:
-        hasher = self._base.copy()
-        hasher.update(self._counter.to_bytes(8, "little"))
-        hasher.update(self._context)
-        self._buffer.extend(hasher.digest())
-        self._counter += 1
-
     def bytes(self, n: int) -> bytes:
         """The next `n` keystream bytes."""
         if n < 0:

@@ -79,7 +79,6 @@ __all__ = [
     "interval_capacity",
     "make_samples",
     "mlc_extension",
-    "mlc_extension",
     "public_interference",
     "reliability",
     "table1",

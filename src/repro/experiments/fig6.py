@@ -59,9 +59,6 @@ class Fig6Result:
     def headers(self):
         return self.summary.headers
 
-    def ber_at(self, interval: int, bits: int, steps: int) -> float:
-        return self.curves[(interval, bits)][steps - 1]
-
 
 def measure_ber_curves(
     chip: FlashChip,

@@ -66,8 +66,7 @@ def select_cells(
     # ``tests/hiding/test_selection.py``).
     population = bits.size
     bit_list = bits.tolist()
-    full = 1 << 64
-    max_word = np.uint64(full - 1)
+    max_word = np.uint64((1 << 64) - 1)
     # Expected draws until `count` hits among `n_ones` of `population`
     # cells is count*population/n_ones; draw that plus slack up front so
     # the common case needs exactly one bulk keystream call.
@@ -78,49 +77,32 @@ def select_cells(
     arr = list(range(population))
     chosen: list = []
     i = 0
-    done = False
-    while not done and i < population:
-        remaining = population - i
-        m = min(chunk, remaining)
+    while i < population:
+        m = min(chunk, population - i)
         chunk = max(256, chunk // 2)
-        raw = np.frombuffer(prng.bytes(8 * m), dtype="<u8")
-        steps = np.arange(m, dtype=np.uint64)
-        # Draw t targets bound population - (i + t): valid only while
-        # every earlier draw in the chunk was accepted (each accepted
-        # draw advances the walk by exactly one position).
-        bounds = np.uint64(remaining) - steps
-        mods = (np.uint64(0) - bounds) % bounds  # 2**64 % bound
-        rejected = raw > max_word - mods
-        valid = int(np.argmax(rejected)) if rejected.any() else m
-        targets = ((np.uint64(i) + steps[:valid]) + raw[:valid] % bounds[:valid]).tolist()
-        for j in targets:
-            offset = arr[j]
-            arr[j] = arr[i]
-            i += 1
-            if bit_list[offset] == 1:
-                chosen.append(offset)
-                if len(chosen) == count:
-                    done = True
-                    break
-        if done or valid == m:
-            continue
-        # A rejected 64-bit word (probability < population / 2**64 per
-        # draw): replay the chunk's tail through the scalar path so the
-        # stream position stays exactly where the reference walk's would.
-        for value in raw[valid:].tolist():
-            bound = population - i
-            rem = full % bound
-            if value >= full - rem:
-                continue  # rejected: the next word retries this draw
-            j = i + value % bound
-            offset = arr[j]
-            arr[j] = arr[i]
-            i += 1
-            if bit_list[offset] == 1:
-                chosen.append(offset)
-                if len(chosen) == count:
-                    done = True
-                    break
-            if i >= population:
-                break
+        words = np.frombuffer(prng.bytes(8 * m), dtype="<u8")
+        while words.size:
+            steps = np.arange(words.size, dtype=np.uint64)
+            # Word t draws bound population - (i + t): valid only while
+            # every earlier word in this pass was accepted (each accepted
+            # draw advances the walk by exactly one position).
+            bounds = np.uint64(population - i) - steps
+            mods = (np.uint64(0) - bounds) % bounds  # 2**64 % bound
+            rejected = words > max_word - mods
+            valid = int(np.argmax(rejected)) if rejected.any() else words.size
+            targets = (
+                np.uint64(i) + steps[:valid] + words[:valid] % bounds[:valid]
+            ).tolist()
+            for j in targets:
+                offset = arr[j]
+                arr[j] = arr[i]
+                i += 1
+                if bit_list[offset] == 1:
+                    chosen.append(offset)
+                    if len(chosen) == count:
+                        return np.asarray(chosen, dtype=np.int64)
+            # A rejected word (probability < population / 2**64 per draw)
+            # is dropped and the next one retries the same draw, as in the
+            # reference walk; the pass reruns over the rest of the chunk.
+            words = words[valid + 1:]
     return np.asarray(chosen, dtype=np.int64)

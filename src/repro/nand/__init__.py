@@ -29,7 +29,6 @@ from .noise import (
     sample_programmed,
     sample_programmed_batch,
 )
-from .onfi import Command, OnfiBus, Status
 from .params import (
     ChipParams,
     DisturbModel,
@@ -40,7 +39,7 @@ from .params import (
     VoltageModel,
     WearModel,
 )
-from .tester import NandTester, OpMeasurement, histogram_block
+from .tester import NandTester, histogram_block
 from .vendor import (
     BENCH_MODEL,
     TEST_MODEL,
@@ -58,7 +57,6 @@ __all__ = [
     "ChipGeometry",
     "ChipModel",
     "ChipParams",
-    "Command",
     "MlcView",
     "CommandError",
     "DisturbModel",
@@ -66,16 +64,13 @@ __all__ = [
     "FlashChip",
     "NandError",
     "NandTester",
-    "OnfiBus",
     "OpCosts",
     "OpCounters",
-    "OpMeasurement",
     "PageLevels",
     "PageLevelsBatch",
     "PartialProgramModel",
     "ProgramError",
     "RetentionModel",
-    "Status",
     "TEST_MODEL",
     "VENDOR_A",
     "VENDOR_B",

@@ -30,6 +30,7 @@ paper's "four flash chip samples from the same model" are four seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Union
 
@@ -344,7 +345,7 @@ class FlashChip(PageOps):
 
     def advance_time(self, seconds: float) -> None:
         """Advance the retention clock (power-off storage, bake, ...)."""
-        if seconds < 0:
+        if not (math.isfinite(seconds) and seconds >= 0):
             raise ValueError(f"cannot advance time by {seconds}")
         self.clock += seconds
 

@@ -29,7 +29,7 @@ calibration tests in ``tests/nand/test_calibration.py`` pin the mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..units import UJ, US, MS, DAY
 
@@ -265,7 +265,3 @@ class ChipParams:
     retention: RetentionModel = field(default_factory=RetentionModel)
     disturb: DisturbModel = field(default_factory=DisturbModel)
     costs: OpCosts = field(default_factory=OpCosts)
-
-    def with_overrides(self, **kwargs) -> "ChipParams":
-        """A copy with top-level sections replaced (one keyword per section)."""
-        return replace(self, **kwargs)

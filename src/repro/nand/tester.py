@@ -5,19 +5,17 @@ were operated using a commercial NAND flash tester ... voltage level
 characterization of cells as well as the hiding algorithm were implemented
 as host software on a PC".  :class:`NandTester` provides the
 characterisation procedures the paper runs (program random data, probe
-distributions, cycle to a wear level, measure BER) plus operation-cost
-measurement scopes for the §8 throughput/energy arithmetic.
+distributions, cycle to a wear level, measure BER).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..rng import substream
-from .chip import FlashChip, OpCounters
+from .chip import FlashChip
 
 
 class NandTester:
@@ -90,42 +88,6 @@ class NandTester:
     def cycle_to_pec(self, chip_index: int, block: int, pec: int) -> None:
         """Pre-condition a block to a wear level (the paper's 0-3000 PEC)."""
         self.chips[chip_index].age_block(block, pec)
-
-    # ------------------------------------------------------------------
-    # measurement scopes (§8 arithmetic)
-
-    @contextmanager
-    def measure(self, chip_index: int = 0) -> Iterator["OpMeasurement"]:
-        """Measure the chip operations issued inside a ``with`` block."""
-        chip = self.chips[chip_index]
-        measurement = OpMeasurement(chip)
-        measurement._start = chip.counters.copy()
-        yield measurement
-        measurement._end = chip.counters.copy()
-
-
-class OpMeasurement:
-    """Operation counts/time/energy captured by :meth:`NandTester.measure`."""
-
-    def __init__(self, chip: FlashChip) -> None:
-        self._chip = chip
-        self._start: Optional[OpCounters] = None
-        self._end: Optional[OpCounters] = None
-
-    @property
-    def ops(self) -> OpCounters:
-        if self._start is None:
-            raise RuntimeError("measurement not started")
-        end = self._end if self._end is not None else self._chip.counters
-        return end.diff(self._start)
-
-    @property
-    def busy_time_s(self) -> float:
-        return self.ops.busy_time_s
-
-    @property
-    def energy_j(self) -> float:
-        return self.ops.energy_j
 
 
 def histogram_block(

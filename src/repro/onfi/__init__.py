@@ -1,13 +1,14 @@
 """ONFI wire transport: chips as out-of-process device servers.
 
-The host/tester split of the paper's §6.1 made literal: a
-:class:`ChipServer` owns one :class:`~repro.nand.chip.FlashChip` and
-serves the binary frame protocol of :mod:`repro.onfi.wire`; a
-:class:`RemoteChip` client exposes the same batch API as the in-process
-chip — bit-identically — over a socket, socketpair or pipe, so the
-fleet and hiding layers run unchanged against remote silicon.  See
-DESIGN.md §13 for the frame layout, opcodes, status-byte semantics and
-pipelining rules.
+The host/tester split of the paper's §6.1 made literal, and the repo's
+one ONFI command model: a :class:`ChipServer` owns one
+:class:`~repro.nand.chip.FlashChip`, its :class:`Status` register and
+its read-reference shift, and serves the binary frame protocol of
+:mod:`repro.onfi.wire`; a :class:`RemoteChip` client exposes the same
+batch API as the in-process chip — bit-identically — over a socket,
+socketpair or pipe, so the fleet and hiding layers run unchanged
+against remote silicon.  See DESIGN.md §13 for the frame layout,
+opcodes, status-byte semantics and pipelining rules.
 """
 
 from .client import MAX_OUTSTANDING, RemoteChip
@@ -16,7 +17,6 @@ from .server import (
     ServerHandle,
     serve_listener,
     serve_socket,
-    serve_stream,
     spawn_chip_server,
 )
 from .wire import (
@@ -29,6 +29,7 @@ from .wire import (
     MIN_LENGTH,
     FrameReader,
     Op,
+    Status,
     decode_error,
     encode_error,
     error_kind,
@@ -52,6 +53,7 @@ __all__ = [
     "Op",
     "RemoteChip",
     "ServerHandle",
+    "Status",
     "decode_error",
     "encode_error",
     "error_kind",
@@ -59,7 +61,6 @@ __all__ = [
     "pack_trace_parent",
     "serve_listener",
     "serve_socket",
-    "serve_stream",
     "spawn_chip_server",
     "take_trace_parent",
     "write_frame",

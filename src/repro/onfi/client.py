@@ -14,12 +14,13 @@ Two properties make the transport cheap and exact:
   each way, with ndarray payloads shipped as raw bytes (no pickling, no
   per-page round trips), so framing cost amortises over the batch.
 * **Pipelining** — acknowledgement-only operations (programs, erases,
-  partial programs, threshold sets) are posted without waiting;
-  responses are matched by echoed tags at the next synchronising call.
-  The server executes frames strictly in order, so pipelined and
-  synchronous issue orders produce identical chip states.  A posted
-  operation's failure surfaces at the next sync point with the original
-  exception type and message (earliest failure first).
+  partial programs, threshold sets, resets) are always posted without
+  waiting; responses are matched by echoed tags at the next
+  synchronising call.  The server executes frames strictly in order, so
+  posting changes only when a failure is seen, never the chip state it
+  leaves.  A posted operation's failure surfaces at the next sync point
+  with the original exception type and message (earliest failure
+  first).
 
 Every payload is packed and parsed by the opcode table
 (:data:`repro.onfi.wire.OPS`).  Programs run the *pure* in-process
@@ -50,7 +51,6 @@ from ..nand.chip import (
 )
 from ..nand.errors import CommandError
 from ..nand.geometry import ChipGeometry
-from ..nand.onfi import Status
 from ..nand.params import ChipParams
 from ..obs.metrics import ObsSnapshot, is_enabled as _obs_enabled
 from ..obs.trace import current_span_name
@@ -63,6 +63,7 @@ from .wire import (
     OPS,
     FrameReader,
     Op,
+    Status,
     decode,
     decode_error,
     encode,
@@ -84,14 +85,12 @@ class RemoteChip(PageOps):
         transport,
         geometry: ChipGeometry,
         params: Optional[ChipParams] = None,
-        pipeline: bool = True,
     ) -> None:
         """Connect over `transport` (a socket or an ``(rfile, wfile)``
         stream pair) and verify the served chip matches `geometry`.
         """
         self.geometry = geometry
         self.params = params if params is not None else ChipParams()
-        self.pipeline = pipeline
         self._sock: Optional[socket.socket] = None
         if isinstance(transport, socket.socket):
             self._sock = transport
@@ -170,10 +169,7 @@ class RemoteChip(PageOps):
         return tag
 
     def _post(self, op: Op, flags: int = 0, payload: bytes = b"") -> None:
-        """Issue an ack-only operation, pipelined when enabled."""
-        if not self.pipeline:
-            self._call(op, flags, payload)
-            return
+        """Issue an ack-only operation without waiting for its answer."""
         if len(self._outstanding) >= MAX_OUTSTANDING:
             self.drain()
         self._outstanding.append((self._send(op, flags, payload), op))
@@ -312,15 +308,17 @@ class RemoteChip(PageOps):
     ) -> None:
         """The §6.1 host sequence on the wire: a PROGRAM of `data` held
         open (FLAG_PARTIAL) and aborted by RESET after `abort_after_us`
-        microseconds, charging the pattern's '0' cells partially —
-        exactly :meth:`repro.nand.onfi.OnfiBus.partial_program`.
+        microseconds, charging the pattern's '0' cells partially: the
+        same charge as :meth:`partial_program` of those cells with
+        ``fraction = abort_after_us / t_pp``, where ``t_pp`` is the
+        served chip's ``costs.t_partial_program`` (600 us by default).
         """
         bits = as_bits(self.geometry, data)
         self._request(Op.PROGRAM, FLAG_PARTIAL, block=block, page=page, bits=bits)
         self._request(Op.RESET, abort_after_us=abort_after_us)
 
     def set_read_threshold(self, level: Optional[float]) -> None:
-        """Set the server-side read reference shift (bus state)."""
+        """Set the server-side read reference shift (until a RESET)."""
         self._request(Op.SET_READ_THRESHOLD, level=level)
 
     def reset(self) -> None:

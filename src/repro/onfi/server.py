@@ -10,10 +10,12 @@ identical to synchronous calls — and every malformed frame yields a
 corruption, where the stream offset itself is no longer trustworthy.
 
 Payloads are parsed and answered through the opcode table
-(:data:`repro.onfi.wire.OPS`).  The ONFI status register and the read
-threshold live on an :class:`~repro.nand.onfi.OnfiBus` over the chip:
-the register rolls after every chip operation exactly as the in-process
-bus rolls it, and host-side queries leave it untouched.
+(:data:`repro.onfi.wire.OPS`).  The server is the ONFI command model:
+it owns the status register, which rolls after every op whose row has
+``rolls`` set and which host-side queries leave untouched, and the
+volatile read-reference shift that SET_READ_THRESHOLD sets and a plain
+RESET clears.  A partial program is a PROGRAM held open by FLAG_PARTIAL
+and cut short by a RESET carrying its abort time (§1, §6.1).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from ..nand.chip import FlashChip
 from ..nand.errors import CommandError, NandError
 from ..nand.geometry import ChipGeometry
-from ..nand.onfi import STATUS_FAIL, OnfiBus, partial_program_fraction
 from ..nand.params import ChipParams
 from ..obs.metrics import (
     Registry,
@@ -46,8 +47,10 @@ from .wire import (
     FLAG_TRACE,
     GEOMETRY_FIELDS,
     OPS,
+    STATUS_FAIL,
     FrameReader,
     Op,
+    Status,
     decode,
     encode,
     encode_error,
@@ -61,9 +64,11 @@ class ChipServer:
 
     def __init__(self, chip: FlashChip, proc_label: str = "") -> None:
         self.chip = chip
-        #: The ONFI status register and the volatile read-reference
-        #: shift (the SET_READ_THRESHOLD state), shared with OnfiBus.
-        self.bus = OnfiBus(chip)
+        #: The ONFI status register (READ_STATUS answers it).
+        self.status = Status()
+        #: The volatile read-reference shift set by SET_READ_THRESHOLD;
+        #: ``None`` reads at the chip's default threshold.
+        self.read_threshold: Optional[float] = None
         #: A PROGRAM held open by FLAG_PARTIAL, waiting for its RESET:
         #: ``(block, page, bits)``.
         self._pending: Optional[Tuple[int, int, np.ndarray]] = None
@@ -138,15 +143,15 @@ class ChipServer:
                 out, status_byte = self._dispatch(op, flags, payload)
         except (NandError, ValueError) as exc:
             if rolls:
-                self.bus.record_outcome(failed=True)
-            return self.bus.status.to_byte() | STATUS_FAIL, encode_error(exc), keep
+                self.status = self.status.rolled(failed=True)
+            return self.status.to_byte() | STATUS_FAIL, encode_error(exc), keep
         if status_byte is None:
             if rolls:
-                self.bus.record_outcome(failed=False)
+                self.status = self.status.rolled(failed=False)
             # Header FAIL always means *this frame* failed; a query
             # reports the register's own FAIL via READ_STATUS's payload,
             # never via the response header.
-            status_byte = self.bus.status.to_byte() & ~STATUS_FAIL
+            status_byte = self.status.to_byte() & ~STATUS_FAIL
         return status_byte, out, keep
 
     def _dispatch(
@@ -194,7 +199,7 @@ class ChipServer:
     def _op_read_status(self, flags):
         # The register byte travels in the payload: the response header
         # FAIL bit is reserved for this frame's own outcome.
-        return {"status": self.bus.status.to_byte()}
+        return {"status": self.status.to_byte()}
 
     def _op_program(self, flags, block, page, bits):
         if flags & FLAG_PARTIAL:
@@ -203,13 +208,16 @@ class ChipServer:
             # FAIL stays clear — the frame itself was accepted.
             self._pending = (block, page, bits)
             return replace(
-                self.bus.status, ready=False, array_ready=False, failed=False
+                self.status, ready=False, array_ready=False, failed=False
             )
         self.chip.program_locations([(block, page)], bits)
         return None
 
     def _op_set_read_threshold(self, flags, level):
-        self.bus.read_threshold = level
+        # The level arrives off the wire; the range check also rejects NaN.
+        if level is not None and not 0 <= level <= 255:
+            raise CommandError(f"threshold {level} outside 0-255")
+        self.read_threshold = level
 
     def _op_partial_program(self, flags, block, page, fraction, precision, cells):
         self.chip.partial_program(
@@ -221,24 +229,34 @@ class ChipServer:
             # Plain RESET: volatile settings and the status register
             # clear; a held PROGRAM is aborted uncharged.
             self._pending = None
-            self.bus.reset()
-            return self.bus.status
+            self.read_threshold = None
+            self.status = Status()
+            return self.status
         if self._pending is None:
             raise CommandError(
                 "RESET carries an abort time but no PROGRAM is held open"
             )
         block, page, bits = self._pending
         self._pending = None
-        fraction = partial_program_fraction(self.chip, abort_after_us)
-        # The held PROGRAM pattern charges its '0' cells — aborted at
-        # `abort_after_us`, exactly OnfiBus.partial_program's mapping.
+        # The injected charge is "roughly correlated with the relative
+        # time that the program operation is executed before being
+        # aborted" (§1): the full pulse time is fraction 1.0.  The range
+        # check also rejects NaN.
+        t_pp_us = self.chip.params.costs.t_partial_program * 1e6
+        if not 0 < abort_after_us <= t_pp_us:
+            raise CommandError(
+                f"abort time {abort_after_us}us outside (0, {t_pp_us}us]"
+            )
+        # The held PROGRAM pattern charges its '0' cells.
         cells = np.flatnonzero(bits == 0)
-        self.chip.partial_program(block, page, cells, fraction=fraction)
+        self.chip.partial_program(
+            block, page, cells, fraction=abort_after_us / t_pp_us
+        )
         return None
 
     def _op_read_locations(self, flags, threshold, locations):
         if threshold is None:
-            threshold = self.bus.read_threshold
+            threshold = self.read_threshold
         return {"bits": self.chip.read_locations(locations, threshold)}
 
     def _op_probe_locations(self, flags, locations):
@@ -303,16 +321,6 @@ class ChipServer:
 # transports
 
 
-def serve_stream(
-    chip: FlashChip,
-    rfile: BinaryIO,
-    wfile: BinaryIO,
-    proc_label: str = "",
-) -> None:
-    """Serve one connection given buffered read/write streams."""
-    ChipServer(chip, proc_label=proc_label).serve(FrameReader(rfile), wfile)
-
-
 def serve_socket(
     chip: FlashChip, sock: socket.socket, proc_label: str = ""
 ) -> None:
@@ -320,7 +328,7 @@ def serve_socket(
     rfile = sock.makefile("rb")
     wfile = sock.makefile("wb")
     try:
-        serve_stream(chip, rfile, wfile, proc_label=proc_label)
+        ChipServer(chip, proc_label=proc_label).serve(FrameReader(rfile), wfile)
     except (BrokenPipeError, ConnectionResetError, OSError):
         pass  # the peer vanished mid-response; nothing left to answer
     finally:

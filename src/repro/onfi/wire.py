@@ -7,10 +7,10 @@ One frame = an 8-byte little-endian header plus a payload::
 ``length`` counts every byte *after* the length field (opcode + flags +
 tag + payload), so it is at least :data:`MIN_LENGTH`.  The third header
 byte is request *flags* on the way in and the real ONFI status byte
-(:class:`repro.nand.onfi.Status`) on the way out; a response whose
-status has the FAIL bit set carries an error payload (``u8 kind`` +
-UTF-8 message) instead of data.  ``tag`` echoes verbatim so a
-pipelining client can match responses to requests out of band.
+(:class:`Status`) on the way out; a response whose status has the FAIL
+bit set carries an error payload (``u8 kind`` + UTF-8 message) instead
+of data.  ``tag`` echoes verbatim so a pipelining client can match
+responses to requests out of band.
 
 Payload layouts are declared once, in :data:`OPS`, and interpreted by
 one encoder and one decoder at both ends.  All addresses travel as
@@ -65,10 +65,10 @@ MAX_PAYLOAD = 64 << 20
 class Op(IntEnum):
     """Wire opcodes.
 
-    The ONFI commands the paper's host needs (PROGRAM, RESET, ERASE,
-    READ_STATUS) and the vendor ones (threshold shift, partial program)
-    keep their :class:`repro.nand.onfi.Command`-style encodings; the
-    location-list data plane lives in the 0xB0 vendor range and the
+    The ONFI commands the paper's host needs keep their standard codes
+    (PROGRAM 80h, ERASE 60h, READ_STATUS 70h, RESET FFh); the vendor
+    ones (threshold shift, partial program) sit in the 0xC0 range, the
+    location-list data plane in the 0xB0 vendor range and the
     host-side admin operations in 0xA0.
     """
 
@@ -90,6 +90,79 @@ class Op(IntEnum):
     BLOCK_PEC = 0xA4
     OBS_COLLECT = 0xA5
     SHUTDOWN = 0xAF
+
+
+#: ONFI 5.x status-register bit positions (Table "Status field
+#: definition"): FAIL is the last-operation failure flag, FAILC the
+#: previous-operation flag it rolls into on the next command, ARDY/RDY
+#: the array/controller ready pair, and WP_n is *active low* — the bit
+#: is set when the die is writable.
+STATUS_FAIL = 0x01
+STATUS_FAILC = 0x02
+STATUS_ARDY = 0x20
+STATUS_RDY = 0x40
+STATUS_WP_N = 0x80
+
+
+@dataclass(frozen=True, slots=True)
+class Status:
+    """One decoded ONFI status byte: a response header's third byte and
+    the READ_STATUS (70h) payload.
+
+    Encodes and decodes the real register layout:
+    ``Status.from_byte(s.to_byte()) == s`` for every field combination,
+    and the undefined/reserved bits are never set.
+    """
+
+    ready: bool = True
+    array_ready: bool = True
+    failed: bool = False
+    failed_previous: bool = False
+    write_protected: bool = False
+
+    def to_byte(self) -> int:
+        """Pack into the ONFI SR[7:0] layout (reserved bits zero)."""
+        value = 0
+        if self.failed:
+            value |= STATUS_FAIL
+        if self.failed_previous:
+            value |= STATUS_FAILC
+        if self.array_ready:
+            value |= STATUS_ARDY
+        if self.ready:
+            value |= STATUS_RDY
+        if not self.write_protected:
+            value |= STATUS_WP_N
+        return value
+
+    @classmethod
+    def from_byte(cls, value: int) -> "Status":
+        """Decode a status byte; reserved bits are ignored."""
+        if not 0 <= value <= 0xFF:
+            raise CommandError(f"status byte {value} outside 0-255")
+        return cls(
+            ready=bool(value & STATUS_RDY),
+            array_ready=bool(value & STATUS_ARDY),
+            failed=bool(value & STATUS_FAIL),
+            failed_previous=bool(value & STATUS_FAILC),
+            write_protected=not value & STATUS_WP_N,
+        )
+
+    def rolled(self, failed: bool) -> "Status":
+        """The register after one more operation completes.
+
+        FAIL tracks the operation that just finished; the old FAIL value
+        rolls into FAILC (the ONFI cached-op semantics).  Ready bits are
+        set — the simulator completes synchronously — and write protect
+        is sticky.
+        """
+        return Status(
+            ready=True,
+            array_ready=True,
+            failed=failed,
+            failed_previous=self.failed,
+            write_protected=self.write_protected,
+        )
 
 
 #: Request flag: hold this PROGRAM open so a following RESET can abort

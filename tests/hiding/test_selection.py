@@ -1,10 +1,12 @@
 """Hidden-cell selection."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import HidingKey
+from repro.crypto import HidingKey, KeyedPrng
 from repro.hiding import SelectionError, select_cells
 
 KEY = HidingKey.generate(b"sel")
@@ -133,3 +135,83 @@ def test_matches_reference_index_stream_walk(seed):
             if len(chosen) == count:
                 break
     np.testing.assert_array_equal(fast, np.asarray(chosen, dtype=np.int64))
+
+
+class ForcedRejections(KeyedPrng):
+    """A keystream whose chosen 8-byte words (by index) read 0xFF..FF.
+
+    A 64-bit rejection test rejects that word for every bound that is
+    not a power of two, so each chosen word forces one rejected draw.
+    Derived streams force the same words and log the size of every draw
+    into the same ``calls`` list.
+    """
+
+    def __init__(self, key, context=b"", words=(), calls=None):
+        super().__init__(key, context)
+        self.words = frozenset(words)
+        self.calls = [] if calls is None else calls
+        self.drawn = 0
+
+    def derive(self, label):
+        return ForcedRejections(
+            self._key, self._context + b"/" + bytes(label),
+            self.words, self.calls,
+        )
+
+    def bytes(self, n):
+        out = bytearray(super().bytes(n))
+        for word in self.words:
+            at = 8 * word - self.drawn  # both walks draw whole words
+            if 0 <= at < n:
+                out[at:at + 8] = b"\xff" * 8
+        self.drawn += n
+        self.calls.append(n)
+        return bytes(out)
+
+
+def _walk_timed_out(signum, frame):
+    raise TimeoutError("select_cells kept retrying a rejected word")
+
+
+#: Forced word indexes, given the length of the walk's first chunk.
+REJECTIONS = {
+    "first-word": lambda chunk: [0],
+    "last-word": lambda chunk: [chunk - 1],
+    "two-in-a-row": lambda chunk: [chunk // 2, chunk // 2 + 1],
+    "second-chunk": lambda chunk: [chunk + 10],
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_rejected_words_match_reference_walk(case, monkeypatch):
+    population, n_ones, count, page = 1000, 200, 100, 3
+    calls = []
+    words = []
+    monkeypatch.setattr(
+        HidingKey, "selection_prng",
+        lambda key: ForcedRejections(b"forced", words=words, calls=calls),
+    )
+    # The chunk length depends only on the counts, not on which cells
+    # hold the '1' bits.
+    select_cells(KEY, page, np.arange(population) < n_ones, count)
+    words.extend(REJECTIONS[case](calls[0] // 8))
+    reference = ForcedRejections(b"forced", words=words).for_page(page)
+    walk = np.fromiter(reference.index_stream(population), dtype=np.int64)
+    # Every forced word was drawn and rejected by the reference walk.
+    assert reference.drawn == 8 * (population + len(words))
+    # '1' bits on the walk's last cells: the selection must cross into
+    # the second chunk, past every forced word.
+    bits = np.zeros(population, dtype=np.uint8)
+    bits[walk[-n_ones:]] = 1
+    calls.clear()
+    # A walk that kept a rejected word would retry it forever: fail on a
+    # deadline instead of hanging the suite.
+    previous = signal.signal(signal.SIGALRM, _walk_timed_out)
+    signal.alarm(30)
+    try:
+        cells = select_cells(KEY, page, bits, count)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(calls) > 1
+    np.testing.assert_array_equal(cells, walk[-n_ones:][:count])

@@ -168,6 +168,20 @@ class TestDeterminism:
         assert not np.array_equal(v1, v2)
 
 
+class TestClock:
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_rejected_advance_leaves_clock_and_reads(self, chip, seconds):
+        chip.program_page(0, 0, programmed_bits(chip))
+        chip.advance_time(3600.0)
+        bits = chip.read_page(0, 0)
+        voltages = chip.probe_voltages(0, 0).copy()
+        with pytest.raises(ValueError, match="cannot advance time"):
+            chip.advance_time(seconds)
+        assert chip.clock == 3600.0
+        assert np.array_equal(chip.read_page(0, 0), bits)
+        assert np.array_equal(chip.probe_voltages(0, 0), voltages)
+
+
 class TestWearManagement:
     def test_erase_increments_pec(self, chip):
         assert chip.block_pec(0) == 0

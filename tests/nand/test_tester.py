@@ -58,41 +58,9 @@ def test_cycle_to_pec(chip):
     assert chip.block_pec(2) == 1500
 
 
-def test_measurement_scope_captures_ops(chip):
-    tester = NandTester([chip])
-    with tester.measure() as m:
-        tester.program_random_block(0, 0, seed=4)
-        chip.read_page(0, 0)
-    ops = m.ops
-    assert ops.programs == chip.geometry.pages_per_block
-    assert ops.erases == 1
-    assert ops.reads == 1
-    assert m.busy_time_s > 0
-    assert m.energy_j > 0
-
-
-def test_measurement_scope_is_live_until_closed(chip):
-    tester = NandTester([chip])
-    with tester.measure() as m:
-        chip.erase_block(0)
-        assert m.ops.erases == 1
-        chip.erase_block(1)
-    assert m.ops.erases == 2
-    chip.erase_block(2)
-    assert m.ops.erases == 2  # frozen after the with-block
-
-
 def test_histogram_block_percent_sums_to_100(chip):
     tester = NandTester([chip])
     tester.program_random_block(0, 0, seed=5)
     voltages = tester.probe_block(0, 0)
     _, percent = histogram_block(voltages)
     assert percent.sum() == pytest.approx(100.0, abs=0.5)
-
-
-def test_measurement_before_start_rejected(chip):
-    from repro.nand.tester import OpMeasurement
-
-    measurement = OpMeasurement(chip)
-    with pytest.raises(RuntimeError):
-        _ = measurement.ops

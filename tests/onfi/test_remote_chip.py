@@ -3,7 +3,7 @@
 The acceptance bar of the wire transport: the same operation sequence
 against a served chip and an in-process chip with the same seed yields
 identical arrays, identical error types and messages, identical
-counters and clocks — across batch shapes and pipelining orders.
+counters and clocks — across batch shapes and issue orders.
 """
 
 import numpy as np
@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nand import TEST_MODEL, FlashChip, OnfiBus, Status
+from repro.nand import TEST_MODEL, FlashChip
 from repro.nand.errors import (
     AddressError,
     CommandError,
     NandError,
     ProgramError,
 )
-from repro.onfi import FLAG_PARTIAL, Op, RemoteChip, spawn_chip_server
+from repro.onfi import FLAG_PARTIAL, Op, RemoteChip, Status, spawn_chip_server
 
 from .conftest import SEED, page_bits
 
@@ -27,15 +27,13 @@ SETTINGS = dict(max_examples=8, deadline=None)
 GEOMETRY = TEST_MODEL.geometry
 
 
-def chip_pair(seed=SEED, pipeline=True):
+def chip_pair(seed=SEED):
     """A fresh (local, remote, cleanup) triple over a thread server."""
     local = FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
     sock, handle = spawn_chip_server(
         GEOMETRY, TEST_MODEL.params, seed=seed, backend="thread"
     )
-    remote = RemoteChip(
-        sock, GEOMETRY, TEST_MODEL.params, pipeline=pipeline
-    )
+    remote = RemoteChip(sock, GEOMETRY, TEST_MODEL.params)
 
     def cleanup():
         remote.close()
@@ -102,17 +100,46 @@ def test_partial_program_identical(remote, local):
 def test_program_reset_sequence_matches_bus_partial_program(
     remote, local, geometry
 ):
-    """The wire PROGRAM + early-RESET equals OnfiBus.partial_program."""
-    bus = OnfiBus(local)
+    """The wire PROGRAM + early-RESET charges the pattern's '0' cells at
+    the abort time's share of the 600 us partial-program pulse."""
     pattern = np.ones(geometry.cells_per_page, dtype=np.uint8)
     pattern[[5, 99, 1000]] = 0
-    bus.partial_program(
-        0, 2, np.flatnonzero(pattern == 0), abort_after_us=250.0
+    local.partial_program(
+        0, 2, np.flatnonzero(pattern == 0), fraction=250 / 600
     )
     remote.partial_program_via_reset(0, 2, pattern, abort_after_us=250.0)
     assert np.array_equal(
         local.probe_voltages(0, 2), remote.probe_voltages(0, 2)
     )
+
+
+def test_later_reset_abort_charges_more(remote, geometry):
+    """A partial program really is PROGRAM + early RESET: the later the
+    abort, the more charge the held pattern's '0' cells take."""
+    cells = np.arange(256)
+    pattern = np.ones(geometry.cells_per_page, dtype=np.uint8)
+    pattern[cells] = 0
+    remote.partial_program_via_reset(0, 0, pattern, abort_after_us=600.0)
+    remote.partial_program_via_reset(0, 1, pattern, abort_after_us=120.0)
+    late = remote.probe_voltages(0, 0).astype(float)[cells].mean()
+    early = remote.probe_voltages(0, 1).astype(float)[cells].mean()
+    assert late > early
+
+
+def test_reset_abort_time_bounds(remote, geometry):
+    """An abort time outside (0, 600 us], or NaN, fails the RESET and
+    charges nothing."""
+    pattern = np.zeros(geometry.cells_per_page, dtype=np.uint8)
+    before = remote.probe_voltages(0, 4)
+    counters = remote.counters
+    for abort_after_us in (0.0, 601.0, float("nan")):
+        remote.partial_program_via_reset(
+            0, 4, pattern, abort_after_us=abort_after_us
+        )
+        with pytest.raises(CommandError, match="abort time"):
+            remote.drain()
+    assert remote.counters.diff(counters).partial_programs == 0
+    assert np.array_equal(remote.probe_voltages(0, 4), before)
 
 
 def test_held_program_aborted_by_other_command(remote):
@@ -159,6 +186,8 @@ def test_error_parity_types_and_messages(remote, local, geometry):
         lambda c: c.partial_program(0, 0, [0], fraction=3.0),
         lambda c: c.partial_program(0, 0, [10**6]),
         lambda c: c.advance_time(-1.0),
+        lambda c: c.advance_time(float("nan")),
+        lambda c: c.advance_time(float("inf")),
     ]
     for operation in operations:
         outcomes = []
@@ -175,7 +204,7 @@ def test_error_parity_types_and_messages(remote, local, geometry):
 
 
 def test_pipelined_error_surfaces_at_sync_point(geometry):
-    local, remote, cleanup = chip_pair(pipeline=True)
+    local, remote, cleanup = chip_pair()
     try:
         bits = page_bits(geometry, 3)
         remote.program_page(0, 0, bits)
@@ -216,26 +245,55 @@ def test_set_read_threshold_wire_state(remote, local, geometry):
     local.program_page(3, 0, bits)
     remote.program_page(3, 0, bits)
     remote.set_read_threshold(60.0)
-    assert np.array_equal(
-        remote.read_page(3, 0), local.read_page(3, 0, threshold=60.0)
-    )
+    shifted = local.read_page(3, 0, threshold=60.0)
+    assert np.array_equal(remote.read_page(3, 0), shifted)
     remote.set_read_threshold(None)
-    assert np.array_equal(remote.read_page(3, 0), local.read_page(3, 0))
+    default = local.read_page(3, 0)
+    assert np.array_equal(remote.read_page(3, 0), default)
+    assert not np.array_equal(shifted, default)
+
+
+def test_reset_clears_threshold(remote, local, geometry):
+    """A plain RESET drops the server-held read shift: the next read
+    is at the default threshold again."""
+    bits = page_bits(geometry, 6)
+    local.program_page(3, 2, bits)
+    remote.program_page(3, 2, bits)
+    remote.set_read_threshold(60.0)
+    shifted = local.read_page(3, 2, threshold=60.0)
+    assert np.array_equal(remote.read_page(3, 2), shifted)
+    remote.reset()
+    default = local.read_page(3, 2)
+    assert not np.array_equal(shifted, default)
+    assert np.array_equal(remote.read_page(3, 2), default)
+
+
+def test_set_read_threshold_rejects_out_of_range(remote, local, geometry):
+    """The level arrives off the wire: outside 0-255, or NaN, the frame
+    fails, FAIL is set and the previous shift stays in force."""
+    bits = page_bits(geometry, 5)
+    local.program_page(3, 1, bits)
+    remote.program_page(3, 1, bits)
+    remote.set_read_threshold(60.0)
+    for level in (300.0, -2.0, float("nan")):
+        remote.set_read_threshold(level)
+        with pytest.raises(CommandError, match="outside 0-255"):
+            remote.drain()
+        assert remote.read_status().failed
+    shifted = local.read_page(3, 1, threshold=60.0)
+    assert not np.array_equal(shifted, local.read_page(3, 1))
+    assert np.array_equal(remote.read_page(3, 1), shifted)
 
 
 # ----------------------------------------------------------------------
-# property: batch shapes × pipelining × issue order
+# property: batch shapes × issue order
 
 
-@given(
-    data=st.data(),
-    seed=st.integers(0, 2**32 - 1),
-    pipeline=st.booleans(),
-)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 @settings(**SETTINGS)
-def test_batch_ops_bit_identical_across_shapes(data, seed, pipeline):
+def test_batch_ops_bit_identical_across_shapes(data, seed):
     rng = np.random.default_rng(seed)
-    local, remote, cleanup = chip_pair(seed=seed % 97, pipeline=pipeline)
+    local, remote, cleanup = chip_pair(seed=seed % 97)
     try:
         n_ops = data.draw(st.integers(1, 5), label="n_ops")
         for _ in range(n_ops):

@@ -17,17 +17,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.nand import TEST_MODEL, FlashChip, Status
+from repro.nand import TEST_MODEL, FlashChip
 from repro.nand.errors import NandError
-from repro.nand.onfi import STATUS_FAIL
 from repro.onfi import (
     ChipServer,
     FrameReader,
     Op,
+    Status,
     decode_error,
     pack_frame,
 )
-from repro.onfi.wire import OPS, encode
+from repro.onfi.wire import OPS, STATUS_FAIL, encode
 
 GEOMETRY = TEST_MODEL.geometry
 

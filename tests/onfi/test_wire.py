@@ -16,6 +16,7 @@ from repro.onfi import (
     MIN_LENGTH,
     FrameReader,
     Op,
+    Status,
     decode_error,
     encode_error,
     error_kind,
@@ -27,6 +28,11 @@ from repro.onfi.wire import (
     I64S,
     LOCS,
     PAGES,
+    STATUS_ARDY,
+    STATUS_FAIL,
+    STATUS_FAILC,
+    STATUS_RDY,
+    STATUS_WP_N,
     U64,
     Field,
     decode,
@@ -201,3 +207,58 @@ def test_decode_error_defined_on_garbage():
     assert isinstance(decode_error(bytes([250]) + b"zz"), NandError)
     decoded = decode_error(bytes([1]) + b"\xff\xfe")  # invalid UTF-8
     assert isinstance(decoded, CommandError)
+
+
+# ----------------------------------------------------------------------
+# ONFI opcodes and the status byte
+
+
+def test_command_opcodes_are_onfi_standard():
+    assert Op.PROGRAM == 0x80
+    assert Op.ERASE == 0x60
+    assert Op.READ_STATUS == 0x70
+    assert Op.RESET == 0xFF
+
+
+def test_status_byte_layout():
+    idle = Status()
+    # Ready, array ready, writable (WP_n active low => bit set), no fail.
+    assert idle.to_byte() == STATUS_RDY | STATUS_ARDY | STATUS_WP_N
+    failed = Status(failed=True, failed_previous=True)
+    assert failed.to_byte() & STATUS_FAIL
+    assert failed.to_byte() & STATUS_FAILC
+    protected = Status(write_protected=True)
+    assert not protected.to_byte() & STATUS_WP_N
+
+
+def test_status_round_trips_every_field_combination():
+    for value in range(32):
+        status = Status(
+            ready=bool(value & 1),
+            array_ready=bool(value & 2),
+            failed=bool(value & 4),
+            failed_previous=bool(value & 8),
+            write_protected=bool(value & 16),
+        )
+        assert Status.from_byte(status.to_byte()) == status
+
+
+def test_status_from_byte_ignores_reserved_bits():
+    byte = Status().to_byte()
+    assert Status.from_byte(byte | 0x04 | 0x08 | 0x10) == Status()
+
+
+def test_status_from_byte_rejects_out_of_range():
+    with pytest.raises(CommandError):
+        Status.from_byte(-1)
+    with pytest.raises(CommandError):
+        Status.from_byte(256)
+
+
+def test_status_roll_moves_fail_to_failc():
+    status = Status().rolled(failed=True)
+    assert status.failed and not status.failed_previous
+    status = status.rolled(failed=False)
+    assert not status.failed and status.failed_previous
+    status = status.rolled(failed=False)
+    assert not status.failed and not status.failed_previous

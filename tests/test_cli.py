@@ -1,7 +1,11 @@
 """Command-line interface."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+from repro import experiments
 from repro.cli import main
 
 
@@ -119,6 +123,22 @@ def test_experiment_runner(capsys):
 def test_experiment_unknown_name():
     with pytest.raises(SystemExit):
         main(["experiment", "fig99"])
+
+
+def test_unknown_experiment_lists_each_runnable_module_once():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "fig99"])
+    listed = str(excinfo.value).split("available: ", 1)[1].split(", ")
+    runnable = {
+        info.name
+        for info in pkgutil.iter_modules(experiments.__path__)
+        if hasattr(
+            importlib.import_module(f"{experiments.__name__}.{info.name}"),
+            "run",
+        )
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == runnable
 
 
 def test_load_rejects_non_device(tmp_path):
