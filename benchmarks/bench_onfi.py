@@ -10,7 +10,9 @@ over a socketpair, and reports the transport overhead per workload:
 - uncoalesced single-page reads — the contrast row showing what
   per-op framing would cost without batching;
 - the fleet drained over remote shards (one server process per shard,
-  threaded fan-out) vs in-process shards.
+  threaded fan-out) vs in-process shards, with the request frames the
+  remote drain sent per request (``frames_per_request``, capped at
+  :data:`FLEET_FRAMES_PER_REQUEST` in both modes).
 
 Every timed workload also checksums its results against the in-process
 run, so the numbers only count if the transport is bit-identical.
@@ -103,6 +105,13 @@ TINY_BATCH_OVERHEAD_PCT = 200.0
 #: Remote fleet throughput floor, as a fraction of in-process MB/s.
 FULL_FLEET_RATIO = 0.5
 TINY_FLEET_RATIO = 0.15
+
+#: Ceiling on request frames per request in the remote drain, both
+#: modes: Algorithm 1 is one EMBED_LOCATIONS frame per embed batch and
+#: telemetry is harvested outside the drain, so a round costs about one
+#: frame per request or less.  Moving the probe-and-pulse loop back to
+#: the host puts it at 6-7.
+FLEET_FRAMES_PER_REQUEST = 1.0
 
 BATCHED_WORKLOADS = ("program_pages", "read_pages", "probe_pages",
                      "read_locations")
@@ -268,6 +277,14 @@ def bench_transport(params) -> dict:
     return rows
 
 
+def _frames_sent(service) -> int:
+    """Request frames the service's remote shards have sent so far."""
+    return sum(
+        sum(getattr(shard.chip, "sent_ops", {}).values())
+        for shard in service.shards
+    )
+
+
 def _run_fleet(config, fleet_params):
     workload = WorkloadConfig(
         tenants=fleet_params["tenants"],
@@ -277,12 +294,14 @@ def _run_fleet(config, fleet_params):
     with FleetService(config) as service:
         for request in generate_requests(workload):
             assert service.submit(request), "bench workload must fully admit"
+        frames = _frames_sent(service)
         start = time.perf_counter()
         responses = service.drain(
             CoalescingScheduler(),
             shard_workers=config.n_shards if config.remote else None,
         )
         seconds = time.perf_counter() - start
+        frames = _frames_sent(service) - frames
     payload_bytes = sum(
         len(r.payload) for r in responses if r.status == "ok"
     )
@@ -291,6 +310,8 @@ def _run_fleet(config, fleet_params):
         "requests": len(responses),
         "seconds": round(seconds, 4),
         "mb_per_s": round(payload_bytes / seconds / 1e6, 5),
+        # Deterministic for a seed: every frame follows from the requests.
+        "frames_per_request": round(frames / len(responses), 4),
     }, views
 
 
@@ -351,6 +372,13 @@ def check_floors(report: dict, tiny: bool) -> None:
     )
     print(f"  floor ok: remote fleet {ratio}x in-process "
           f">= {ratio_floor}x")
+    frames = report["fleet"]["remote"]["frames_per_request"]
+    assert frames <= FLEET_FRAMES_PER_REQUEST, (
+        f"remote fleet sent {frames} frames per request "
+        f"(ceiling {FLEET_FRAMES_PER_REQUEST})"
+    )
+    print(f"  ceiling ok: remote fleet {frames} frames per request "
+          f"<= {FLEET_FRAMES_PER_REQUEST}")
 
 
 def main(argv=None) -> int:
@@ -367,7 +395,9 @@ def main(argv=None) -> int:
     fleet = report["fleet"]
     print(f"  fleet: in-process {fleet['in_process']['mb_per_s']} MB/s, "
           f"remote {fleet['remote']['mb_per_s']} MB/s "
-          f"({fleet['throughput_ratio']}x), bit-identical")
+          f"({fleet['throughput_ratio']}x, "
+          f"{fleet['remote']['frames_per_request']} frames/request), "
+          f"bit-identical")
     check_floors(report, tiny)
     if tiny:
         print("tiny onfi smoke OK (transport bit-identical, floors hold)")

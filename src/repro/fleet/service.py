@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .. import obs
 from ..crypto.keys import HidingKey
-from ..hiding import STANDARD_CONFIG, VtHi, select_cells
+from ..hiding import STANDARD_CONFIG, PayloadCodec, VtHi, select_cells
 from ..hiding.config import HidingConfig
 from ..nand import FlashChip
 from ..nand.vendor import VENDOR_A, ChipModel, scaled_model
@@ -188,32 +189,7 @@ class FleetService:
                 f"got {model.geometry.cells_per_page}"
             )
         self.model = model
-        self.shards: List[Shard] = []
-        self._server_handles: List[object] = []
-        for index in range(config.n_shards):
-            shard_seed = derive_seed(config.seed, "shard", index)
-            if config.remote:
-                # Imported lazily: only remote fleets pay for the wire
-                # stack (repro.onfi has no dependency back on the fleet).
-                from ..onfi import RemoteChip, spawn_chip_server
-
-                sock, handle = spawn_chip_server(
-                    model.geometry,
-                    model.params,
-                    seed=shard_seed,
-                    backend=config.remote_backend,
-                    proc_label=f"shard:{index}",
-                )
-                chip = RemoteChip(sock, model.geometry, model.params)
-                self._server_handles.append(handle)
-            else:
-                chip = FlashChip(
-                    model.geometry, model.params, seed=shard_seed
-                )
-            self.shards.append(
-                Shard(index, chip, VtHi(chip, config.hiding))
-            )
-        codec = self.shards[0].vthi.codec
+        codec = PayloadCodec(config.hiding)
         #: Every slot is embedded at the full per-page payload capacity
         #: (shorter payloads zero-pad), so one coded length serves all
         #: pages and batch decode needs no per-page length bookkeeping.
@@ -244,7 +220,9 @@ class FleetService:
         )
         #: One running telemetry total per shard: each (round, shard)
         #: snapshot folds in as it arrives, in arrival order.
-        self._shard_totals = [obs.ObsSnapshot() for _ in self.shards]
+        self._shard_totals = [
+            obs.ObsSnapshot() for _ in range(config.n_shards)
+        ]
         self._drain_origin = 0.0
         #: tenant -> (completion round, submitted round) for the round
         #: currently executing.  Written by the main thread in ``drain``
@@ -254,7 +232,40 @@ class FleetService:
         #: Requests still queued when the current round was formed (the
         #: queue-depth gauge value for this round).
         self._round_queue_depth = 0
-        self._provision()
+        self.shards: List[Shard] = []
+        self._server_handles: List[object] = []
+        self._closed = False
+        try:
+            for index in range(config.n_shards):
+                self.shards.append(self._make_shard(index))
+            self._provision()
+        except BaseException:
+            # Never leave spawned servers behind a constructor that raised.
+            with suppress(Exception):
+                self._release(harvest=False)
+            raise
+
+    def _make_shard(self, index: int) -> Shard:
+        """One drive: an in-process chip, or a served one when remote."""
+        config, model = self.config, self.model
+        shard_seed = derive_seed(config.seed, "shard", index)
+        if config.remote:
+            # Imported lazily: only remote fleets pay for the wire
+            # stack (repro.onfi has no dependency back on the fleet).
+            from ..onfi import RemoteChip, spawn_chip_server
+
+            sock, handle = spawn_chip_server(
+                model.geometry,
+                model.params,
+                seed=shard_seed,
+                backend=config.remote_backend,
+                proc_label=f"shard:{index}",
+            )
+            self._server_handles.append(handle)
+            chip = RemoteChip(sock, model.geometry, model.params)
+        else:
+            chip = FlashChip(model.geometry, model.params, seed=shard_seed)
+        return Shard(index, chip, VtHi(chip, config.hiding))
 
     # ------------------------------------------------------------------
     # provisioning / covers / selection
@@ -272,7 +283,12 @@ class FleetService:
         return (rng.random(cells) < 0.5).astype(np.uint8)
 
     def _provision(self) -> None:
-        """Program every tenant's cover pages, one batch per shard."""
+        """Program every tenant's cover pages, one batch per shard.
+
+        The end of setup is a sync point: each remote shard is harvested
+        inside its provisioning scope, so the servers' cover programming
+        is charged to setup.
+        """
         for shard in self.shards:
             locations = []
             data = []
@@ -302,12 +318,14 @@ class FleetService:
 
         In-process shards record chip metrics directly into the active
         collection scope; a remote shard's land in its ChipServer's
-        registry instead.  Harvesting the delta (OBS_COLLECT with reset)
-        into the same scope makes each (round, shard) snapshot — and
-        hence every fleet total — bit-identical between the two modes: the
-        chip-side metrics are integer counter increments, so folding
-        them once per scope instead of interleaved per operation changes
-        no float sum.  ``op_counters`` are stripped because in-process
+        registry instead, and are harvested (OBS_COLLECT with reset)
+        only at sync points: provisioning, :meth:`fleet_snapshot` and
+        :meth:`close` — never per round, so a remote (round, shard)
+        snapshot holds client-side telemetry only.  Fleet totals still
+        equal the in-process ones float for float: the server-side
+        metrics are integer counter increments plus spans, so folding
+        them once per harvest instead of interleaved per operation
+        changes no sum.  ``op_counters`` are stripped because in-process
         scopes have none either (chips register their counters at
         construction, not per round); :meth:`fleet_snapshot` accounts
         them separately from the chips' cumulative totals.
@@ -321,6 +339,15 @@ class FleetService:
         harvest = shard.chip.obs_collect(reset=True)
         harvest.op_counters = None
         obs.get_registry().absorb(harvest)
+
+    def _harvest_into_totals(self, shard: "Shard") -> None:
+        """Harvest a remote shard and account it as one more snapshot of
+        that shard (a no-op wherever :meth:`_harvest_remote_obs` is)."""
+        if not self.config.remote or not obs.is_enabled():
+            return
+        with obs.collect(absorb=False) as col:
+            self._harvest_remote_obs(shard)
+        self._account(shard.index, col.snapshot)
 
     def _selection(self, ts: TenantState, page: int) -> np.ndarray:
         """The cached selection map of one tenant host page."""
@@ -355,7 +382,9 @@ class FleetService:
 
         Each round is split per shard and handed to
         ``scheduler.run_round``, one non-absorbing obs scope per
-        (round, shard).  ``shard_workers`` runs a round's shards on that
+        (round, shard); a remote shard's scope holds client-side
+        telemetry only (its server's folds in at :meth:`fleet_snapshot`
+        and :meth:`close`).  ``shard_workers`` runs a round's shards on that
         many threads; otherwise they run inline, in ascending shard
         order.  Either way the main thread then takes the outcomes in
         ascending shard order: it absorbs each snapshot into the
@@ -414,7 +443,11 @@ class FleetService:
         shard_id: int,
         shard_requests: List[Request],
     ):
-        """One (round, shard) execution under a non-absorbing obs scope."""
+        """One (round, shard) execution under a non-absorbing obs scope.
+
+        For a remote shard the scope holds client-side telemetry only:
+        the server's is harvested when totals are read, not per round.
+        """
         with obs.collect(absorb=False) as col:
             _OBS_SHARD_ROUNDS.inc()
             _OBS_REQUESTS.inc(len(shard_requests))
@@ -440,21 +473,47 @@ class FleetService:
             shard_responses = scheduler.run_round(
                 self, shard_id, shard_requests
             )
-            self._harvest_remote_obs(self.shards[shard_id])
         return shard_responses, col.snapshot
 
     # ------------------------------------------------------------------
     # lifecycle
 
     def close(self) -> None:
-        """Shut down remote shard servers (no-op for in-process chips)."""
+        """Harvest remote shards' telemetry, then shut their servers down.
+
+        Every shard is harvested, closed and joined even when one of
+        them fails (a killed server, say); the first error is raised
+        afterwards.  A second ``close()`` is a no-op, and in-process
+        chips have nothing to harvest or shut down.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._release(harvest=True)
+
+    def _release(self, harvest: bool) -> None:
+        """Harvest (optionally), close every remote chip, join every
+        server; raise the first error once all of them were tried."""
+        errors: List[Exception] = []
+
+        def attempt(action, *args) -> None:
+            try:
+                action(*args)
+            except Exception as exc:
+                errors.append(exc)
+
+        if harvest:
+            for shard in self.shards:
+                attempt(self._harvest_into_totals, shard)
         for shard in self.shards:
             close = getattr(shard.chip, "close", None)
             if close is not None:
-                close()
+                attempt(close)
         for handle in self._server_handles:
-            handle.close()  # type: ignore[attr-defined]
+            attempt(handle.close)  # type: ignore[attr-defined]
         self._server_handles = []
+        if errors:
+            raise errors[0]
 
     def __enter__(self) -> "FleetService":
         return self
@@ -711,12 +770,16 @@ class FleetService:
     def fleet_snapshot(self) -> obs.ObsSnapshot:
         """Fleet totals: per-shard running totals + exact chip op counters.
 
-        Each shard's running total already holds its snapshots folded in
-        arrival order; shards fold in ascending index order; each
-        shard's ``op_counters`` is its chip's live totals (set on a copy,
-        never on the running total) — so the fleet-wide ``OpCounters``
-        equals the ordered sum over shards, float-exact.
+        Remote shards are harvested first, in ascending order, each as
+        one more snapshot of its shard.  Each shard's running total
+        holds its snapshots folded in arrival order; shards fold in
+        ascending index order; each shard's ``op_counters`` is its
+        chip's live totals (set on a copy, never on the running total)
+        — so the fleet-wide ``OpCounters`` equals the ordered sum over
+        shards, float-exact.
         """
+        for shard in self.shards:
+            self._harvest_into_totals(shard)
         return obs.merge_snapshots(
             replace(total, op_counters=shard.chip.counters.copy())
             for shard, total in zip(self.shards, self._shard_totals)

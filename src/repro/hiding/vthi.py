@@ -20,7 +20,8 @@ since selection draws from the public bits actually stored — the same
 observable order the paper's prototype uses.)
 
 Two kernels do all the chip work, over ``(block, page)`` lists that may
-span blocks: :meth:`VtHi.embed_prepared` runs step 4's read-PP loop and
+span blocks: :meth:`VtHi.embed_prepared` hands step 4's read-PP loop to
+the chip as one ``embed_locations`` command and
 :meth:`VtHi.recover_prepared` runs the threshold-shifted read plus the
 batch decode.  Every other entry point derives selection maps from the
 key and the public view, then calls one of them.
@@ -115,57 +116,33 @@ class VtHi:
         """Algorithm 1's read-PP loop over prepared items *across blocks*.
 
         Each item is ``(block, page, zero_cells)`` — the hidden-'0' cell
-        indices the caller derived from its selection map.  Each step is
-        one :meth:`~repro.nand.chip.FlashChip.probe_voltages_locations`
-        call, then a pulse per item still below target; an item without
-        hidden '0' cells is never probed.  Per-item outcomes are
-        bit-identical to embedding each item alone, in any grouping:
-        every input to the loop is per-(block, page) state, and items in
-        one batch never share a page.
+        indices the caller derived from its selection map.  The loop
+        runs on the device: one
+        :meth:`~repro.nand.chip.FlashChip.embed_locations` call (one
+        wire frame for a remote chip), which validates every item first
+        and raises :class:`~repro.nand.errors.ProgramError` for a page
+        without public data.  Per-item outcomes are bit-identical to
+        embedding each item alone, in any grouping: every input to the
+        loop is per-(block, page) state, and items in one batch never
+        share a page.
 
         Returns ``(pp_steps_used, cells_left_below)`` per item.
         """
-        prepared = [
-            (int(block), int(page), np.asarray(cells, dtype=np.int64))
-            for block, page, cells in items
-        ]
-        self._require_programmed([item[:2] for item in prepared])
-        target = self.config.threshold + self.config.guard
-        steps = [0] * len(prepared)
-        below = [cells for _, _, cells in prepared]
-        active = [i for i in range(len(prepared)) if below[i].size]
-        with obs.span("vthi.embed_prepared", items=len(prepared)):
-            for _ in range(self.config.pp_steps):
-                if not active:
-                    break
-                locations = [prepared[i][:2] for i in active]
-                voltages = self.chip.probe_voltages_locations(locations)
-                still_active = []
-                for row, i in enumerate(active):
-                    zero_cells = prepared[i][2]
-                    below[i] = zero_cells[
-                        voltages[row, zero_cells] < target
-                    ]
-                    if below[i].size == 0:
-                        continue
-                    self.chip.partial_program(
-                        prepared[i][0],
-                        prepared[i][1],
-                        below[i],
-                        fraction=self.config.pp_fraction,
-                        precision=self.config.pp_precision,
-                    )
-                    steps[i] += 1
-                    still_active.append(i)
-                active = still_active
-        _OBS_EMBED_PAGES.inc(len(prepared))
+        with obs.span("vthi.embed_prepared", items=len(items)):
+            outcomes = [] if not items else self.chip.embed_locations(
+                items,
+                self.config.threshold + self.config.guard,
+                self.config.pp_steps,
+                fraction=self.config.pp_fraction,
+                precision=self.config.pp_precision,
+            )
+        steps = [used for used, _ in outcomes]
+        _OBS_EMBED_PAGES.inc(len(outcomes))
         _OBS_EMBED_PP_STEPS.inc(sum(steps))
         if obs.is_enabled():
             for count in steps:
                 _OBS_STEPS_HIST.observe(count)
-        return [
-            (steps[i], int(below[i].size)) for i in range(len(prepared))
-        ]
+        return outcomes
 
     def recover_prepared(
         self,
@@ -230,7 +207,8 @@ class VtHi:
                     f"{bits.shape}"
                 )
         # Never read the public view of a page that holds no public data;
-        # embed_prepared checks the locations whose bits were supplied.
+        # the chip's embed kernel checks the locations whose bits were
+        # supplied.
         self._require_programmed(
             [loc for loc, bits in zip(locations, publics) if bits is None]
         )

@@ -9,6 +9,9 @@ provides (§6.1-§6.2):
   :meth:`probe_voltages` (per-cell voltage measurement in normalised 0-255
   units) and :meth:`partial_program` (a program aborted midway, injecting an
   imprecise positive charge into selected cells);
+* :meth:`embed_locations` — Algorithm 1's probe-and-pulse loop as one
+  device command, the in-controller programming §6.2 argues a vendor
+  could provide;
 * threshold-shifted reads (``read_page(threshold=...)``), the vendor command
   "that shifts the reference threshold voltage for reading" used to decode
   hidden data (§1, §5.3);
@@ -117,6 +120,14 @@ def check_locations(geometry: ChipGeometry, locations: Sequence) -> list:
     if len(set(locs)) != len(locs):
         raise AddressError("batched locations must be distinct")
     return locs
+
+
+def _check_pulse(fraction: float, precision: float) -> None:
+    """Range checks of a partial-program pulse (they also reject NaN)."""
+    if not 0.0 < fraction <= 2.0:
+        raise ValueError(f"fraction must be in (0, 2], got {fraction}")
+    if not 0.0 < precision <= 1.0:
+        raise ValueError(f"precision must be in (0, 1], got {precision}")
 
 
 @dataclass(slots=True)
@@ -529,10 +540,7 @@ class FlashChip(PageOps):
         `precision` scales the pulse's spread — values below 1.0 model the
         finer in-controller programming §6.2 argues a vendor could provide.
         """
-        if not 0.0 < fraction <= 2.0:
-            raise ValueError(f"fraction must be in (0, 2], got {fraction}")
-        if not 0.0 < precision <= 1.0:
-            raise ValueError(f"precision must be in (0, 1], got {precision}")
+        _check_pulse(fraction, precision)
         state = self._block(block)
         self.geometry.check_page(block, page)
         if state.bad:
@@ -564,6 +572,74 @@ class FlashChip(PageOps):
             state, [page], self.params.disturb.pp_flip_prob * fraction
         )
         self._account("partial_program")
+
+    def embed_locations(
+        self,
+        items: Sequence,
+        target: float,
+        steps: int,
+        fraction: float = 1.0,
+        precision: float = 1.0,
+    ) -> list:
+        """Algorithm 1's probe–compare–pulse loop as one chip command.
+
+        Each item is ``(block, page, zero_cells)``: the cells to charge
+        above `target` on a programmed page.  Each of up to `steps` steps
+        is one :meth:`probe_voltages_locations` call over the items still
+        active, in item order, then one :meth:`partial_program` of every
+        item whose cells are not all above `target` yet, in item order;
+        an item without cells is never probed.  Every input is
+        per-(block, page) state and per-page RNG streams, so the outcome
+        — voltages, pulse counts, exposure, counters — equals that loop
+        run by the host.  Everything is validated before the first
+        probe: a rejected call changes nothing.
+
+        Returns ``(steps_used, cells_left)`` per item.
+        """
+        prepared = [
+            (int(block), int(page), np.asarray(cells, dtype=np.int64).ravel())
+            for block, page, cells in items
+        ]
+        _check_pulse(fraction, precision)
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        if not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target}")
+        locs = check_locations(self.geometry, [item[:2] for item in prepared])
+        for block, page in locs:
+            state = self._block(block)
+            if state.bad:
+                raise ProgramError(f"block {block} is marked bad")
+            if not state.page_programmed[page]:
+                raise ProgramError(
+                    f"page {page} of block {block} holds no public data; "
+                    "VT-HI hides inside public data (§5.1)"
+                )
+        n_cells = self.geometry.cells_per_page
+        for _, _, cells in prepared:
+            if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
+                raise AddressError("embed_locations cell index out of range")
+        used = [0] * len(prepared)
+        below = [cells for _, _, cells in prepared]
+        active = [i for i, cells in enumerate(below) if cells.size]
+        for _ in range(steps):
+            if not active:
+                break
+            voltages = self.probe_voltages_locations([locs[i] for i in active])
+            still_active = []
+            for row, i in enumerate(active):
+                block, page, zero_cells = prepared[i]
+                below[i] = zero_cells[voltages[row, zero_cells] < target]
+                if below[i].size == 0:
+                    continue
+                self.partial_program(
+                    block, page, below[i], fraction=fraction,
+                    precision=precision,
+                )
+                used[i] += 1
+                still_active.append(i)
+            active = still_active
+        return [(used[i], int(below[i].size)) for i in range(len(prepared))]
 
     # ------------------------------------------------------------------
     # wear helpers

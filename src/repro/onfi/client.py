@@ -26,10 +26,10 @@ Every payload is packed and parsed by the opcode table
 (:data:`repro.onfi.wire.OPS`).  Programs run the *pure* in-process
 checks client-side (:func:`~repro.nand.chip.check_locations`,
 :func:`~repro.nand.chip.stack_payloads`) before posting, so they fail
-at the call with the in-process error text; reads and probes leave
-addresses to the served chip, whose status register records a bad one
-as a device's would.  Everything stateful is judged by the real chip on
-the server.
+at the call with the in-process error text; reads, probes and embeds
+leave their checks to the served chip, whose status register records a
+bad address as a device's would.  Everything stateful is judged by the
+real chip on the server.
 """
 
 from __future__ import annotations
@@ -282,6 +282,34 @@ class RemoteChip(PageOps):
         self._request(
             Op.PROGRAM_LOCATIONS, count=len(pairs), locations=pairs, bits=bits
         )
+
+    def embed_locations(
+        self,
+        items: Sequence[Tuple[int, int, Any]],
+        target: float,
+        steps: int,
+        fraction: float = 1.0,
+        precision: float = 1.0,
+    ) -> List[Tuple[int, int]]:
+        """Algorithm 1's loop on the served chip: one EMBED_LOCATIONS
+        round trip, however many probe and pulse steps it runs."""
+        pairs = [(int(block), int(page)) for block, page, _ in items]
+        lists = [np.asarray(c, dtype=np.int64).ravel() for _, _, c in items]
+        answer = self._request(
+            Op.EMBED_LOCATIONS,
+            target=target,
+            steps=steps,
+            fraction=fraction,
+            precision=precision,
+            count=len(pairs),
+            locations=pairs,
+            sizes=[cells.size for cells in lists],
+            cells=np.concatenate(lists) if lists else [],
+        )
+        return [
+            (int(used), int(left))
+            for used, left in zip(answer["steps_used"], answer["cells_left"])
+        ]
 
     def erase_block(self, block: int) -> None:
         self._request(Op.ERASE, block=block)

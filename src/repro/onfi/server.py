@@ -46,6 +46,7 @@ from .wire import (
     FLAG_PARTIAL,
     FLAG_TRACE,
     GEOMETRY_FIELDS,
+    MAX_EMBED_STEPS,
     OPS,
     STATUS_FAIL,
     FrameReader,
@@ -265,6 +266,36 @@ class ChipServer:
     def _op_program_locations(self, flags, count, locations, bits):
         self.chip.program_locations(locations, bits)
 
+    def _op_embed_locations(
+        self, flags, target, steps, fraction, precision, count, locations,
+        sizes, cells,
+    ):
+        # The frame may come from outside the process: bound its work
+        # and check the cell-list split before the chip sees anything.
+        if steps > MAX_EMBED_STEPS:
+            raise CommandError(
+                f"steps {steps} above the {MAX_EMBED_STEPS}-step frame limit"
+            )
+        lengths = [int(size) for size in sizes]
+        if lengths and min(lengths) < 0:
+            raise CommandError(f"negative cell-list size {min(lengths)}")
+        if sum(lengths) != len(cells):
+            raise CommandError(
+                f"cell-list sizes sum to {sum(lengths)}, "
+                f"got {len(cells)} cells"
+            )
+        items, offset = [], 0
+        for (block, page), size in zip(locations, lengths):
+            items.append((block, page, cells[offset:offset + size]))
+            offset += size
+        outcomes = self.chip.embed_locations(
+            items, target, steps, fraction=fraction, precision=precision
+        )
+        return {
+            "steps_used": [used for used, _ in outcomes],
+            "cells_left": [left for _, left in outcomes],
+        }
+
     def _op_hello(self, flags):
         geometry = self.chip.geometry
         answer = {name: getattr(geometry, name) for name in GEOMETRY_FIELDS}
@@ -308,6 +339,7 @@ class ChipServer:
         Op.READ_LOCATIONS: _op_read_locations,
         Op.PROBE_LOCATIONS: _op_probe_locations,
         Op.PROGRAM_LOCATIONS: _op_program_locations,
+        Op.EMBED_LOCATIONS: _op_embed_locations,
         Op.HELLO: _op_hello,
         Op.ADVANCE_TIME: _op_advance_time,
         Op.IS_PROGRAMMED: _op_is_programmed,

@@ -60,6 +60,11 @@ MIN_LENGTH = 4
 #: a few MiB; 64 MiB leaves an order of magnitude of headroom).
 MAX_PAYLOAD = 64 << 20
 
+#: Step ceiling of one EMBED_LOCATIONS frame — bounds the chip work a
+#: frame from outside the process can request (the same 0-255 range as
+#: a SET_READ_THRESHOLD level).
+MAX_EMBED_STEPS = 255
+
 
 @unique
 class Op(IntEnum):
@@ -83,6 +88,7 @@ class Op(IntEnum):
     READ_LOCATIONS = 0xB3
     PROBE_LOCATIONS = 0xB4
     PROGRAM_LOCATIONS = 0xB5
+    EMBED_LOCATIONS = 0xB6
     # -- admin -----------------------------------------------------------
     HELLO = 0xA0
     ADVANCE_TIME = 0xA1
@@ -408,6 +414,16 @@ OPS: Dict[Op, OpSpec] = {
         (Field("count", I64), Field("locations", LOCS, count="count"),
          Field("bits", PAGES, count="count")),
         posted=True,
+    ),
+    # Algorithm 1 on the device: `sizes` splits the flat `cells` list
+    # into one zero-cell list per location.
+    Op.EMBED_LOCATIONS: OpSpec(
+        (Field("target", F64), Field("steps", I64), Field("fraction", F64),
+         Field("precision", F64), Field("count", I64),
+         Field("locations", LOCS, count="count"),
+         Field("sizes", I64S, count="count"), Field("cells", I64S)),
+        (Field("steps_used", I64S, count="count"),
+         Field("cells_left", I64S, count="count")),
     ),
     Op.HELLO: OpSpec(
         response=(*(Field(name, I64) for name in GEOMETRY_FIELDS),

@@ -7,6 +7,7 @@ from repro.crypto import HidingKey
 from repro.ecc.page import PagePipeline
 from repro.hiding import STANDARD_CONFIG, PayloadError, SelectionError, VtHi
 from repro.hiding.selection import select_cells
+from repro.nand.errors import ProgramError
 from repro.rng import substream
 
 #: Test-scale hiding config: standard threshold, robust parity.
@@ -36,6 +37,18 @@ class TestEmbedReadBits:
         with pytest.raises(SelectionError):
             vthi.embed_bits(0, 0, hidden_bits(16), key)
         assert chip.counters.total_ops == 0  # checked before any read
+
+    def test_supplied_public_bits_still_need_a_programmed_page(
+        self, chip, key, random_page
+    ):
+        # The chip's embed kernel checks pages whose public bits were
+        # supplied, before its first probe.
+        vthi = VtHi(chip, RAW)
+        with pytest.raises(ProgramError, match="holds no public data"):
+            vthi.embed_bits(
+                0, 0, hidden_bits(16), key, public_bits=random_page(0)
+            )
+        assert chip.counters.total_ops == 0
 
     def test_embed_size_cap(self, chip, key, random_page):
         vthi = VtHi(chip, RAW)

@@ -174,6 +174,10 @@ def test_counters_and_clock_track_exactly(remote, local, geometry):
 
 
 def test_error_parity_types_and_messages(remote, local, geometry):
+    bits = page_bits(geometry, 7)
+    for chip in (local, remote):
+        chip.program_page(1, 0, bits)
+    nan = float("nan")
     operations = [
         lambda c: c.read_page(0, geometry.pages_per_block),
         lambda c: c.read_page(-1, 0),
@@ -188,10 +192,21 @@ def test_error_parity_types_and_messages(remote, local, geometry):
         lambda c: c.advance_time(-1.0),
         lambda c: c.advance_time(float("nan")),
         lambda c: c.advance_time(float("inf")),
+        lambda c: c.embed_locations([(1, 1, [3])], 36.0, 10),
+        lambda c: c.embed_locations([(1, 0, [10**6])], 36.0, 10),
+        lambda c: c.embed_locations([(1, 0, [3]), (1, 0, [4])], 36.0, 10),
+        lambda c: c.embed_locations([(1, 0, [3])], 36.0, 0),
+        lambda c: c.embed_locations([(1, 0, [3])], nan, 10),
+        lambda c: c.embed_locations([(1, 0, [3])], 36.0, 10, fraction=0.0),
+        lambda c: c.embed_locations([(1, 0, [3])], 36.0, 10, fraction=2.5),
+        lambda c: c.embed_locations([(1, 0, [3])], 36.0, 10, precision=0.0),
     ]
+    pages = range(geometry.pages_per_block)
     for operation in operations:
         outcomes = []
         for chip in (local, remote):
+            voltages = chip.probe_voltages_batch(1, pages)
+            counters = chip.counters
             try:
                 operation(chip)
                 if chip is remote:
@@ -199,6 +214,10 @@ def test_error_parity_types_and_messages(remote, local, geometry):
                 outcomes.append(None)
             except (NandError, ValueError) as exc:
                 outcomes.append((type(exc), str(exc)))
+            # A rejected operation changes nothing.
+            assert chip.counters == counters
+            probed = chip.probe_voltages_batch(1, pages)
+            assert np.array_equal(probed, voltages)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] is not None
 

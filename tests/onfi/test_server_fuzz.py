@@ -14,11 +14,12 @@ layer on top of it.
 import io
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nand import TEST_MODEL, FlashChip
-from repro.nand.errors import NandError
+from repro.nand.errors import CommandError, NandError
 from repro.onfi import (
     ChipServer,
     FrameReader,
@@ -43,6 +44,7 @@ MUTATING_OPS = [
     Op.READ_LOCATIONS,
     Op.PROBE_LOCATIONS,
     Op.PROGRAM_LOCATIONS,
+    Op.EMBED_LOCATIONS,
     Op.ADVANCE_TIME,
 ]
 
@@ -107,6 +109,50 @@ def test_malformed_payloads_leave_chip_untouched(op, payload):
     assert chip.counters.diff(counters).total_ops == 0
     assert chip.clock == clock
     assert np.array_equal(chip.probe_voltages(0, 0), before)
+
+
+def embed_frame(steps=10, sizes=(2,), cells=(3, 4)):
+    """A well-formed EMBED_LOCATIONS request for pages 0, 1, ... of
+    block 0, one per size."""
+    return encode(OPS[Op.EMBED_LOCATIONS].request, {
+        "target": 36.0, "steps": steps, "fraction": 0.6, "precision": 1.0,
+        "count": len(sizes), "locations": [(0, p) for p in range(len(sizes))],
+        "sizes": list(sizes), "cells": list(cells),
+    })
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        (embed_frame(sizes=(-1, 3)), "negative cell-list size -1"),
+        (embed_frame(sizes=(3,)), "sum to 3, got 2 cells"),
+        (embed_frame(sizes=(1,)), "sum to 1, got 2 cells"),
+        (embed_frame(steps=256), "256 above the 255-step frame limit"),
+    ],
+    ids=["negative-size", "sizes-over", "sizes-under", "steps-256"],
+)
+def test_embed_frame_limits_rejected_before_the_chip(payload, match):
+    """Sizes that do not split the cell list, or more than 255 steps,
+    fail the frame with CommandError and touch nothing."""
+    server = fresh_server()
+    chip = server.chip
+    chip.program_page(0, 0, np.ones(GEOMETRY.cells_per_page, np.uint8))
+    before = chip._block(0).voltages.copy()
+    counters = chip.counters.copy()
+    status, out, keep = server.handle_frame(
+        int(Op.EMBED_LOCATIONS), 0, 1, payload
+    )
+    assert status & STATUS_FAIL and keep
+    error = decode_error(out)
+    assert type(error) is CommandError
+    assert match in str(error)
+    assert chip.counters == counters
+    assert np.array_equal(chip._block(0).voltages, before)
+    # The same frame within the limits runs.
+    status, _, _ = server.handle_frame(
+        int(Op.EMBED_LOCATIONS), 0, 2, embed_frame()
+    )
+    assert not status & STATUS_FAIL
 
 
 @given(payloads=st.lists(st.binary(max_size=32), max_size=8))

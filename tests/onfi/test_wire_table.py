@@ -78,6 +78,7 @@ def test_every_op_has_one_row_a_handler_and_a_sender():
     remote.program_page(0, 0, bits)
     remote.read_page(0, 0)
     remote.probe_voltages(0, 0)
+    remote.embed_locations([(0, 0, [1, 2])], 36.0, 2)
     remote.erase_block(0)
     remote.partial_program(0, 1, [1, 2])
     remote.partial_program_via_reset(0, 2, bits)
@@ -203,6 +204,7 @@ PAIRS = [(0, 1), (2, 3)]
 #: op -> (request fields, request flags, request hex,
 #:        response fields, response hex).  HELLO alone differs from the
 #: old packers: it no longer carries a capability byte either way.
+#: EMBED_LOCATIONS came after them; its row pins the table's own layout.
 GOLDEN = {
     Op.ERASE: ({"block": 3}, 0, "0300000000000000", {}, ""),
     Op.READ_STATUS: ({}, 0, "", {"status": 0xE2}, "e2"),
@@ -236,6 +238,21 @@ GOLDEN = {
         "0200000000000000" "0000000000000000" "0100000000000000"
         "0200000000000000" "0300000000000000"
         "00010100010001010101010100000000", {}, "",
+    ),
+    Op.EMBED_LOCATIONS: (
+        {"target": 36.0, "steps": 10, "fraction": 0.6, "precision": 1.0,
+         "count": 2, "locations": PAIRS,
+         "sizes": np.array([2, 1], dtype=np.int64),
+         "cells": np.array([3, 17, 5], dtype=np.int64)}, 0,
+        "0000000000004240" "0a00000000000000" "333333333333e33f"
+        "000000000000f03f" "0200000000000000" "0000000000000000"
+        "0100000000000000" "0200000000000000" "0300000000000000"
+        "0200000000000000" "0100000000000000" "0300000000000000"
+        "1100000000000000" "0500000000000000",
+        {"steps_used": np.array([4, 0], dtype=np.int64),
+         "cells_left": np.array([1, 0], dtype=np.int64)},
+        "0400000000000000" "0000000000000000" "0100000000000000"
+        "0000000000000000",
     ),
     Op.HELLO: (
         {}, 0, "",
