@@ -22,7 +22,10 @@ shape every fleet/adversary experiment issues:
   VT-HI-embed hidden bits into every page, bake, extract them back.
 
 Every run first verifies the batch ops are bit-identical to the
-single-page loops (voltages, probe, readback and ``OpCounters``).
+single-page loops (voltages, probe, readback and ``OpCounters``), that
+the cell forms of probe and read equal the full-page rows indexed
+(counters included), and that erasing a block the chip never touched
+equals touching it and then erasing it.
 
 Usage::
 
@@ -118,7 +121,8 @@ def _counters_tuple(chip):
 
 
 def verify_batch_equivalence(model) -> None:
-    """Batch ops must be bit-identical to the single-page loops."""
+    """Batch ops must be bit-identical to the single-page loops, cell
+    forms to the full-page rows, a fresh erase to touch-then-erase."""
     geometry = model.geometry
     pages = list(range(geometry.pages_per_block))
     bits = _block_bits(model)
@@ -147,6 +151,43 @@ def verify_batch_equivalence(model) -> None:
     assert _counters_tuple(batch_chip) == _counters_tuple(loop_chip), (
         "batched ops accounted different OpCounters than the loops"
     )
+    # Cell forms on the same worn, aged block (leak path active): page
+    # p lists a 1/(p+1) share of its cells in keyed order, the whole
+    # page for page 0, so the disturb flips are covered.
+    rng = substream(1234, "bench-chip-cells")
+    n_cells = geometry.cells_per_page
+    cells = [
+        rng.permutation(n_cells)[: n_cells // (page + 1)] for page in pages
+    ]
+    locations = [(0, page) for page in pages]
+    full = (
+        loop_chip.probe_voltages_locations(locations),
+        loop_chip.read_locations(locations),
+    )
+    by_cells = (
+        batch_chip.probe_voltages_locations(locations, cells=cells),
+        batch_chip.read_locations(locations, cells=cells),
+    )
+    for name, full_rows, cell_rows in zip(("probe", "read"), full, by_cells):
+        for full_row, cell_row, index in zip(full_rows, cell_rows, cells):
+            np.testing.assert_array_equal(
+                cell_row, full_row[index],
+                err_msg=f"cell-form {name} diverged from the full-page rows",
+            )
+    assert _counters_tuple(batch_chip) == _counters_tuple(loop_chip), (
+        "cell forms accounted different OpCounters than full-page calls"
+    )
+    # An erase of a block the chip never touched skips the epoch-0 fill
+    # and must leave what touch-then-erase leaves.
+    fresh, touched = _fresh_chip(model), _fresh_chip(model)
+    touched.is_bad_block(1)
+    for chip in (fresh, touched):
+        chip.age_block(1, WORKLOAD_PEC)
+    np.testing.assert_array_equal(
+        fresh._block(1).voltages, touched._block(1).voltages,
+        err_msg="erasing an untouched block diverged from touch-then-erase",
+    )
+    assert _counters_tuple(fresh) == _counters_tuple(touched)
 
 
 def collect(params) -> dict:
@@ -369,7 +410,10 @@ def main(argv=None) -> int:
         )
     if tiny:
         check_tiny_floors(report)
-        print("tiny chip smoke OK (batch == scalar, floors hold)")
+        print(
+            "tiny chip smoke OK (batch == scalar, cell forms == full "
+            "rows, fresh erase == touch-then-erase, floors hold)"
+        )
         return 0
     if before_path is not None:
         apply_before(report, json.loads(before_path.read_text()))

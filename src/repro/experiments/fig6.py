@@ -9,8 +9,10 @@ combination.
 The driver instruments Algorithm 1's loop: after each PP step it performs
 the hidden read and records the BER, so one embedding yields the whole
 m-curve (exactly the paper's measurement).  All hidden pages of a block
-advance through the loop together, so each step costs one batched probe
-and one batched read instead of one chip call per page.
+advance through the loop together, so each step costs one probe and one
+read call over every page — and both are cell-addressed: the probe
+covers each page's hidden '0' cells and the read its hidden cells, so a
+step costs in proportion to the cells the hider touches, not the page.
 
 The (interval, bits) configurations are independent work units — each owns
 its own block range on a freshly-derived chip sample — so the sweep fans
@@ -75,9 +77,12 @@ def measure_ber_curves(
     each page's hidden BER after every PP step.
 
     Returns a ``(len(pages), max_steps)`` array.  The pages advance
-    step-synchronised: one :meth:`~repro.nand.chip.FlashChip.
-    probe_voltages_batch` and one batched threshold-shifted read per step
-    cover every page.
+    step-synchronised: each step makes one
+    :meth:`~repro.nand.chip.FlashChip.probe_voltages_locations` call over
+    every page's hidden '0' cells and one threshold-shifted
+    :meth:`~repro.nand.chip.FlashChip.read_locations` call over every
+    page's hidden cells.  Every page is probed every step, even one
+    without '0' cells, so the chip's counters match a full-page probe.
     """
     publics = [
         random_page_bits(chip, "fig6-public", block * 1000 + page)
@@ -92,20 +97,21 @@ def measure_ber_curves(
         cells_list.append(cells)
         zero_list.append(cells[bits == 0])
     target = threshold + guard
+    locations = [(block, page) for page in pages]
     curves = np.zeros((len(pages), max_steps))
     for step in range(max_steps):
-        voltages = chip.probe_voltages_batch(block, pages)
+        probed = chip.probe_voltages_locations(locations, cells=zero_list)
         for i, page in enumerate(pages):
-            below = zero_list[i][voltages[i, zero_list[i]] < target]
+            below = zero_list[i][probed[i] < target]
             if below.size:
                 chip.partial_program(
                     block, page, below, fraction=pp_fraction
                 )
-        readback = chip.read_pages(block, pages, threshold=threshold)
+        readback = chip.read_locations(
+            locations, threshold=threshold, cells=cells_list
+        )
         for i, bits in enumerate(bits_list):
-            curves[i, step] = float(
-                (readback[i, cells_list[i]] != bits).mean()
-            )
+            curves[i, step] = float((readback[i] != bits).mean())
     return curves
 
 

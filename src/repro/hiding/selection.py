@@ -24,6 +24,8 @@ explicit `public_bits` argument.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..crypto.keys import HidingKey
@@ -31,6 +33,24 @@ from ..crypto.keys import HidingKey
 
 class SelectionError(Exception):
     """Raised when a page cannot accommodate the requested hidden bits."""
+
+
+def _walk_plan(count: int, population: int, n_ones: int) -> Tuple[int, bool]:
+    """``(first_draws, dense)`` for a walk selecting `count` cells.
+
+    Expected draws until `count` hits among `n_ones` of `population`
+    cells is count*population/n_ones; the first bulk keystream call
+    draws that plus slack, so the common case needs exactly one.  A
+    walk expected to cover a fifth of the page or more (the fleet's
+    1,504-cell pages: ~85%) swaps on a dense list, the cheapest per
+    step; any other keeps only the swapped positions in a sparse map,
+    as ``index_stream`` does, so the call costs O(draws) rather than
+    O(population) (paper-size pages: a few hundred draws of 144,384).
+    """
+    first = min(
+        population, -(-count * population // n_ones) + count // 4 + 64
+    )
+    return first, 5 * first >= population
 
 
 def select_cells(
@@ -59,22 +79,16 @@ def select_cells(
     # Flattened ``prng.index_stream`` walk.  The keystream is drawn in
     # bulk (one ``bytes()`` call covers hundreds of draws), the per-draw
     # modulo and rejection test run vectorised, and only the inherently
-    # sequential Fisher-Yates swap walk stays in Python — an order of
-    # magnitude faster than the reference generator on full-size pages.
-    # Byte-for-byte the same stream is consumed in the same order, so
-    # the selected cells are bit-identical to the reference walk (see
+    # sequential Fisher-Yates swap walk stays in Python.  Byte-for-byte
+    # the same stream is consumed in the same order, so the selected
+    # cells are bit-identical to the reference walk (see
     # ``tests/hiding/test_selection.py``).
     population = bits.size
-    bit_list = bits.tolist()
+    ones = bits.tobytes()
     max_word = np.uint64((1 << 64) - 1)
-    # Expected draws until `count` hits among `n_ones` of `population`
-    # cells is count*population/n_ones; draw that plus slack up front so
-    # the common case needs exactly one bulk keystream call.
-    chunk = min(
-        population,
-        -(-count * population // n_ones) + count // 4 + 64,
-    )
-    arr = list(range(population))
+    chunk, dense = _walk_plan(count, population, n_ones)
+    arr = list(range(population)) if dense else []
+    swapped: dict = {}
     chosen: list = []
     i = 0
     while i < population:
@@ -93,14 +107,26 @@ def select_cells(
             targets = (
                 np.uint64(i) + steps[:valid] + words[:valid] % bounds[:valid]
             ).tolist()
-            for j in targets:
-                offset = arr[j]
-                arr[j] = arr[i]
-                i += 1
-                if bit_list[offset] == 1:
-                    chosen.append(offset)
-                    if len(chosen) == count:
-                        return np.asarray(chosen, dtype=np.int64)
+            # One loop per container: a branch per step would cost the
+            # dense walk ~15%.
+            if dense:
+                for j in targets:
+                    offset = arr[j]
+                    arr[j] = arr[i]
+                    i += 1
+                    if ones[offset] == 1:
+                        chosen.append(offset)
+                        if len(chosen) == count:
+                            return np.asarray(chosen, dtype=np.int64)
+            else:
+                for j in targets:
+                    offset = swapped.get(j, j)
+                    swapped[j] = swapped.get(i, i)
+                    i += 1
+                    if ones[offset] == 1:
+                        chosen.append(offset)
+                        if len(chosen) == count:
+                            return np.asarray(chosen, dtype=np.int64)
             # A rejected word (probability < population / 2**64 per draw)
             # is dropped and the next one retries the same draw, as in the
             # reference walk; the pass reruns over the rest of the chunk.

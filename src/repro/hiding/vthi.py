@@ -154,9 +154,9 @@ class VtHi:
 
         Each item is ``(block, page, key, cells)``: the selection map the
         caller derived under that item's key.  One threshold-shifted
-        ``read_locations`` and one ``decode_pages_keyed`` pass recover
-        the same-length payloads; with ``on_error="return"`` an
-        uncorrectable one yields ``None`` instead of raising.
+        ``read_locations`` of those cells and one ``decode_pages_keyed``
+        pass recover the same-length payloads; with ``on_error="return"``
+        an uncorrectable one yields ``None`` instead of raising.
         """
         if not items:
             return []
@@ -164,12 +164,14 @@ class VtHi:
         with obs.span("vthi.recover", items=len(items)):
             locations = [(int(item[0]), int(item[1])) for item in items]
             shifted = self.chip.read_locations(
-                locations, threshold=self.config.threshold
+                locations,
+                threshold=self.config.threshold,
+                cells=[item[3] for item in items],
             )
             return self.codec.decode_pages_keyed(
                 [key for _, _, key, _ in items],
                 [self._address(location) for location in locations],
-                [row[item[3]] for row, item in zip(shifted, items)],
+                shifted,
                 n_bytes,
                 on_error=on_error,
             )

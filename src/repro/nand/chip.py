@@ -24,7 +24,9 @@ provides (§6.1-§6.2):
 Reads, probes and programs run as ``(block, page)`` location-list kernels
 (:meth:`read_locations`, :meth:`probe_voltages_locations`,
 :meth:`program_locations`); the page and same-block forms are thin
-rewrites in :class:`PageOps`, shared with the wire client.
+rewrites in :class:`PageOps`, shared with the wire client.  Reads and
+probes also take one cell-index list per location and then cost in
+proportion to the cells listed, not the page.
 
 Determinism: a chip is fully determined by ``(geometry, params, seed)``.
 Distinct seeds model distinct physical samples of the same chip model — the
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -120,6 +122,49 @@ def check_locations(geometry: ChipGeometry, locations: Sequence) -> list:
     if len(set(locs)) != len(locs):
         raise AddressError("batched locations must be distinct")
     return locs
+
+
+def check_cell_lists(
+    geometry: ChipGeometry, cells: Sequence, count: int
+) -> List[np.ndarray]:
+    """Validate per-location cell lists -> ``[int64 index array]``.
+
+    Exactly one 1-D integer array per location, every index in
+    ``[0, cells_per_page)``; repeated indices are allowed, since reads
+    and probes change no cell.  Pure in geometry and inputs, like
+    :func:`check_locations`, and run before it on both chips: the wire
+    client checks cell lists itself and leaves locations to the served
+    chip, so the two raise the same error for every bad call.
+    """
+    lists = list(cells)
+    if len(lists) != count:
+        raise AddressError(
+            f"got {len(lists)} cell lists for {count} locations"
+        )
+    n_cells = geometry.cells_per_page
+    checked = []
+    for i, index in enumerate(lists):
+        array = np.asarray(index)
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+            raise AddressError(
+                f"cell list {i} must be a 1-D integer array, got shape "
+                f"{array.shape} of {array.dtype}"
+            )
+        array = array.astype(np.int64, copy=False)
+        if array.size and (array.min() < 0 or array.max() >= n_cells):
+            raise AddressError(
+                f"cell list {i} has a cell index outside [0, {n_cells})"
+            )
+        checked.append(array)
+    return checked
+
+
+def _check_distinct(cells: np.ndarray, what: str) -> None:
+    """A pulse charges each listed cell once: reject a repeated index."""
+    if cells.size > 1:
+        ordered = np.sort(cells, axis=None)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise AddressError(f"{what} repeats a cell index")
 
 
 def _check_pulse(fraction: float, precision: float) -> None:
@@ -318,7 +363,13 @@ class FlashChip(PageOps):
         """This sample's manufacturing mean offset (voltage units)."""
         return self._chip_offset
 
-    def _block(self, index: int) -> BlockState:
+    def _block(self, index: int, fill: bool = True) -> BlockState:
+        """The block's state, materialised on first access.
+
+        ``fill=False`` skips the epoch-0 erased fill of a block that is
+        materialised here; only :meth:`_erase` passes it, and it fills
+        the block itself unless the erase goes ahead.
+        """
         self.geometry.check_block(index)
         state = self._blocks.get(index)
         if state is None:
@@ -327,7 +378,8 @@ class FlashChip(PageOps):
             )
             # NAND ships erased: a freshly manufactured block carries the
             # epoch-0 erased-state voltages (deterministic in seed/block).
-            self._fill_erased(state)
+            if fill:
+                self._fill_erased(state)
             if index in self.factory_bad_blocks:
                 state.bad = True
             self._blocks[index] = state
@@ -365,17 +417,33 @@ class FlashChip(PageOps):
 
     def erase_block(self, block: int) -> None:
         """Erase a block: all cells return to the deep-erased state."""
-        state = self._block(block)
+        self._erase(block)
+
+    def _erase(self, block: int, pec: Optional[int] = None) -> None:
+        """Erase `block`, first setting its wear counter to `pec` if given.
+
+        A block the chip has not materialised yet skips its epoch-0
+        erased fill when the erase goes ahead: the erase redraws every
+        row from its own ``("erase", block, epoch)`` streams, and the
+        skipped fill feeds no other stream, counter or cache, so the
+        state is the one touch-then-erase leaves.  A refused erase
+        (factory-bad block, strict endurance) leaves the block
+        materialised and filled, at the wear it was filled at.
+        """
+        fresh = block not in self._blocks
+        state = self._block(block, fill=False)
+        endurance = self.params.wear.endurance_pec
+        wear = state.pec if pec is None else pec
+        refused = state.bad or (self.strict_endurance and wear >= endurance)
+        if fresh and refused:
+            self._fill_erased(state)
         if state.bad:
             raise EraseError(f"block {block} is marked bad")
-        if (
-            self.strict_endurance
-            and state.pec >= self.params.wear.endurance_pec
-        ):
+        state.pec = wear
+        if refused:
             state.bad = True
             raise WearOutError(
-                f"block {block} exceeded endurance "
-                f"({self.params.wear.endurance_pec} PEC)"
+                f"block {block} exceeded endurance ({endurance} PEC)"
             )
         state.reset_for_erase()
         self._fill_erased(state)
@@ -412,21 +480,44 @@ class FlashChip(PageOps):
         self,
         locations: Sequence,
         threshold: Optional[float] = None,
-    ) -> np.ndarray:
-        """Read many ``(block, page)`` locations as a bit array."""
+        cells: Optional[Sequence] = None,
+    ) -> Union[np.ndarray, List[np.ndarray]]:
+        """Read many ``(block, page)`` locations as a bit array.
+
+        With `cells` — one index array per location, checked by
+        :func:`check_cell_lists` before the locations — the result is a
+        list whose entry ``i`` is row ``i`` of the full read indexed by
+        ``cells[i]``, at the cost of those cells: the disturb mask is
+        the page's cached latent field at them.  The side effects are
+        the full read's: one read accounted per location and the same
+        read-disturb exposure.
+        """
+        if cells is not None:
+            locations = list(locations)
+            cells = check_cell_lists(self.geometry, cells, len(locations))
         locs = check_locations(self.geometry, locations)
         if threshold is None:
             threshold = self.params.voltage.slc_threshold
         prob = self.params.disturb.read_flip_prob
-        cells = self.geometry.cells_per_page
-        bits = np.empty((len(locs), cells), dtype=np.uint8)
+        bits: Union[np.ndarray, List[np.ndarray]]
+        if cells is None:
+            bits = np.empty(
+                (len(locs), self.geometry.cells_per_page), dtype=np.uint8
+            )
+        else:
+            bits = []
         for i, (block, page) in enumerate(locs):
             state = self._block(block)
-            row = bits[i]
-            # Compare straight into the row: a bool view stores 0/1 bytes.
             voltages = self._effective_voltages(state, page)
-            np.less(voltages, threshold, out=row.view(np.bool_))
-            flip = self._disturb_mask(state, page)
+            index = None if cells is None else cells[i]
+            if index is None:
+                row = bits[i]
+                # Compare straight into the row: a bool view stores 0/1.
+                np.less(voltages, threshold, out=row.view(np.bool_))
+            else:
+                row = np.less(voltages[index], threshold).view(np.uint8)
+                bits.append(row)
+            flip = self._disturb_mask(state, page, index)
             if flip.any():
                 row[flip] ^= 1
             # Read disturb: every read slightly raises its own page's
@@ -436,22 +527,46 @@ class FlashChip(PageOps):
         self._account("read", len(locs))
         return bits
 
-    def probe_voltages_locations(self, locations: Sequence) -> np.ndarray:
+    def probe_voltages_locations(
+        self, locations: Sequence, cells: Optional[Sequence] = None
+    ) -> Union[np.ndarray, List[np.ndarray]]:
         """Per-cell voltages of many ``(block, page)`` locations.
 
         The vendor probe command (§6.1), in normalised uint8 units; one
-        read operation is accounted per location probed.
+        read operation is accounted per location probed.  With `cells`,
+        as in :meth:`read_locations`, the result is the list of full
+        rows indexed by them.
         """
-        locs = check_locations(self.geometry, locations)
-        cells = self.geometry.cells_per_page
-        voltages = np.empty((len(locs), cells), dtype=np.float32)
-        for i, (block, page) in enumerate(locs):
-            voltages[i] = self._effective_voltages(self._block(block), page)
-        self._account("read", len(locs))
-        quantised = np.clip(
-            np.rint(voltages), 0, self.params.voltage.probe_max
+        if cells is not None:
+            locations = list(locations)
+            cells = check_cell_lists(self.geometry, cells, len(locations))
+        return self._probe_locations(
+            check_locations(self.geometry, locations), cells
         )
-        return quantised.astype(np.uint8)
+
+    def _probe_locations(
+        self, locs: Sequence, cells: Optional[Sequence[np.ndarray]]
+    ) -> Union[np.ndarray, List[np.ndarray]]:
+        """The probe kernel over checked locations and cell lists."""
+        probe_max = self.params.voltage.probe_max
+        if cells is None:
+            voltages = np.empty(
+                (len(locs), self.geometry.cells_per_page), dtype=np.float32
+            )
+            for i, (block, page) in enumerate(locs):
+                state = self._block(block)
+                voltages[i] = self._effective_voltages(state, page)
+            self._account("read", len(locs))
+            return np.clip(np.rint(voltages), 0, probe_max).astype(np.uint8)
+        rows = [
+            self._effective_voltages(self._block(block), page)[index]
+            for (block, page), index in zip(locs, cells)
+        ]
+        self._account("read", len(locs))
+        return [
+            np.clip(np.rint(row), 0, probe_max).astype(np.uint8)
+            for row in rows
+        ]
 
     def program_locations(self, locations: Sequence, data) -> None:
         """Program public data at many ``(block, page)`` locations.
@@ -550,12 +665,25 @@ class FlashChip(PageOps):
             cells.min() < 0 or cells.max() >= self.geometry.cells_per_page
         ):
             raise AddressError("partial_program cell index out of range")
+        _check_distinct(cells, "partial_program")
+        self._pulse(state, page, cells, fraction, precision)
+
+    def _pulse(
+        self,
+        state: BlockState,
+        page: int,
+        cells: np.ndarray,
+        fraction: float,
+        precision: float,
+    ) -> None:
+        """The pulse behind :meth:`partial_program`, on checked inputs:
+        distinct in-range `cells` of a good block's page."""
         pp = self.params.partial_program
-        response = self._pp_response(block, page)[cells]
+        response = self._pp_response(state.index, page)[cells]
         pulse_rng = substream(
             self.seed,
             "pp-pulse",
-            block,
+            state.index,
             page,
             state.erase_epoch,
             int(state.page_pp_pulses[page]),
@@ -583,16 +711,17 @@ class FlashChip(PageOps):
     ) -> list:
         """Algorithm 1's probe–compare–pulse loop as one chip command.
 
-        Each item is ``(block, page, zero_cells)``: the cells to charge
-        above `target` on a programmed page.  Each of up to `steps` steps
-        is one :meth:`probe_voltages_locations` call over the items still
-        active, in item order, then one :meth:`partial_program` of every
-        item whose cells are not all above `target` yet, in item order;
-        an item without cells is never probed.  Every input is
+        Each item is ``(block, page, zero_cells)``: the distinct cells
+        to charge above `target` on a programmed page.  Each of up to
+        `steps` steps is one probe of the active items' cells, in item
+        order, then one :meth:`partial_program` pulse of every item
+        whose cells are not all above `target` yet, in item order; an
+        item without cells is never probed.  Every input is
         per-(block, page) state and per-page RNG streams, so the outcome
         — voltages, pulse counts, exposure, counters — equals that loop
-        run by the host.  Everything is validated before the first
-        probe: a rejected call changes nothing.
+        run by the host.  Everything is validated once, before the
+        first probe: a rejected call changes nothing, and the probes
+        and pulses run unchecked.
 
         Returns ``(steps_used, cells_left)`` per item.
         """
@@ -619,22 +748,24 @@ class FlashChip(PageOps):
         for _, _, cells in prepared:
             if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
                 raise AddressError("embed_locations cell index out of range")
+            _check_distinct(cells, "embed_locations")
         used = [0] * len(prepared)
         below = [cells for _, _, cells in prepared]
         active = [i for i, cells in enumerate(below) if cells.size]
         for _ in range(steps):
             if not active:
                 break
-            voltages = self.probe_voltages_locations([locs[i] for i in active])
+            probed = self._probe_locations(
+                [locs[i] for i in active], [prepared[i][2] for i in active]
+            )
             still_active = []
-            for row, i in enumerate(active):
+            for row, i in zip(probed, active):
                 block, page, zero_cells = prepared[i]
-                below[i] = zero_cells[voltages[row, zero_cells] < target]
+                below[i] = zero_cells[row < target]
                 if below[i].size == 0:
                     continue
-                self.partial_program(
-                    block, page, below[i], fraction=fraction,
-                    precision=precision,
+                self._pulse(
+                    self._block(block), page, below[i], fraction, precision
                 )
                 used[i] += 1
                 still_active.append(i)
@@ -679,11 +810,7 @@ class FlashChip(PageOps):
         """
         if pec < 0:
             raise ValueError(f"pec must be non-negative, got {pec}")
-        state = self._block(block)
-        if state.bad:
-            raise EraseError(f"block {block} is marked bad")
-        state.pec = max(pec - 1, 0)
-        self.erase_block(block)
+        self._erase(block, pec=max(pec - 1, 0))
 
     # ------------------------------------------------------------------
     # internals
@@ -781,9 +908,16 @@ class FlashChip(PageOps):
             state.disturb_fields[page] = field
         return field
 
-    def _disturb_mask(self, state: BlockState, page: int) -> np.ndarray:
+    def _disturb_mask(
+        self,
+        state: BlockState,
+        page: int,
+        cells: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The page's read-disturb flips, at `cells` only if given."""
+        size = self.geometry.cells_per_page if cells is None else cells.size
         if not state.page_programmed[page]:
-            return np.zeros(self.geometry.cells_per_page, dtype=bool)
+            return np.zeros(size, dtype=bool)
         wear = self.params.wear
         pec = int(state.page_pec[page])
         base = (
@@ -793,9 +927,10 @@ class FlashChip(PageOps):
         )
         probability = base + float(state.page_exposure[page])
         if probability <= 0:
-            return np.zeros(self.geometry.cells_per_page, dtype=bool)
+            return np.zeros(size, dtype=bool)
+        field = self._disturb_field(state, page)
         return disturb_flips_from_field(
-            self._disturb_field(state, page), probability
+            field if cells is None else field[cells], probability
         )
 
     def _pp_response(self, block: int, page: int) -> np.ndarray:

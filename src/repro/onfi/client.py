@@ -27,9 +27,12 @@ Every payload is packed and parsed by the opcode table
 checks client-side (:func:`~repro.nand.chip.check_locations`,
 :func:`~repro.nand.chip.stack_payloads`) before posting, so they fail
 at the call with the in-process error text; reads, probes and embeds
-leave their checks to the served chip, whose status register records a
-bad address as a device's would.  Everything stateful is judged by the
-real chip on the server.
+leave their location checks to the served chip, whose status register
+records a bad address as a device's would.  The cell forms of reads
+and probes check their cell lists client-side
+(:func:`~repro.nand.chip.check_cell_lists`, which the in-process chip
+also runs first), send the full-page frame and slice the answer.
+Everything stateful is judged by the real chip on the server.
 """
 
 from __future__ import annotations
@@ -38,7 +41,17 @@ import os
 import socket
 from collections import deque
 from contextlib import suppress
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -46,6 +59,7 @@ from ..nand.chip import (
     OpCounters,
     PageOps,
     as_bits,
+    check_cell_lists,
     check_locations,
     stack_payloads,
 )
@@ -261,18 +275,35 @@ class RemoteChip(PageOps):
         self,
         locations: Sequence[Tuple[int, int]],
         threshold: Optional[float] = None,
-    ) -> np.ndarray:
+        cells: Optional[Sequence] = None,
+    ) -> Union[np.ndarray, List[np.ndarray]]:
         pairs = [(int(block), int(page)) for block, page in locations]
+        lists = None if cells is None else check_cell_lists(
+            self.geometry, cells, len(pairs)
+        )
         flags = 0 if threshold is None else FLAG_THRESHOLD
-        return self._request(
+        bits = self._request(
             Op.READ_LOCATIONS, flags, threshold=threshold, locations=pairs
         )["bits"]
+        return bits if lists is None else [
+            row[index] for row, index in zip(bits, lists)
+        ]
 
     def probe_voltages_locations(
-        self, locations: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
+        self,
+        locations: Sequence[Tuple[int, int]],
+        cells: Optional[Sequence] = None,
+    ) -> Union[np.ndarray, List[np.ndarray]]:
         pairs = [(int(block), int(page)) for block, page in locations]
-        return self._request(Op.PROBE_LOCATIONS, locations=pairs)["voltages"]
+        lists = None if cells is None else check_cell_lists(
+            self.geometry, cells, len(pairs)
+        )
+        voltages = self._request(Op.PROBE_LOCATIONS, locations=pairs)[
+            "voltages"
+        ]
+        return voltages if lists is None else [
+            row[index] for row, index in zip(voltages, lists)
+        ]
 
     def program_locations(
         self, locations: Sequence[Tuple[int, int]], data: Iterable

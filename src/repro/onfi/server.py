@@ -60,6 +60,17 @@ from .wire import (
 )
 
 
+def _check_level(level: Optional[float]) -> None:
+    """A read-reference level off the wire must lie in 0-255.
+
+    Shared by SET_READ_THRESHOLD and a READ_LOCATIONS frame's own
+    level; the range check also rejects NaN.  The in-process chip takes
+    any float: its callers are trusted code.
+    """
+    if level is not None and not 0 <= level <= 255:
+        raise CommandError(f"threshold {level} outside 0-255")
+
+
 class ChipServer:
     """Serve one flash chip to one connection at a time."""
 
@@ -215,9 +226,7 @@ class ChipServer:
         return None
 
     def _op_set_read_threshold(self, flags, level):
-        # The level arrives off the wire; the range check also rejects NaN.
-        if level is not None and not 0 <= level <= 255:
-            raise CommandError(f"threshold {level} outside 0-255")
+        _check_level(level)
         self.read_threshold = level
 
     def _op_partial_program(self, flags, block, page, fraction, precision, cells):
@@ -258,6 +267,8 @@ class ChipServer:
     def _op_read_locations(self, flags, threshold, locations):
         if threshold is None:
             threshold = self.read_threshold
+        else:
+            _check_level(threshold)
         return {"bits": self.chip.read_locations(locations, threshold)}
 
     def _op_probe_locations(self, flags, locations):

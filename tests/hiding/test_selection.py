@@ -4,10 +4,11 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import HidingKey, KeyedPrng
 from repro.hiding import SelectionError, select_cells
+from repro.hiding.selection import _walk_plan
 
 KEY = HidingKey.generate(b"sel")
 
@@ -117,24 +118,65 @@ def test_shape_validation():
         select_cells(KEY, 0, np.zeros((2, 2)), 1)
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25, deadline=None)
-def test_matches_reference_index_stream_walk(seed):
-    # The production selector inlines and bulk-decodes the keystream;
-    # it must consume the exact same stream as the straightforward
-    # ``KeyedPrng.index_stream`` walk and pick the same cells.
-    bits = bits_with_ones(700, seed=seed)
-    ones = int((bits == 1).sum())
-    count = min(ones, 1 + seed % 128)
-    fast = select_cells(KEY, seed, bits, count)
-    prng = KEY.selection_prng().for_page(seed)
+def half_ones(population, seed):
+    """Exactly population // 2 '1' bits, at keyed-random cells."""
+    bits = np.zeros(population, dtype=np.uint8)
+    bits[: population // 2] = 1
+    return np.random.default_rng(seed).permutation(bits)
+
+
+def reference_walk(page, bits, count):
+    prng = KEY.selection_prng().for_page(page)
     chosen = []
     for offset in prng.index_stream(bits.size):
         if bits[offset] == 1:
             chosen.append(offset)
             if len(chosen) == count:
                 break
-    np.testing.assert_array_equal(fast, np.asarray(chosen, dtype=np.int64))
+    return np.asarray(chosen, dtype=np.int64)
+
+
+#: Walk shapes ``(population, count, dense)`` beyond the 700-cell pages
+#: (``count`` None: 1 + seed % 128): paper-size pages on the sparse
+#: map, the fleet's 1,504-cell pages on the dense list, and one count
+#: each side of the ``5 * first_draws >= population`` crossover on
+#: 36,096 cells with exactly half of them '1'.
+WALK_SHAPES = {
+    "700": (700, None, None),
+    "36096-sparse": (36_096, "8-640", False),
+    "144384-sparse": (144_384, "8-640", False),
+    "fleet-dense": (1_504, 639, True),
+    "crossover-sparse": (36_096, 3180, False),
+    "crossover-dense": (36_096, 3181, True),
+}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    shape=st.sampled_from(sorted(WALK_SHAPES)),
+)
+@example(seed=1, shape="36096-sparse")
+@example(seed=2, shape="144384-sparse")
+@example(seed=3, shape="fleet-dense")
+@example(seed=4, shape="crossover-sparse")
+@example(seed=5, shape="crossover-dense")
+@settings(max_examples=25, deadline=None)
+def test_matches_reference_index_stream_walk(seed, shape):
+    # The production selector inlines and bulk-decodes the keystream
+    # and walks a dense list or a sparse swap map; either way it must
+    # consume the exact same stream as the straightforward
+    # ``KeyedPrng.index_stream`` walk and pick the same cells.
+    population, count, dense = WALK_SHAPES[shape]
+    if population == 700:
+        bits = bits_with_ones(700, seed=seed)
+        count = min(int((bits == 1).sum()), 1 + seed % 128)
+    else:
+        bits = half_ones(population, seed)
+        if count == "8-640":
+            count = 8 + seed % 633
+        assert _walk_plan(count, population, population // 2)[1] is dense
+    fast = select_cells(KEY, seed, bits, count)
+    np.testing.assert_array_equal(fast, reference_walk(seed, bits, count))
 
 
 class ForcedRejections(KeyedPrng):
@@ -184,34 +226,39 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("case", list(REJECTIONS))
 def test_rejected_words_match_reference_walk(case, monkeypatch):
-    population, n_ones, count, page = 1000, 200, 100, 3
-    calls = []
-    words = []
-    monkeypatch.setattr(
-        HidingKey, "selection_prng",
-        lambda key: ForcedRejections(b"forced", words=words, calls=calls),
-    )
-    # The chunk length depends only on the counts, not on which cells
-    # hold the '1' bits.
-    select_cells(KEY, page, np.arange(population) < n_ones, count)
-    words.extend(REJECTIONS[case](calls[0] // 8))
-    reference = ForcedRejections(b"forced", words=words).for_page(page)
-    walk = np.fromiter(reference.index_stream(population), dtype=np.int64)
-    # Every forced word was drawn and rejected by the reference walk.
-    assert reference.drawn == 8 * (population + len(words))
-    # '1' bits on the walk's last cells: the selection must cross into
-    # the second chunk, past every forced word.
-    bits = np.zeros(population, dtype=np.uint8)
-    bits[walk[-n_ones:]] = 1
-    calls.clear()
-    # A walk that kept a rejected word would retry it forever: fail on a
-    # deadline instead of hanging the suite.
-    previous = signal.signal(signal.SIGALRM, _walk_timed_out)
-    signal.alarm(30)
-    try:
-        cells = select_cells(KEY, page, bits, count)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(calls) > 1
-    np.testing.assert_array_equal(cells, walk[-n_ones:][:count])
+    population, n_ones, page = 1000, 200, 3
+    # 100 cells walk the dense list, 10 the sparse map.
+    for count, dense in ((100, True), (10, False)):
+        assert _walk_plan(count, population, n_ones)[1] is dense
+        calls = []
+        words = []
+        monkeypatch.setattr(
+            HidingKey, "selection_prng",
+            lambda key: ForcedRejections(b"forced", words=words, calls=calls),
+        )
+        # The chunk length depends only on the counts, not on which
+        # cells hold the '1' bits.
+        select_cells(KEY, page, np.arange(population) < n_ones, count)
+        words.extend(REJECTIONS[case](calls[0] // 8))
+        reference = ForcedRejections(b"forced", words=words).for_page(page)
+        walk = np.fromiter(
+            reference.index_stream(population), dtype=np.int64
+        )
+        # Every forced word was drawn and rejected by the reference walk.
+        assert reference.drawn == 8 * (population + len(words))
+        # '1' bits on the walk's last cells: the selection must cross
+        # into the second chunk, past every forced word.
+        bits = np.zeros(population, dtype=np.uint8)
+        bits[walk[-n_ones:]] = 1
+        calls.clear()
+        # A walk that kept a rejected word would retry it forever: fail
+        # on a deadline instead of hanging the suite.
+        previous = signal.signal(signal.SIGALRM, _walk_timed_out)
+        signal.alarm(30)
+        try:
+            cells = select_cells(KEY, page, bits, count)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(calls) > 1
+        np.testing.assert_array_equal(cells, walk[-n_ones:][:count])

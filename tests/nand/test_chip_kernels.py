@@ -10,14 +10,18 @@ the rebuild relies on:
 * cached latent fields (leakage, disturb, effective rows, PP response)
   never survive an erase and always equal a cold recompute;
 * ``cycle_block`` equals the explicit erase + per-page program loop it
-  replaced, pattern draws and wear accounting included.
+  replaced, pattern draws and wear accounting included;
+* erasing a block the chip has not materialised skips the epoch-0 fill
+  the erase would overwrite and leaves what touch-then-erase leaves,
+  refused erases (factory-bad, strict endurance) included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nand import TEST_MODEL, FlashChip
+from repro.nand import TEST_MODEL, EraseError, FlashChip, WearOutError
 from repro.rng import substream
 
 GEOMETRY = TEST_MODEL.geometry
@@ -235,3 +239,99 @@ def test_erased_pages_read_all_ones_when_fresh():
     chip = fresh_chip(5)
     bits = chip.read_pages(0, range(PAGES_PER_BLOCK))
     assert (bits == 1).all()
+
+
+# ----------------------------------------------------------------------
+# erasing a block the chip has not materialised
+
+
+def block_snapshot(chip, block):
+    """Everything an erase leaves behind: voltages, levels, wear."""
+    state = chip._block(block)
+    return (
+        state.voltages.copy(),
+        [chip._page_levels(state, page) for page in range(PAGES_PER_BLOCK)],
+        (state.pec, state.erase_epoch, state.bad),
+        counters_tuple(chip),
+    )
+
+
+def assert_same_block(left, right):
+    np.testing.assert_array_equal(left[0], right[0])
+    assert left[1:] == right[1:]
+
+
+ERASES = {
+    "erase": lambda chip: chip.erase_block(0),
+    "age": lambda chip: chip.age_block(0, 1200),
+    "cycle": lambda chip: chip.cycle_block(0, 2),
+}
+
+
+@pytest.mark.parametrize("how", list(ERASES))
+def test_erase_of_untouched_block_equals_touch_then_erase(how, monkeypatch):
+    """The epoch-0 fill an erase would overwrite is skipped, and the
+    block ends exactly as touching it first and then erasing leaves it."""
+    fresh, touched = chip_pair(61)
+    touched.is_bad_block(0)  # materialises block 0 with its epoch-0 fill
+    fills = []
+    fill = FlashChip._fill_erased
+    monkeypatch.setattr(
+        FlashChip, "_fill_erased",
+        lambda chip, state: (fills.append(chip), fill(chip, state)),
+    )
+    for chip in (fresh, touched):
+        ERASES[how](chip)
+    assert fills.count(fresh) == fills.count(touched)
+    assert_same_block(block_snapshot(fresh, 0), block_snapshot(touched, 0))
+    np.testing.assert_array_equal(
+        fresh.probe_voltages_batch(0, range(PAGES_PER_BLOCK)),
+        touched.probe_voltages_batch(0, range(PAGES_PER_BLOCK)),
+    )
+
+
+@pytest.mark.parametrize("how", ["erase", "age"])
+def test_refused_erase_of_untouched_block_leaves_it_filled(how):
+    """A factory-bad block still raises EraseError and keeps its
+    epoch-0 fill, exactly as when it was touched first."""
+    fresh = FlashChip(GEOMETRY, TEST_MODEL.params, seed=3, factory_bad_blocks=1)
+    touched = FlashChip(
+        GEOMETRY, TEST_MODEL.params, seed=3, factory_bad_blocks=1
+    )
+    (bad,) = fresh.factory_bad_blocks
+    touched.is_bad_block(bad)
+    for chip in (fresh, touched):
+        with pytest.raises(EraseError, match="marked bad"):
+            if how == "erase":
+                chip.erase_block(bad)
+            else:
+                chip.age_block(bad, 500)
+    assert_same_block(block_snapshot(fresh, bad), block_snapshot(touched, bad))
+    assert fresh.counters.total_ops == 0
+    np.testing.assert_array_equal(
+        fresh.read_pages(bad, range(PAGES_PER_BLOCK)),
+        touched.read_pages(bad, range(PAGES_PER_BLOCK)),
+    )
+
+
+def test_strict_endurance_refusal_of_untouched_block_leaves_it_filled():
+    """Aging an untouched block past strict endurance raises WearOutError
+    and leaves the epoch-0 fill at the wear it was drawn at, while an
+    erase within endurance still skips the dead fill."""
+    endurance = TEST_MODEL.params.wear.endurance_pec
+    fresh, touched = (
+        FlashChip(GEOMETRY, TEST_MODEL.params, seed=9, strict_endurance=True)
+        for _ in range(2)
+    )
+    for block in (0, 1):
+        touched.is_bad_block(block)
+    for chip in (fresh, touched):
+        with pytest.raises(WearOutError, match="exceeded endurance"):
+            chip.age_block(0, endurance + 2)
+        chip.erase_block(1)
+    for block in (0, 1):
+        assert_same_block(
+            block_snapshot(fresh, block), block_snapshot(touched, block)
+        )
+    assert fresh.is_bad_block(0) and not fresh.is_bad_block(1)
+    assert fresh.block_pec(0) == endurance + 1

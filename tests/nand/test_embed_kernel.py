@@ -231,6 +231,8 @@ def programmed_chip():
         ([(1, 0, [1])], 36.0, 10, {"fraction": 2.5}, ValueError, "fraction"),
         ([(1, 0, [1])], 36.0, 10, {"precision": 0.0}, ValueError,
          "precision"),
+        ([(1, 0, [1, 7, 1])], 36.0, 10, {}, AddressError,
+         "repeats a cell index"),
     ],
 )
 def test_rejected_call_changes_nothing(

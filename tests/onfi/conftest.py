@@ -20,14 +20,20 @@ def local():
 
 
 @pytest.fixture
-def remote():
+def served():
+    """A RemoteChip and the chip its thread-backend server holds."""
     sock, handle = spawn_chip_server(
         TEST_MODEL.geometry, TEST_MODEL.params, seed=SEED, backend="thread"
     )
     chip = RemoteChip(sock, TEST_MODEL.geometry, TEST_MODEL.params)
-    yield chip
+    yield chip, handle.chip
     chip.close()
     handle.close()
+
+
+@pytest.fixture
+def remote(served):
+    return served[0]
 
 
 def page_bits(geometry, seed=0):

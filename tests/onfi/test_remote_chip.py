@@ -173,11 +173,14 @@ def test_counters_and_clock_track_exactly(remote, local, geometry):
     assert local.is_page_programmed(2, 1) == remote.is_page_programmed(2, 1)
 
 
-def test_error_parity_types_and_messages(remote, local, geometry):
+def test_error_parity_types_and_messages(served, local, geometry):
+    remote, server_chip = served
     bits = page_bits(geometry, 7)
     for chip in (local, remote):
         chip.program_page(1, 0, bits)
     nan = float("nan")
+    n_cells = geometry.cells_per_page
+    bad_page = geometry.pages_per_block
     operations = [
         lambda c: c.read_page(0, geometry.pages_per_block),
         lambda c: c.read_page(-1, 0),
@@ -200,13 +203,31 @@ def test_error_parity_types_and_messages(remote, local, geometry):
         lambda c: c.embed_locations([(1, 0, [3])], 36.0, 10, fraction=0.0),
         lambda c: c.embed_locations([(1, 0, [3])], 36.0, 10, fraction=2.5),
         lambda c: c.embed_locations([(1, 0, [3])], 36.0, 10, precision=0.0),
+        # Cell lists are checked before locations, client-side on the
+        # wire; a bad location with good lists still reaches the server.
+        lambda c: c.read_locations([(1, 0)], cells=[[1], [2]]),
+        lambda c: c.probe_voltages_locations([(1, 0)], cells=[]),
+        lambda c: c.read_locations([(1, 0)], cells=[[n_cells]]),
+        lambda c: c.probe_voltages_locations([(1, 0)], cells=[[-1]]),
+        lambda c: c.read_locations([(1, 0)], cells=[[[1, 2]]]),
+        lambda c: c.probe_voltages_locations([(1, 0)], cells=[[1.5]]),
+        lambda c: c.read_locations([(1, bad_page)], cells=[[n_cells]]),
+        lambda c: c.probe_voltages_locations(
+            [(1, bad_page), (1, 0)], cells=[[1]]
+        ),
+        lambda c: c.read_locations([(1, bad_page)], cells=[[1]]),
+        lambda c: c.probe_voltages_locations([(1, 0), (1, 0)], cells=[[1], []]),
+        # A pulse charges each listed cell once.
+        lambda c: c.partial_program(1, 0, [5, 9, 5]),
+        lambda c: c.embed_locations([(1, 0, [3, 4, 3])], 36.0, 10),
     ]
     pages = range(geometry.pages_per_block)
     for operation in operations:
         outcomes = []
-        for chip in (local, remote):
+        for chip, state in ((local, local), (remote, server_chip)):
             voltages = chip.probe_voltages_batch(1, pages)
             counters = chip.counters
+            exposure = [state._block(b).page_exposure.copy() for b in (0, 1)]
             try:
                 operation(chip)
                 if chip is remote:
@@ -216,6 +237,10 @@ def test_error_parity_types_and_messages(remote, local, geometry):
                 outcomes.append((type(exc), str(exc)))
             # A rejected operation changes nothing.
             assert chip.counters == counters
+            for block, before in zip((0, 1), exposure):
+                assert np.array_equal(
+                    state._block(block).page_exposure, before
+                )
             probed = chip.probe_voltages_batch(1, pages)
             assert np.array_equal(probed, voltages)
         assert outcomes[0] == outcomes[1]
@@ -302,6 +327,29 @@ def test_set_read_threshold_rejects_out_of_range(remote, local, geometry):
     shifted = local.read_page(3, 1, threshold=60.0)
     assert not np.array_equal(shifted, local.read_page(3, 1))
     assert np.array_equal(remote.read_page(3, 1), shifted)
+
+
+def test_read_threshold_rejected_off_the_wire(served, local, geometry):
+    """A read's own level gets SET_READ_THRESHOLD's 0-255 check on the
+    server: NaN, -5 and 256 fail with CommandError and charge nothing,
+    0 and 255 read as the in-process chip does."""
+    remote, server_chip = served
+    bits = page_bits(geometry, 8)
+    for chip in (local, remote):
+        chip.program_page(2, 0, bits)
+    for level in (float("nan"), -5.0, 256.0):
+        counters = remote.counters
+        exposure = server_chip._block(2).page_exposure.copy()
+        with pytest.raises(CommandError, match="outside 0-255"):
+            remote.read_locations([(2, 0)], threshold=level)
+        assert remote.read_status().failed
+        assert remote.counters == counters
+        assert np.array_equal(server_chip._block(2).page_exposure, exposure)
+    for level in (0.0, 255.0):
+        assert np.array_equal(
+            remote.read_page(2, 0, threshold=level),
+            local.read_page(2, 0, threshold=level),
+        )
 
 
 # ----------------------------------------------------------------------

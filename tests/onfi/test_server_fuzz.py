@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.nand import TEST_MODEL, FlashChip
 from repro.nand.errors import CommandError, NandError
 from repro.onfi import (
+    FLAG_THRESHOLD,
     ChipServer,
     FrameReader,
     Op,
@@ -153,6 +154,45 @@ def test_embed_frame_limits_rejected_before_the_chip(payload, match):
         int(Op.EMBED_LOCATIONS), 0, 2, embed_frame()
     )
     assert not status & STATUS_FAIL
+
+
+def read_frame(level):
+    """A READ_LOCATIONS request for page (0, 0) at its own level."""
+    return encode(
+        OPS[Op.READ_LOCATIONS].request,
+        {"threshold": level, "locations": [(0, 0)]},
+        FLAG_THRESHOLD,
+    )
+
+
+@pytest.mark.parametrize(
+    "level", [float("nan"), -5.0, 256.0], ids=["nan", "minus-5", "256"]
+)
+def test_read_frame_threshold_checked_before_the_chip(level):
+    """A READ_LOCATIONS frame's own level gets SET_READ_THRESHOLD's
+    0-255 check: outside it (NaN included) the frame fails with
+    CommandError, and no read or read disturb is charged."""
+    server = fresh_server()
+    chip = server.chip
+    chip.program_page(0, 0, np.zeros(GEOMETRY.cells_per_page, np.uint8))
+    exposure = chip._block(0).page_exposure.copy()
+    counters = chip.counters.copy()
+    status, out, keep = server.handle_frame(
+        int(Op.READ_LOCATIONS), FLAG_THRESHOLD, 1, read_frame(level)
+    )
+    assert status & STATUS_FAIL and keep
+    error = decode_error(out)
+    assert type(error) is CommandError
+    assert "outside 0-255" in str(error)
+    assert chip.counters == counters
+    assert np.array_equal(chip._block(0).page_exposure, exposure)
+    # The edges of the range read.
+    for tag, edge in enumerate((0.0, 255.0), start=2):
+        status, _, _ = server.handle_frame(
+            int(Op.READ_LOCATIONS), FLAG_THRESHOLD, tag, read_frame(edge)
+        )
+        assert not status & STATUS_FAIL
+    assert chip.counters.diff(counters).reads == 2
 
 
 @given(payloads=st.lists(st.binary(max_size=32), max_size=8))
