@@ -16,18 +16,21 @@ Batch APIs (:meth:`BchCode.encode_many` / :meth:`BchCode.decode_many`)
 vectorise the per-page hot paths: encoding is one GF(2) matrix multiply
 against the precomputed parity generator, and decoding re-encodes the
 whole batch to find the dirty words, so the common error-free case never
-touches Berlekamp-Massey or Chien search.  Dirty words no longer fall
-back to scalar Python either: Berlekamp-Massey runs in lockstep over the
-whole dirty batch as numpy int arrays (fixed 2t iterations, each a fixed
-handful of gathers on the zero-sentinel log/antilog tables of
-:mod:`repro.ecc.gf`, so its numpy call count does not grow with the
-locator length and one kernel serves a 1-word batch as well as a
-500-word one), and Chien search evaluates all error locators at all
-positions via a precomputed ``(t+1, n)`` exponent matrix — log-domain
-adds plus antilog gathers, no per-root loop.  Codecs are cached in a
-process-wide registry (:func:`get_code`), so the expensive generator /
-remainder / Chien tables are built once per process — including pool
-workers.
+touches Berlekamp-Massey or Chien search.  The dirty words take one of
+two kernels, chosen by how many there are.  Up to
+:data:`SCALAR_MAX_ROWS` go word by word: Berlekamp-Massey on Python ints
+over the zero-sentinel log/antilog lists of :mod:`repro.ecc.gf`, and one
+Chien gather per word.  More run in lockstep as numpy int arrays, where
+each Berlekamp-Massey step is a fixed handful of whole-batch gathers on
+the same tables, so the numpy call count does not grow with the batch or
+the locator length — but neither does it shrink for a 1-word batch.
+Chien search there evaluates every locator at every position via a
+precomputed ``(t+1, n)`` exponent matrix, up to the batch's largest
+locator degree.  Both kernels take t Berlekamp-Massey steps instead of
+2t when the syndromes satisfy ``S_2j = S_j^2``, which those of a binary
+word always do.  Codecs are cached in a process-wide registry
+(:func:`get_code`), so the expensive generator / remainder / Chien tables
+are built once per process — including pool workers.
 """
 
 from __future__ import annotations
@@ -55,6 +58,17 @@ _OBS = {
     "errors_corrected": obs.counter("bch.decode.errors_corrected"),
     "failures": obs.counter("bch.decode.failures"),
 }
+
+#: Dirty chunks of at most this many words take the per-word kernel
+#: (:meth:`BchCode._decode_dirty_rows`), larger ones the lockstep kernel.
+#: Per-word / lockstep time per ``decode_many`` call of B dirty words,
+#: medians of 7 alternating runs on a 2-CPU x86 host (single-threaded
+#: BLAS): the fleet's (10, 30) on 639-bit words 0.22 at B = 1, 0.58 at
+#: 8, 0.88 at 16, 0.96 at 20; the page pipeline's (13, 8) on 4,512-bit
+#: words 0.44 at 1, 0.87 at 8, 0.97 at 12, 1.03 at 16.  8 is the largest
+#: size at which the per-word kernel leads at both codes by more than
+#: the run-to-run noise.
+SCALAR_MAX_ROWS = 8
 
 
 class EccError(Exception):
@@ -264,13 +278,15 @@ class BchCode:
 
         Dispatch is weight-aware: words whose syndromes are all zero —
         the overwhelmingly common case on a healthy page — skip
-        Berlekamp-Massey and Chien search entirely, and the dirty rest
-        runs through the *batched* solver (lockstep Berlekamp-Massey,
-        table-driven Chien search) rather than per-word Python.  Results
-        are identical to ``[self.decode(w) for w in codeword_words]``; an
-        uncorrectable word raises :class:`EccError` with ``batch_index``
-        set to the lowest failing input position (the word the scalar
-        loop would have raised on).
+        Berlekamp-Massey and Chien search entirely.  The dirty rest goes
+        word by word when there are at most :data:`SCALAR_MAX_ROWS` of
+        them (a fleet round's one or two slots), and through the
+        lockstep solver otherwise.  Results are identical to
+        ``[self.decode(w) for w in codeword_words]`` whichever kernel
+        runs, so any split of a batch decodes alike; an uncorrectable
+        word raises :class:`EccError` with ``batch_index`` set to the
+        lowest failing input position (the word the scalar loop would
+        have raised on).
 
         With ``on_error="return"``, uncorrectable words do not raise;
         their result slot holds the :class:`EccError` instance instead
@@ -369,9 +385,15 @@ class BchCode:
     def _decode_dirty_batch(
         self, received: np.ndarray, syndromes: np.ndarray, shortening: int
     ) -> List:
-        outcomes = self._decode_dirty_batch_inner(
-            received, syndromes, shortening
+        """One outcome per dirty row, from the per-word kernel for chunks
+        of at most :data:`SCALAR_MAX_ROWS` rows and the lockstep kernel
+        above that; both equal the scalar decoder row for row."""
+        kernel = (
+            self._decode_dirty_rows
+            if received.shape[0] <= SCALAR_MAX_ROWS
+            else self._decode_dirty_lockstep
         )
+        outcomes = kernel(received, syndromes, shortening)
         if obs.is_enabled():
             failures = corrected = 0
             for outcome in outcomes:
@@ -383,7 +405,57 @@ class BchCode:
             _OBS["errors_corrected"].inc(corrected)
         return outcomes
 
-    def _decode_dirty_batch_inner(
+    def _decode_dirty_rows(
+        self, received: np.ndarray, syndromes: np.ndarray, shortening: int
+    ) -> List:
+        """Per-word locator path for small dirty chunks.
+
+        Same arguments and outcomes as :meth:`_decode_dirty_lockstep`,
+        whose per-step numpy calls cost as much for one word as for 64:
+        here Berlekamp-Massey runs on Python ints
+        (:meth:`_berlekamp_massey_row`) and each word's Chien search is
+        one gather (:meth:`_chien_row`).  The checks run in the lockstep
+        kernel's order with its messages: locator degree, root count,
+        then the syndromes of the flips.
+        """
+        outcomes: List = []
+        _OBS["bm_words"].inc(received.shape[0])
+        searched = 0
+        for row, syndrome_row in enumerate(syndromes.tolist()):
+            locator = self._berlekamp_massey_row(syndrome_row)
+            degree = len(locator) - 1
+            if degree > self.t:
+                outcomes.append(EccError(
+                    f"error locator degree {degree} exceeds t={self.t}"
+                ))
+                continue
+            searched += 1
+            positions = self._chien_row(locator, shortening)
+            if positions.size != degree:
+                outcomes.append(EccError(
+                    "Chien search found "
+                    f"{positions.size} roots for a degree-{degree} locator"
+                ))
+                continue
+            # S(corrected) = S(received) ^ S(flips), as in the lockstep
+            # kernel's recheck.
+            flips = self._power_table()[
+                :, self.n - 1 - shortening - positions
+            ]
+            if (syndromes[row] ^ np.bitwise_xor.reduce(flips, axis=1)).any():
+                outcomes.append(EccError(
+                    "correction did not zero the syndromes"
+                ))
+                continue
+            word = received[row].copy()
+            word[positions] ^= 1
+            outcomes.append(DecodeResult(
+                word[: -self.n_parity], degree, word, positions
+            ))
+        _OBS["chien_words"].inc(searched)
+        return outcomes
+
+    def _decode_dirty_lockstep(
         self, received: np.ndarray, syndromes: np.ndarray, shortening: int
     ) -> List:
         """Batched locator path for words with non-zero syndromes.
@@ -694,8 +766,74 @@ class BchCode:
         return np.flatnonzero(values == 0)
 
     # ------------------------------------------------------------------
-    # batched locator kernels: the dirty-path counterparts of the scalar
-    # Berlekamp-Massey / Chien methods above, bit-identical per word
+    # the dirty path's locator kernels: per-word and batched counterparts
+    # of the scalar Berlekamp-Massey / Chien methods above, bit-identical
+    # per word
+
+    def _berlekamp_massey_row(self, syndromes: List[int]) -> List[int]:
+        """:meth:`_berlekamp_massey` for one word, on Python ints.
+
+        Equal to it on any syndrome sequence.  The field's zero-sentinel
+        lists make every product one lookup, and a fixed ``2t + 1``-wide
+        sigma needs no growth: taps past a word's own length are zeros,
+        which the sentinel turns into zero products.  When
+        ``S_2j = S_j^2`` for every j, as it is for the syndromes of any
+        binary word, the odd (0-based) steps are skipped: that identity
+        makes their discrepancy zero (Berlekamp's simplification for
+        binary BCH), so all they would do is advance the gap counter.
+        t steps run instead of 2t.
+        """
+        exp, log = self.field.exp, self.field.log
+        order = self.field.order
+        n_syndromes = len(syndromes)
+        log_s = [log[s] for s in syndromes]
+        binary = all(
+            exp[2 * log_s[j]] == syndromes[2 * j + 1]
+            for j in range(n_syndromes // 2)
+        )
+        step = 2 if binary else 1
+        sigma = [1] + [0] * n_syndromes
+        prev = sigma
+        log_prev_discrepancy = 0
+        gap = 1
+        length = prev_length = 0
+        for i in range(0, n_syndromes, step):
+            discrepancy = syndromes[i]
+            for j in range(1, length + 1):
+                discrepancy ^= exp[log[sigma[j]] + log_s[i - j]]
+            if discrepancy == 0:
+                gap += step
+                continue
+            log_scale = (log[discrepancy] - log_prev_discrepancy) % order
+            # prev's taps beyond prev_length are zero, and Massey's
+            # bookkeeping keeps gap + prev_length = i + 1 - length <= 2t.
+            adjusted = sigma.copy()
+            for k in range(prev_length + 1):
+                adjusted[gap + k] ^= exp[log_scale + log[prev[k]]]
+            if 2 * length <= i:
+                prev, prev_length = sigma, length
+                log_prev_discrepancy = log[discrepancy]
+                length = i + 1 - length
+                gap = step
+            else:
+                gap += step
+            sigma = adjusted
+        degree = n_syndromes
+        while degree and sigma[degree] == 0:
+            degree -= 1
+        return sigma[: degree + 1]
+
+    def _chien_row(self, locator: List[int], shortening: int) -> np.ndarray:
+        """:meth:`_chien_search` in one gather: every coefficient of the
+        locator at every transmitted position, XOR-reduced over the
+        coefficients; the roots are the zeros, ascending.  ``locator``
+        has degree <= t."""
+        top = self.n - 1 - shortening  # degree of transmitted bit 0
+        table = self._chien_table()[: len(locator), top::-1]
+        values = np.bitwise_xor.reduce(
+            self._exp[self.field.log_np[locator][:, None] + table], axis=0
+        )
+        return np.flatnonzero(values == 0)
 
     def _berlekamp_massey_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Error-locator polynomials for a whole batch, in lockstep.
@@ -703,7 +841,7 @@ class BchCode:
         ``syndromes`` is ``(B, 2t)`` int64; returns ``(B, 2t + 1)`` int64
         coefficient rows, lowest degree first.  Row b equals
         ``_berlekamp_massey(list(syndromes[b]))`` zero-padded on the
-        right: the iteration count (2t) is data-independent, so all words
+        right: every word takes the same iterations, so all words
         advance together and per-word control flow becomes masks.  Width
         2t + 1 suffices because Massey's invariant deg(sigma) <= L <= 2t
         bounds every locator the scalar code can build.
@@ -712,13 +850,21 @@ class BchCode:
         field's zero-sentinel tables (a zero operand lands in the antilog
         table's zero tail, so no product needs a zero mask): one for the
         discrepancy window, one for the scale, one for the ``x^gap``
-        shift of the previous locator and one for the adjustment.
+        shift of the previous locator and one for the adjustment.  When
+        every row has ``S_2j = S_j^2`` (one compare over the batch), the
+        odd steps are skipped as in :meth:`_berlekamp_massey_row`; one
+        row without it puts the whole batch on all 2t steps.
         """
         exp = self.field.exp_np
         log = self.field.log_np
         log_zero = self.field.log_zero
         order = self.field.order
         n_rows, n_syndromes = syndromes.shape
+        half = n_syndromes // 2
+        binary = (
+            exp[2 * log[syndromes[:, :half]]] == syndromes[:, 1::2]
+        ).all()
+        step = 2 if binary else 1
         width = n_syndromes + 1
         # Syndrome logs, taken once and reversed, so that the partners
         # S_i, S_(i-1), ..., S_(i-L) of taps 0..L are one slice.
@@ -747,7 +893,7 @@ class BchCode:
         m_gap = np.ones(n_rows, dtype=np.int64)
         length = np.zeros(n_rows, dtype=np.int64)
         longest = 0
-        for i in range(n_syndromes):
+        for i in range(0, n_syndromes, step):
             # S_i + sum_j sigma_j S_(i-j) over taps j = 1..length, tap 0
             # (sigma_0 = 1) contributing S_i.  longest <= i here (lengths
             # were set at earlier iterations), so the window of partners
@@ -759,7 +905,7 @@ class BchCode:
             )
             active = discrepancy != 0
             if not active.any():
-                m_gap += 1
+                m_gap += step
                 continue
             # Inactive rows have discrepancy 0, hence scale 0, so their
             # adjustment vanishes and sigma passes through unchanged.
@@ -771,7 +917,7 @@ class BchCode:
             np.copyto(prev_sigma, sigma, where=update[:, None])
             np.copyto(prev_discrepancy, discrepancy, where=update)
             length = np.where(update, i + 1 - length, length)
-            m_gap = np.where(update, 1, m_gap + 1)
+            m_gap = np.where(update, step, m_gap + step)
             sigma ^= adjustment
             longest = int(length.max())
             log_taps = np.where(
@@ -804,9 +950,10 @@ class BchCode:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Root positions of every locator at every transmitted position.
 
-        ``sigma`` is ``(B, >= t + 1)`` locator rows of degree <= t;
-        returns ``(root_rows, root_cols)`` index arrays in row-major
-        order — exactly the ``(row, position)`` pairs where
+        ``sigma`` is ``(B, >= t + 1)`` locator rows of degree <= t,
+        evaluated up to the largest degree among them; returns
+        ``(root_rows, root_cols)`` index arrays in row-major order —
+        exactly the ``(row, position)`` pairs where
         sigma(alpha^-degree) == 0, i.e. the positions the scalar Chien
         search returns per word.  Two table-driven passes instead of one
         Python loop per word: a byte-folded screen over the full
@@ -815,11 +962,13 @@ class BchCode:
         candidates.
         """
         n_rows = sigma.shape[0]
-        n_coeffs = min(self.t, sigma.shape[1] - 1) + 1
+        # Coefficients above the batch's largest degree are zero in
+        # every row and contribute nothing.
+        n_coeffs = int(np.flatnonzero(sigma.any(axis=0))[-1]) + 1
         degrees = (
             self.n - 1 - shortening - np.arange(word_len, dtype=np.int64)
         )
-        table = self._chien_table()[:, degrees]  # (t + 1, word_len)
+        table = self._chien_table()[:n_coeffs, degrees]
         log16 = self._log16
         folded = np.zeros((n_rows, word_len), dtype=np.uint8)
         for k in range(n_coeffs):

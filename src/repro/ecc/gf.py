@@ -4,13 +4,14 @@ The base layer for the BCH codec.  Elements are represented as integers in
 ``[0, 2^m)`` whose bits are polynomial coefficients over GF(2); arithmetic
 uses precomputed exponential/logarithm tables over a primitive element.
 
-Besides the scalar ops, the field carries one zero-sentinel pair of numpy
-tables (:attr:`GF2m.log_np` / :attr:`GF2m.exp_np`) on which products and
-quotients of whole arrays are single gathers, zero operands included:
-``exp_np[log_np[a] + log_np[b]]`` is ``a * b`` and
-``exp_np[log_np[a] - log_np[b] + order]`` is ``a / b`` for ``b != 0``.
-The batched Berlekamp-Massey and Chien kernels in :mod:`repro.ecc.bch`
-work on these tables directly.
+Besides the scalar ops, the field carries one zero-sentinel table pair on
+which products and quotients are single lookups, zero operands included:
+``exp[log[a] + log[b]]`` is ``a * b`` and ``exp[log[a] - log[b] + order]``
+is ``a / b`` for ``b != 0``.  It comes twice: as Python lists
+(:attr:`GF2m.log` / :attr:`GF2m.exp`), which the per-word kernels in
+:mod:`repro.ecc.bch` index with Python ints, and as numpy arrays
+(:attr:`GF2m.log_np` / :attr:`GF2m.exp_np`), on which the batched
+Berlekamp-Massey and Chien kernels gather whole arrays.
 """
 
 from __future__ import annotations
@@ -78,7 +79,16 @@ class GF2m:
         #: Multiplicative group order.
         self.order = self.size - 1
         self.poly = PRIMITIVE_POLYS[m]
-        self.exp: List[int] = [0] * (2 * self.order)
+        #: The zero-sentinel table pair: ``exp`` is the duplicated
+        #: antilog table followed by zeros up to index ``2 * log_zero``,
+        #: and ``log[0]`` is the sentinel ``log_zero``.  Product
+        #: indices (log + log) and quotient indices (log - log + order,
+        #: nonzero divisor) of nonzero elements stay below
+        #: ``2 * order = log_zero``; with a zero operand they land in the
+        #: zero tail.  So one lookup computes either, with no modulo and
+        #: no zero test.
+        self.log_zero = 2 * self.order
+        self.exp: List[int] = [0] * (2 * self.log_zero + 1)
         self.log: List[int] = [0] * self.size
         value = 1
         for i in range(self.order):
@@ -92,21 +102,12 @@ class GF2m:
         # Duplicate the exp table so products of logs need no modulo.
         for i in range(self.order, 2 * self.order):
             self.exp[i] = self.exp[i - self.order]
-        #: The zero-sentinel table pair.  ``exp_np`` is the duplicated
-        #: antilog table followed by zeros up to index ``2 * log_zero``,
-        #: and ``log_np[0]`` is the sentinel ``log_zero``.  Product
-        #: indices (log + log) and quotient indices (log - log + order,
-        #: nonzero divisor) of nonzero elements stay below
-        #: ``2 * order = log_zero``; with a zero operand they land in the
-        #: zero tail.  So one gather computes either, with no modulo and
-        #: no zero mask.  The largest index a kernel forms is
-        #: ``2 * log_zero`` (0 * 0), past the int16 range for m = 14:
-        #: the tables are int64 throughout.
-        self.log_zero = 2 * self.order
-        self.exp_np = np.zeros(2 * self.log_zero + 1, dtype=np.int64)
-        self.exp_np[: 2 * self.order] = self.exp
+        self.log[0] = self.log_zero
+        #: The same pair as numpy arrays.  The largest index a kernel
+        #: forms is ``2 * log_zero`` (0 * 0), past the int16 range for
+        #: m = 14: the arrays are int64 throughout.
+        self.exp_np = np.array(self.exp, dtype=np.int64)
         self.log_np = np.array(self.log, dtype=np.int64)
-        self.log_np[0] = self.log_zero
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

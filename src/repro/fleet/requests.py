@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 #: The operation kinds a tenant may submit.
 KINDS = ("write", "read", "mount")
@@ -153,12 +153,17 @@ class RequestQueue:
         self.max_round_requests = max_round_requests
         self.stats = QueueStats()
         self._queues: Dict[int, Deque[QueuedRequest]] = {}
+        #: Tenants with at least one pending request, and the pending
+        #: total: ``len()`` is O(1) and a round sorts only the pending
+        #: tenants, not every tenant that ever submitted.
+        self._pending_tenants: Set[int] = set()
+        self._pending = 0
         #: Round-robin position: the next round starts at the first
         #: tenant id strictly greater than this.
         self._cursor = -1
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._pending
 
     def depth(self, tenant: int) -> int:
         queue = self._queues.get(tenant)
@@ -176,6 +181,8 @@ class RequestQueue:
                 f"({self.max_per_tenant} pending)"
             )
         queue.append(QueuedRequest(request, self.stats.rounds))
+        self._pending_tenants.add(request.tenant)
+        self._pending += 1
         self.stats.submitted += 1
 
     def next_round_entries(self) -> List[QueuedRequest]:
@@ -187,7 +194,7 @@ class RequestQueue:
         sequence.  Entries keep their admission-time round stamps so the
         service can compute deterministic round latencies.
         """
-        active = sorted(t for t, q in self._queues.items() if q)
+        active = sorted(self._pending_tenants)
         if not active:
             return []
         cap = self.max_round_requests
@@ -195,7 +202,13 @@ class RequestQueue:
             cap = len(active)
         start = bisect_right(active, self._cursor)
         picked = [active[(start + i) % len(active)] for i in range(cap)]
-        round_entries = [self._queues[t].popleft() for t in picked]
+        round_entries = []
+        for tenant in picked:
+            queue = self._queues[tenant]
+            round_entries.append(queue.popleft())
+            if not queue:
+                self._pending_tenants.discard(tenant)
+        self._pending -= len(picked)
         self._cursor = picked[-1]
         self.stats.rounds += 1
         return round_entries

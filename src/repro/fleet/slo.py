@@ -12,13 +12,16 @@ itself an invariant) and across in-process vs remote execution.
 
 Percentiles use the nearest-rank definition: the smallest sample whose
 cumulative share is >= the requested percentile.  Exact on integer
-round counts — no interpolation, nothing float-sensitive.
+round counts — no interpolation, nothing float-sensitive: the rank is
+computed in rational arithmetic, since ``99.9 / 100.0`` rounds up in
+binary floating point and would push p99.9 one rank too far.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence
 
 from ..obs.report import table
@@ -35,7 +38,7 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     if not 0.0 < pct <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {pct}")
     ordered = sorted(samples)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
+    rank = math.ceil(Fraction(str(pct)) * len(ordered) / 100)
     return ordered[rank - 1]
 
 

@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.ecc import BchCode, EccError
-from repro.ecc.bch import get_code
+from repro.ecc.bch import SCALAR_MAX_ROWS, get_code
 
 CODE = BchCode(7, 5)  # n=127
 
 #: (m, t) pairs small enough that hypothesis can sweep them repeatedly.
 SMALL_PARAMS = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 2), (7, 5)]
+
+#: (m, t, word_len) of the shipped codes: the fleet's hidden slots and
+#: the page pipeline's words.
+SHIPPED = [(10, 30, 639), (13, 8, 4512)]
 
 
 def _random_words(code, rng, n_words, shortened=True):
@@ -231,3 +236,97 @@ class TestCodecRegistry:
         assert np.array_equal(
             get_code(6, 2).encode(data), BchCode(6, 2).encode(data)
         )
+
+
+def _mixed_words(code, word_len, rng, n_words):
+    """Clean words, words with 1..t errors, weight-(t+1) words and
+    random words (a mount scan's misses), in random order."""
+    datas = rng.integers(0, 2, (n_words, word_len - code.n_parity))
+    words = code.encode_many(list(datas.astype(np.uint8)))
+    for word in words:
+        kind = rng.choice(["clean", "dirty", "dirty", "over", "random"])
+        if kind == "random":
+            word[:] = rng.integers(0, 2, word_len)
+        elif kind != "clean":
+            weight = code.t + 1 if kind == "over" else rng.integers(1, code.t + 1)
+            word[rng.choice(word_len, size=weight, replace=False)] ^= 1
+    return words
+
+
+def _decode_counted(code, words):
+    """``decode_many(words, on_error="return")`` plus the call's
+    ``bch.decode.*`` counter deltas."""
+    with obs.collect(absorb=False) as scope:
+        results = code.decode_many(words, on_error="return")
+    counters = {
+        name: value
+        for name, value in scope.snapshot.counters.items()
+        if name.startswith("bch.decode.")
+    }
+    return results, counters
+
+
+def _raised(code, words):
+    """``(batch_index, message)`` of the error ``decode_many`` raises,
+    or None."""
+    try:
+        code.decode_many(words)
+    except EccError as error:
+        return error.batch_index, str(error)
+    return None
+
+
+class TestSplitInvariance:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_split_decodes_like_the_whole(self, data):
+        """``decode_many`` over any split of a batch, with chunks on both
+        sides of ``SCALAR_MAX_ROWS``, equals one call over the whole:
+        every result, every ``EccError`` message and ``batch_index`` in
+        both ``on_error`` modes, and the ``bch.decode.*`` counters."""
+        m, t, word_len = data.draw(st.sampled_from(SHIPPED))
+        code = get_code(m, t)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        words = _mixed_words(
+            code, word_len, rng,
+            data.draw(st.integers(1, 3 * SCALAR_MAX_ROWS)),
+        )
+        starts = [0]
+        while starts[-1] < len(words):
+            starts.append(
+                starts[-1]
+                + data.draw(st.integers(1, 2 * SCALAR_MAX_ROWS + 1))
+            )
+        chunks = list(zip(starts[:-1], starts[1:]))
+        was_enabled = obs.is_enabled()
+        obs.set_enabled(True)
+        try:
+            whole, whole_counters = _decode_counted(code, words)
+            parts, part_counters = [], {}
+            for start, stop in chunks:
+                results, counters = _decode_counted(code, words[start:stop])
+                parts += [(start, result) for result in results]
+                for name, value in counters.items():
+                    part_counters[name] = part_counters.get(name, 0) + value
+        finally:
+            obs.set_enabled(was_enabled)
+        assert part_counters == whole_counters
+        for index, (got, (start, part)) in enumerate(zip(whole, parts)):
+            if isinstance(got, EccError):
+                assert isinstance(part, EccError)
+                assert str(part) == str(got)
+                assert got.batch_index == index == start + part.batch_index
+                continue
+            assert not isinstance(part, EccError)
+            assert np.array_equal(part.data, got.data)
+            assert part.corrected_errors == got.corrected_errors
+            assert np.array_equal(part.codeword, got.codeword)
+            assert part.error_positions.dtype == got.error_positions.dtype
+            assert np.array_equal(part.error_positions, got.error_positions)
+        first_part_error = None
+        for start, stop in chunks:
+            raised = _raised(code, words[start:stop])
+            if raised is not None:
+                first_part_error = (start + raised[0], raised[1])
+                break
+        assert first_part_error == _raised(code, words)

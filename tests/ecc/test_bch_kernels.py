@@ -1,11 +1,13 @@
-"""The batched locator kernels, tested against their scalar twins.
+"""The dirty path's locator kernels, tested against their scalar twins.
 
 `test_bch_batch.py` pins the end-to-end ``decode_many`` contract; this
-module aims lower, at the kernels the dirty path is made of —
-``_berlekamp_massey_batch`` against ``_berlekamp_massey`` and
-``_chien_batch`` against ``_chien_search`` — plus the bookkeeping that
-stitches them back into per-word results (``error_positions``,
-``batch_index``) for mixed clean/dirty/failing batches.
+module aims lower, at the kernels the dirty path is made of — the
+lockstep ``_berlekamp_massey_batch`` and the per-word
+``_berlekamp_massey_row`` against ``_berlekamp_massey``, and
+``_chien_batch`` and ``_chien_row`` against ``_chien_search`` — plus the
+bookkeeping that stitches them back into per-word results
+(``error_positions``, ``batch_index``) for mixed clean/dirty/failing
+batches.
 """
 
 import numpy as np
@@ -44,22 +46,40 @@ def _corrupted_batch(code, rng, n_words, weights=None):
     return words, cleans
 
 
+def _assert_chien_matches_scalar(code, locators, shortening, word_len):
+    """The batched search over all `locators` at once, and the per-word
+    search over each, return exactly the scalar root set per locator."""
+    sigma = np.zeros((len(locators), 2 * code.t + 1), dtype=np.int64)
+    for row, locator in enumerate(locators):
+        sigma[row, : len(locator)] = locator
+    root_rows, root_cols = code._chien_batch(sigma, shortening, word_len)
+    for row, locator in enumerate(locators):
+        expected = code._chien_search(locator, shortening, word_len)
+        assert np.array_equal(root_cols[root_rows == row], expected)
+        assert np.array_equal(code._chien_row(locator, shortening), expected)
+
+
 class TestBerlekampMasseyBatch:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_on_real_syndromes(self, data):
-        """Lockstep BM row-for-row equals the scalar loop on syndromes of
-        genuinely corrupted words, error weights 0..t+1."""
+        """Lockstep and per-word BM row-for-row equal the scalar loop on
+        syndromes of genuinely corrupted words, error weights 0..t+1,
+        and of random words."""
         m, t = data.draw(st.sampled_from(SMALL_PARAMS))
         code = get_code(m, t)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         words, _ = _corrupted_batch(code, rng, 8)
+        words += [
+            rng.integers(0, 2, code.n).astype(np.uint8) for _ in range(2)
+        ]
         rows = []
         scalars = []
         for word in words:
             syndromes = code._syndromes(word, code.n - word.size)
             rows.append(syndromes)
             scalars.append(code._berlekamp_massey(syndromes))
+            assert code._berlekamp_massey_row(syndromes) == scalars[-1]
         batch = code._berlekamp_massey_batch(
             np.array(rows, dtype=np.int64)
         )
@@ -86,6 +106,7 @@ class TestBerlekampMasseyBatch:
             )
             padded = scalar + [0] * (row.size - len(scalar))
             assert row.tolist() == padded
+            assert code._berlekamp_massey_row(syndrome_row.tolist()) == scalar
 
     @pytest.mark.parametrize(
         "m,t,word_len", SHIPPED, ids=[f"m{m}t{t}" for m, t, _ in SHIPPED]
@@ -94,10 +115,11 @@ class TestBerlekampMasseyBatch:
         """Row-for-row agreement at the shipped field sizes, where the
         hypothesis sweeps do not reach: syndromes of error patterns of
         weight 0..t+1 (a corrupted codeword's syndromes are its error
-        pattern's), random words, all-zero rows, and arbitrary
-        syndromes with zeros — in one mixed batch and one row at a
-        time."""
+        pattern's), random words, a pattern with S_1 = 0, all-zero
+        rows, and arbitrary syndromes with zeros — in one mixed batch
+        and one row at a time."""
         code = get_code(m, t)
+        field = code.field
         rng = np.random.default_rng(m * 100 + t)
         shortening = code.n - word_len
         patterns = []
@@ -108,6 +130,18 @@ class TestBerlekampMasseyBatch:
         patterns += [
             rng.integers(0, 2, word_len).astype(np.uint8) for _ in range(6)
         ]
+        # Three error locators that sum to zero, so S_1 = 0: the binary
+        # shortcut's first step has a zero discrepancy in every row of a
+        # one-row batch, and a later step does not.  Position i is
+        # degree word_len - 1 - i.
+        top = word_len - 1
+        for second in range(1, word_len):
+            third = top - field.log[field.exp[top] ^ field.exp[top - second]]
+            if second < third < word_len:
+                break
+        pattern = np.zeros(word_len, dtype=np.uint8)
+        pattern[[0, second, third]] = 1
+        patterns.append(pattern)
         rows = [code._syndromes(p, shortening) for p in patterns]
         rows += [[0] * (2 * t)] * 3
         arbitrary = rng.integers(0, code.field.size, (6, 2 * t))
@@ -122,6 +156,36 @@ class TestBerlekampMasseyBatch:
             assert batch[position].tolist() == padded
             single = code._berlekamp_massey_batch(syndromes[index:index + 1])
             assert single[0].tolist() == padded
+            assert code._berlekamp_massey_row(rows[index]) == scalar
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_non_binary_row_puts_the_batch_on_all_steps(self, data):
+        """The binary shortcut's guard: syndromes of binary words
+        (``S_2j = S_j^2``) plus one row that breaks the identity at a
+        random j; every row still equals the scalar loop, in the
+        lockstep and the per-word kernel."""
+        m, t = data.draw(st.sampled_from(SMALL_PARAMS + [(10, 30)]))
+        code = get_code(m, t)
+        field = code.field
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        words, _ = _corrupted_batch(code, rng, 5)
+        rows = [code._syndromes(w, code.n - w.size) for w in words]
+        broken = []  # S_1..S_2t with S_2j = S_j^2, then one S_2j off
+        for j in range(1, 2 * t + 1):
+            broken.append(
+                field.mul(broken[j // 2 - 1], broken[j // 2 - 1])
+                if j % 2 == 0
+                else int(rng.integers(1, field.size))
+            )
+        j = int(rng.integers(1, t + 1))
+        broken[2 * j - 1] ^= int(rng.integers(1, field.size))
+        rows.insert(int(rng.integers(0, len(rows) + 1)), broken)
+        batch = code._berlekamp_massey_batch(np.array(rows, dtype=np.int64))
+        for row, syndromes in zip(batch, rows):
+            scalar = code._berlekamp_massey(syndromes)
+            assert row.tolist() == scalar + [0] * (row.size - len(scalar))
+            assert code._berlekamp_massey_row(syndromes) == scalar
 
 
 class TestChienBatch:
@@ -153,17 +217,26 @@ class TestChienBatch:
                     code._syndromes(bad, shortening)
                 )
             )
-        width = 2 * code.t + 1
-        sigma = np.zeros((len(locators), width), dtype=np.int64)
-        for row, locator in enumerate(locators):
-            sigma[row, : len(locator)] = locator
-        root_rows, root_cols = code._chien_batch(
-            sigma, shortening, word_len
-        )
-        for row, locator in enumerate(locators):
-            expected = code._chien_search(locator, shortening, word_len)
-            got = root_cols[root_rows == row]
-            assert np.array_equal(got, expected)
+        _assert_chien_matches_scalar(code, locators, shortening, word_len)
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 15, 29])
+    def test_batches_below_t(self, top):
+        """Batches whose largest locator degree is below t, down to 0
+        and 1, at the fleet code (t = 30): the search bounded by that
+        degree still finds exactly the scalar roots."""
+        code = get_code(10, 30)
+        word_len = 639
+        shortening = code.n - word_len
+        rng = np.random.default_rng(top)
+        locators = []
+        for weight in [top] + rng.integers(0, top + 1, 5).tolist():
+            pattern = np.zeros(word_len, dtype=np.uint8)
+            pattern[rng.choice(word_len, size=weight, replace=False)] = 1
+            locators.append(
+                code._berlekamp_massey(code._syndromes(pattern, shortening))
+            )
+        assert max(len(locator) for locator in locators) == top + 1
+        _assert_chien_matches_scalar(code, locators, shortening, word_len)
 
     def test_no_roots_case(self):
         """A locator with no roots in the window yields empty indices."""

@@ -1,6 +1,7 @@
 """Fleet service semantics: round-trips, statuses, rebuild, admission."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
     AdmissionError,
@@ -198,6 +199,49 @@ class TestAdmission:
         service = small_service()
         with pytest.raises(KeyError):
             service.submit(Request(99, "read", 0))
+
+    @given(
+        ops=st.lists(st.one_of(st.integers(0, 7), st.none()), max_size=80),
+        max_per_tenant=st.integers(1, 3),
+        cap=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_queue(self, ops, max_per_tenant, cap):
+        """Interleaved submits (an int: the tenant; rejections included)
+        and rounds (None): admissions, rounds, round stamps and stats
+        equal a queue that rescans every tenant, and ``len()`` is the
+        sum of the tenants' depths throughout."""
+        queue = RequestQueue(max_per_tenant, max_round_requests=cap)
+        pending = {}  # tenant -> [(lba, submitted_round)]
+        cursor, rounds, rejected = -1, 0, 0
+        for lba, op in enumerate(ops):
+            if op is None:
+                got = [
+                    (e.request.tenant, e.request.lba, e.submitted_round)
+                    for e in queue.next_round_entries()
+                ]
+                active = sorted(t for t, q in pending.items() if q)
+                order = [t for t in active if t > cursor]
+                order += [t for t in active if t <= cursor]
+                picked = order[: cap or len(order)]
+                assert got == [(t, *pending[t].pop(0)) for t in picked]
+                if picked:
+                    cursor, rounds = picked[-1], rounds + 1
+            elif len(pending.get(op, [])) < max_per_tenant:
+                queue.submit(Request(op, "read", lba))
+                pending.setdefault(op, []).append((lba, rounds))
+            else:
+                with pytest.raises(AdmissionError):
+                    queue.submit(Request(op, "read", lba))
+                rejected += 1
+            depths = {t: queue.depth(t) for t in range(8)}
+            assert depths == {t: len(pending.get(t, [])) for t in range(8)}
+            assert len(queue) == sum(depths.values())
+        submitted = len(ops) - ops.count(None) - rejected
+        assert (queue.stats.submitted, queue.stats.rejected) == (
+            submitted, rejected
+        )
+        assert queue.stats.rounds == rounds
 
 
 class TestRoundInvariants:

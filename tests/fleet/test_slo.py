@@ -9,6 +9,7 @@ form the same rounds) and across runs — the property that makes the
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.fleet import (
@@ -24,6 +25,7 @@ from repro.fleet import (
     render_slo_table,
     slo_rows,
 )
+from repro.fleet.slo import SLO_PERCENTILES
 
 
 def drained_responses(scheduler, tenants=6, seed=3, ops=5):
@@ -48,6 +50,25 @@ class TestPercentile:
 
     def test_order_independent(self):
         assert percentile([9, 1, 5], 50) == percentile([5, 9, 1], 50)
+
+    @pytest.mark.parametrize(
+        "n,rank", [(1_000, 999), (2_000, 1_998), (10_000, 9_990)]
+    )
+    def test_p999_rank_is_exact(self, n, rank):
+        """p99.9 of 1..n is the sample of rank ceil(0.999 n); the float
+        product 99.9 / 100.0 * n lands one rank higher at these n."""
+        assert percentile(list(range(1, n + 1)), 99.9) == rank
+
+    @given(
+        n=st.integers(1, 20_000),
+        pct=st.sampled_from(SLO_PERCENTILES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_nearest_rank(self, n, pct):
+        """The smallest rank r with r / n >= pct / 100, in integers."""
+        tenths = round(pct * 10)
+        rank = min(r for r in range(1, n + 1) if 1000 * r >= tenths * n)
+        assert percentile(list(range(n, 0, -1)), pct) == rank
 
     def test_rejects_empty_and_out_of_range(self):
         with pytest.raises(ValueError):
