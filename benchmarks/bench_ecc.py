@@ -8,7 +8,8 @@ does for the TEST_MODEL page):
 - ``decode_clean``: error-free page decode — the FTL/stego common case the
   all-zero-syndrome fast path exists for;
 - ``decode_dirty``: every codeword carries t errors — worst case for the
-  batched locator kernels (lockstep Berlekamp-Massey + table-driven Chien);
+  dirty path's per-word locator kernel (t-step Berlekamp-Massey on
+  Python ints + one table-driven Chien gather per word);
 - ``decode_dirty_w<k>``: a sweep over error weights 1, t/2, t and t+1 —
   the last one beyond capacity, timed with ``on_error="return"`` against a
   try/except scalar loop, the retention/high-PEC shape where failures are
@@ -19,10 +20,12 @@ and the fleet's hidden-page code (BCH m=10, t=30 on the 639-bit words a
 ``decode_many``:
 
 - ``fleet_b<B>`` for B in 1, 2, 8, 64: ``FLEET_WORDS`` words decoded in
-  batches of B, times per batch.  Every fleet word is dirty: most carry
-  1-20 raw errors (the natural-charge tail), and ``FLEET_RANDOM_SHARE``
-  of them are random — mount-scan misses, pages holding no slot under
-  the scanning key, which always fail.
+  batches of B, times per batch; every size takes the same per-word
+  kernel, so the rows show its amortisation of the batch re-encode and
+  syndrome gather.  Every fleet word is dirty: most carry 1-20 raw
+  errors (the natural-charge tail), and ``FLEET_RANDOM_SHARE`` of them
+  are random — mount-scan misses, pages holding no slot under the
+  scanning key, which always fail.
 
 Acceptance bars: batch/scalar >= 5x for ``decode_clean`` and
 ``decode_dirty`` (ISSUE 3), >= 2x for ``encode`` (ISSUE 2).  Usage::

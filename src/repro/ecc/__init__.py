@@ -1,11 +1,9 @@
-"""Error-correcting codes: BCH, repetition, interleaving, XOR parity."""
+"""Error-correcting codes: BCH, XOR parity, and the ECC-overhead planner."""
 
 from .bch import BchCode, DecodeResult, EccError
 from .gf import GF2m, PRIMITIVE_POLYS
-from .interleave import deinterleave, interleave
 from .overhead import EccPlan, binomial_tail, plan_for_budget, required_t
 from .parity import ParityGroup
-from .repetition import RepetitionCode
 
 __all__ = [
     "BchCode",
@@ -15,10 +13,7 @@ __all__ = [
     "GF2m",
     "PRIMITIVE_POLYS",
     "ParityGroup",
-    "RepetitionCode",
     "binomial_tail",
-    "deinterleave",
-    "interleave",
     "plan_for_budget",
     "required_t",
 ]

@@ -16,19 +16,13 @@ Batch APIs (:meth:`BchCode.encode_many` / :meth:`BchCode.decode_many`)
 vectorise the per-page hot paths: encoding is one GF(2) matrix multiply
 against the precomputed parity generator, and decoding re-encodes the
 whole batch to find the dirty words, so the common error-free case never
-touches Berlekamp-Massey or Chien search.  The dirty words take one of
-two kernels, chosen by how many there are.  Up to
-:data:`SCALAR_MAX_ROWS` go word by word: Berlekamp-Massey on Python ints
-over the zero-sentinel log/antilog lists of :mod:`repro.ecc.gf`, and one
-Chien gather per word.  More run in lockstep as numpy int arrays, where
-each Berlekamp-Massey step is a fixed handful of whole-batch gathers on
-the same tables, so the numpy call count does not grow with the batch or
-the locator length — but neither does it shrink for a 1-word batch.
-Chien search there evaluates every locator at every position via a
-precomputed ``(t+1, n)`` exponent matrix, up to the batch's largest
-locator degree.  Both kernels take t Berlekamp-Massey steps instead of
-2t when the syndromes satisfy ``S_2j = S_j^2``, which those of a binary
-word always do.  Codecs are cached in a process-wide registry
+touches Berlekamp-Massey or Chien search.  The dirty words go one at a
+time through one kernel: Berlekamp-Massey on Python ints over the
+zero-sentinel log/antilog lists of :mod:`repro.ecc.gf`, t steps instead
+of 2t when the syndromes satisfy ``S_2j = S_j^2`` (those of a binary
+word always do), then a Chien search that evaluates the locator at
+every transmitted position in one gather over a precomputed ``(t+1, n)``
+exponent matrix.  Codecs are cached in a process-wide registry
 (:func:`get_code`), so the expensive generator / remainder / Chien tables
 are built once per process — including pool workers.
 """
@@ -46,7 +40,7 @@ from .gf import get_field
 
 #: Metric handles (module-level: no-op attribute lookups when disabled).
 #: ``dirty_words`` counts words that missed the re-encode fast path;
-#: ``bm_words`` / ``chien_words`` count dispatches into the batched
+#: ``bm_words`` / ``chien_words`` count words through the
 #: Berlekamp-Massey and Chien kernels, so a profile shows exactly how
 #: much of a run's decode traffic ever touched the algebraic path.
 _OBS = {
@@ -58,17 +52,6 @@ _OBS = {
     "errors_corrected": obs.counter("bch.decode.errors_corrected"),
     "failures": obs.counter("bch.decode.failures"),
 }
-
-#: Dirty chunks of at most this many words take the per-word kernel
-#: (:meth:`BchCode._decode_dirty_rows`), larger ones the lockstep kernel.
-#: Per-word / lockstep time per ``decode_many`` call of B dirty words,
-#: medians of 7 alternating runs on a 2-CPU x86 host (single-threaded
-#: BLAS): the fleet's (10, 30) on 639-bit words 0.22 at B = 1, 0.58 at
-#: 8, 0.88 at 16, 0.96 at 20; the page pipeline's (13, 8) on 4,512-bit
-#: words 0.44 at 1, 0.87 at 8, 0.97 at 12, 1.03 at 16.  8 is the largest
-#: size at which the per-word kernel leads at both codes by more than
-#: the run-to-run noise.
-SCALAR_MAX_ROWS = 8
 
 
 class EccError(Exception):
@@ -140,24 +123,15 @@ class BchCode:
         #: duplicated exp table for vectorised syndromes/Chien — any sum
         #: of two logs indexes it without a modulo.
         self._exp = self.field.exp_np
-        #: int16 copies for the Chien kernel: its (rows, word_len)
-        #: temporaries are the largest arrays on the dirty path, and the
-        #: exponent sums fit exactly — log + table <= 2 * order - 2,
-        #: which is 32764 < 2^15 for the largest supported field (m=14).
-        #: The kernel skips zero coefficients, so it never reads the
-        #: zero sentinel ``_log16[0]`` or the antilog table's zero tail.
-        exp_duplicated = self.field.exp_np[: 2 * self.field.order]
-        self._exp16 = exp_duplicated.astype(np.int16)
-        self._log16 = self.field.log_np.astype(np.int16)
-        #: byte-folded exp table (high byte XORed into the low byte) for
-        #: the Chien pre-screen.  Folding commutes with XOR, so a zero
-        #: locator evaluation always folds to zero — the screen has no
-        #: false negatives and candidates are ~1/256 of the positions.
-        self._expf8 = (
-            exp_duplicated ^ (exp_duplicated >> 8)
-        ).astype(np.uint8)
-        #: syndrome indices 1..2t, precomputed for the batch kernels.
-        self._js = np.arange(1, 2 * self.t + 1, dtype=np.int64)
+        #: uint16 copies of the zero-sentinel pair for the Chien kernel:
+        #: its (coefficients, word_len) index and value arrays are the
+        #: largest on the dirty path.  uint16 is exact — every element
+        #: is below 2^14, and an index, log + table, is at most
+        #: ``log_zero + order - 1 = 3 * order - 1`` (49148 at m = 14).
+        #: int16 is not: at m = 14 a zero coefficient's sentinel index
+        #: wraps negative, and ``np.take`` reads it from the table's end.
+        self._exp_u16 = self.field.exp_np.astype(np.uint16)
+        self._log_u16 = self.field.log_np.astype(np.uint16)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BchCode(n={self.n}, k={self.k}, t={self.t})"
@@ -278,15 +252,12 @@ class BchCode:
 
         Dispatch is weight-aware: words whose syndromes are all zero —
         the overwhelmingly common case on a healthy page — skip
-        Berlekamp-Massey and Chien search entirely.  The dirty rest goes
-        word by word when there are at most :data:`SCALAR_MAX_ROWS` of
-        them (a fleet round's one or two slots), and through the
-        lockstep solver otherwise.  Results are identical to
-        ``[self.decode(w) for w in codeword_words]`` whichever kernel
-        runs, so any split of a batch decodes alike; an uncorrectable
-        word raises :class:`EccError` with ``batch_index`` set to the
-        lowest failing input position (the word the scalar loop would
-        have raised on).
+        Berlekamp-Massey and Chien search entirely; the dirty rest goes
+        word by word.  Results are identical to
+        ``[self.decode(w) for w in codeword_words]``, so any split of a
+        batch decodes alike; an uncorrectable word raises
+        :class:`EccError` with ``batch_index`` set to the lowest failing
+        input position (the word the scalar loop would have raised on).
 
         With ``on_error="return"``, uncorrectable words do not raise;
         their result slot holds the :class:`EccError` instance instead
@@ -346,9 +317,14 @@ class BchCode:
                 )
             dirty_rows = np.flatnonzero(dirty)
             _OBS["dirty_words"].inc(int(dirty_rows.size))
-            # Bound the batch solver's (rows, word_len) temporaries the
-            # same way _syndromes_batch does: chunk huge dirty batches.
-            chunk_rows = max(1, 4_000_000 // max(size, 1))
+            # Chunk huge dirty batches, bounding each chunk's temporaries
+            # at ~4M cells: the (rows, word_len) bit arrays, and the
+            # syndrome gather's (2t, set bits) int64 array.  The
+            # re-encode keeps the data bits, so a row of the difference
+            # has at most n_parity set bits.
+            chunk_rows = max(
+                1, 4_000_000 // max(size, 2 * self.t * self.n_parity)
+            )
             for start in range(0, dirty_rows.size, chunk_rows):
                 rows = dirty_rows[start:start + chunk_rows]
                 received = stacked[rows]
@@ -363,7 +339,7 @@ class BchCode:
                 syndromes = self._syndromes_from_bits(
                     set_rows, set_cols, rows.size, shortening
                 )
-                outcomes = self._decode_dirty_batch(
+                outcomes = self._decode_dirty_rows(
                     received, syndromes, shortening
                 )
                 for row, outcome in zip(rows, outcomes):
@@ -382,45 +358,24 @@ class BchCode:
             error.batch_index = index
             raise error
 
-    def _decode_dirty_batch(
-        self, received: np.ndarray, syndromes: np.ndarray, shortening: int
-    ) -> List:
-        """One outcome per dirty row, from the per-word kernel for chunks
-        of at most :data:`SCALAR_MAX_ROWS` rows and the lockstep kernel
-        above that; both equal the scalar decoder row for row."""
-        kernel = (
-            self._decode_dirty_rows
-            if received.shape[0] <= SCALAR_MAX_ROWS
-            else self._decode_dirty_lockstep
-        )
-        outcomes = kernel(received, syndromes, shortening)
-        if obs.is_enabled():
-            failures = corrected = 0
-            for outcome in outcomes:
-                if isinstance(outcome, EccError):
-                    failures += 1
-                else:
-                    corrected += outcome.corrected_errors
-            _OBS["failures"].inc(failures)
-            _OBS["errors_corrected"].inc(corrected)
-        return outcomes
-
     def _decode_dirty_rows(
         self, received: np.ndarray, syndromes: np.ndarray, shortening: int
     ) -> List:
-        """Per-word locator path for small dirty chunks.
+        """The locator path for words with non-zero syndromes.
 
-        Same arguments and outcomes as :meth:`_decode_dirty_lockstep`,
-        whose per-step numpy calls cost as much for one word as for 64:
-        here Berlekamp-Massey runs on Python ints
+        ``received`` is a ``(B, W)`` bit array, ``syndromes`` the matching
+        ``(B, 2t)`` int64 array.  Returns one outcome per row — a
+        :class:`DecodeResult`, or the :class:`EccError` the scalar decoder
+        would have raised for that word (same message, same failure
+        class).  Berlekamp-Massey runs on Python ints
         (:meth:`_berlekamp_massey_row`) and each word's Chien search is
-        one gather (:meth:`_chien_row`).  The checks run in the lockstep
-        kernel's order with its messages: locator degree, root count,
-        then the syndromes of the flips.
+        one gather (:meth:`_chien_row`).  The checks run in the scalar
+        decoder's order: locator degree, root count, then the syndromes
+        of the corrected word.
         """
         outcomes: List = []
         _OBS["bm_words"].inc(received.shape[0])
-        searched = 0
+        searched = solved = corrected = 0
         for row, syndrome_row in enumerate(syndromes.tolist()):
             locator = self._berlekamp_massey_row(syndrome_row)
             degree = len(locator) - 1
@@ -437,8 +392,9 @@ class BchCode:
                     f"{positions.size} roots for a degree-{degree} locator"
                 ))
                 continue
-            # S(corrected) = S(received) ^ S(flips), as in the lockstep
-            # kernel's recheck.
+            # Re-check: a decoding beyond capacity can produce bogus
+            # fixes.  S(corrected) = S(received) ^ S(flips), a gather
+            # over the <= t flipped positions.
             flips = self._power_table()[
                 :, self.n - 1 - shortening - positions
             ]
@@ -449,87 +405,14 @@ class BchCode:
                 continue
             word = received[row].copy()
             word[positions] ^= 1
+            solved += 1
+            corrected += degree
             outcomes.append(DecodeResult(
                 word[: -self.n_parity], degree, word, positions
             ))
         _OBS["chien_words"].inc(searched)
-        return outcomes
-
-    def _decode_dirty_lockstep(
-        self, received: np.ndarray, syndromes: np.ndarray, shortening: int
-    ) -> List:
-        """Batched locator path for words with non-zero syndromes.
-
-        ``received`` is a ``(B, W)`` bit array, ``syndromes`` the matching
-        ``(B, 2t)`` int64 array.  Returns one outcome per row — a
-        :class:`DecodeResult`, or the :class:`EccError` the scalar decoder
-        would have raised for that word (same message, same failure
-        class).  No per-word Python algebra: Berlekamp-Massey runs in
-        lockstep over all rows and Chien search is one table-driven
-        evaluation of every locator at every position.
-        """
-        n_rows, word_len = received.shape
-        outcomes: List = [None] * n_rows
-        _OBS["bm_words"].inc(n_rows)
-        sigma = self._berlekamp_massey_batch(syndromes)
-        # Degree after trailing-zero trim; the constant term is always 1,
-        # so argmax over the reversed nonzero mask is well defined.
-        nonzero = sigma != 0
-        degree = (
-            sigma.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-        ).astype(np.int64)
-        overweight = degree > self.t
-        for row in np.flatnonzero(overweight):
-            outcomes[row] = EccError(
-                f"error locator degree {degree[row]} exceeds t={self.t}"
-            )
-        solvable = np.flatnonzero(~overweight)
-        if solvable.size == 0:
-            return outcomes
-        _OBS["chien_words"].inc(int(solvable.size))
-        root_rows, root_cols = self._chien_batch(
-            sigma[solvable], shortening, word_len
-        )
-        root_counts = np.bincount(root_rows, minlength=solvable.size)
-        counts_match = root_counts == degree[solvable]
-        for position in np.flatnonzero(~counts_match):
-            row = solvable[position]
-            outcomes[row] = EccError(
-                "Chien search found "
-                f"{root_counts[position]} roots for a "
-                f"degree-{degree[row]} locator"
-            )
-        located = solvable[counts_match]
-        if located.size == 0:
-            return outcomes
-        # Flip indices of the surviving rows, renumbered to positions
-        # within `located` (cumsum of the keep mask is the new row id).
-        keep = counts_match[root_rows]
-        flip_cols = root_cols[keep]
-        flip_rows = (np.cumsum(counts_match) - 1)[root_rows[keep]]
-        corrected = received[located]  # fancy index -> fresh copy
-        corrected[flip_rows, flip_cols] ^= 1
-        # Re-check: a decoding beyond capacity can produce bogus fixes.
-        # S(corrected) = S(received) ^ S(flips), and the flip coordinates
-        # are already in hand, so the recheck costs a gather over <= t
-        # flip bits per word — no dense array, no full syndrome pass.
-        residual = syndromes[located] ^ self._syndromes_from_bits(
-            flip_rows, flip_cols, located.size, shortening
-        )
-        still_dirty = (residual != 0).any(axis=1)
-        offsets = np.zeros(located.size + 1, dtype=np.int64)
-        np.cumsum(root_counts[counts_match], out=offsets[1:])
-        for position, row in enumerate(located):
-            if still_dirty[position]:
-                outcomes[row] = EccError(
-                    "correction did not zero the syndromes"
-                )
-                continue
-            word = corrected[position]
-            positions = flip_cols[offsets[position]:offsets[position + 1]]
-            outcomes[row] = DecodeResult(
-                word[: -self.n_parity], int(degree[row]), word, positions
-            )
+        _OBS["failures"].inc(len(outcomes) - solved)
+        _OBS["errors_corrected"].inc(corrected)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -621,39 +504,11 @@ class BchCode:
         exponent multiply/modulo.
         """
         if self._power_table_cache is None:
+            js = np.arange(1, 2 * self.t + 1, dtype=np.int64)
             degrees = np.arange(self.n, dtype=np.int64)
-            exponents = (self._js[:, None] * degrees[None, :]) % (
-                self.field.order
-            )
+            exponents = (js[:, None] * degrees[None, :]) % self.field.order
             self._power_table_cache = self._exp[exponents]
         return self._power_table_cache
-
-    def _syndromes_batch(
-        self, received: np.ndarray, shortening: int
-    ) -> np.ndarray:
-        """S_1..S_2t for every row of a uniform-length batch.
-
-        `received` is ``(B, W)`` bits; returns ``(B, 2t)`` int64.  All
-        rows' syndromes come out of one gather over the exp table plus one
-        XOR ``reduceat`` — no per-word Python loop.
-        """
-        n_words, word_len = received.shape
-        n_syndromes = 2 * self.t
-        out = np.zeros((n_words, n_syndromes), dtype=np.int64)
-        # Bound the (2t, set-bit-count) temporary: large batches (a whole
-        # block's pages) chunk by rows, each chunk one vectorised pass.
-        max_cells = 4_000_000
-        chunk_rows = max(1, max_cells // max(word_len * n_syndromes, 1))
-        if n_words > chunk_rows:
-            for start in range(0, n_words, chunk_rows):
-                out[start:start + chunk_rows] = self._syndromes_batch(
-                    received[start:start + chunk_rows], shortening
-                )
-            return out
-        set_rows, set_cols = np.nonzero(received)
-        return self._syndromes_from_bits(
-            set_rows, set_cols, n_words, shortening, out=out
-        )
 
     def _syndromes_from_bits(
         self,
@@ -661,17 +516,15 @@ class BchCode:
         set_cols: np.ndarray,
         n_words: int,
         shortening: int,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """S_1..S_2t for a batch given as set-bit ``(row, col)`` indices.
 
         ``set_rows`` must be sorted ascending (row-major nonzero order).
-        Callers that already hold the set-bit coordinates — the recheck
-        of the corrected words knows its flip positions exactly — skip
-        the dense ``(B, W)`` materialisation and its nonzero pass.
+        Returns ``(n_words, 2t)`` int64: one gather over the power table
+        plus one XOR ``reduceat``, with no dense ``(B, W)`` array and no
+        per-word Python loop.
         """
-        if out is None:
-            out = np.zeros((n_words, 2 * self.t), dtype=np.int64)
+        out = np.zeros((n_words, 2 * self.t), dtype=np.int64)
         if set_rows.size == 0:
             return out
         degrees = (self.n - 1 - shortening - set_cols).astype(np.int64)
@@ -683,8 +536,7 @@ class BchCode:
         # strictly increasing and in range, and each segment ends exactly
         # at the next occupied row's start.  (Clamping boundaries of
         # zero-bit rows instead would corrupt the preceding row's
-        # segment — all-zero rows do occur, e.g. a corrected word that is
-        # the all-zero codeword.)
+        # segment.)
         occupied = np.flatnonzero(counts)
         acc = np.bitwise_xor.reduceat(
             values, boundaries[occupied], axis=1
@@ -766,9 +618,9 @@ class BchCode:
         return np.flatnonzero(values == 0)
 
     # ------------------------------------------------------------------
-    # the dirty path's locator kernels: per-word and batched counterparts
-    # of the scalar Berlekamp-Massey / Chien methods above, bit-identical
-    # per word
+    # the dirty path's locator kernels: per-word counterparts of the
+    # scalar Berlekamp-Massey / Chien methods above, bit-identical per
+    # word
 
     def _berlekamp_massey_row(self, syndromes: List[int]) -> List[int]:
         """:meth:`_berlekamp_massey` for one word, on Python ints.
@@ -827,187 +679,37 @@ class BchCode:
         """:meth:`_chien_search` in one gather: every coefficient of the
         locator at every transmitted position, XOR-reduced over the
         coefficients; the roots are the zeros, ascending.  ``locator``
-        has degree <= t."""
-        top = self.n - 1 - shortening  # degree of transmitted bit 0
-        table = self._chien_table()[: len(locator), top::-1]
+        has degree <= t and constant term 1, as every Berlekamp-Massey
+        locator does: that term is 1 at every position, so the gather
+        skips it and the roots are where the rest sums to 1.  A zero
+        coefficient's sentinel log lands in the antilog table's zero
+        tail, so it contributes nothing."""
+        table = self._chien_table()[1 : len(locator), shortening:]
         values = np.bitwise_xor.reduce(
-            self._exp[self.field.log_np[locator][:, None] + table], axis=0
+            np.take(self._exp_u16, self._log_u16[locator[1:]][:, None] + table),
+            axis=0,
         )
-        return np.flatnonzero(values == 0)
-
-    def _berlekamp_massey_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        """Error-locator polynomials for a whole batch, in lockstep.
-
-        ``syndromes`` is ``(B, 2t)`` int64; returns ``(B, 2t + 1)`` int64
-        coefficient rows, lowest degree first.  Row b equals
-        ``_berlekamp_massey(list(syndromes[b]))`` zero-padded on the
-        right: every word takes the same iterations, so all words
-        advance together and per-word control flow becomes masks.  Width
-        2t + 1 suffices because Massey's invariant deg(sigma) <= L <= 2t
-        bounds every locator the scalar code can build.
-
-        Each iteration is a fixed handful of whole-batch gathers on the
-        field's zero-sentinel tables (a zero operand lands in the antilog
-        table's zero tail, so no product needs a zero mask): one for the
-        discrepancy window, one for the scale, one for the ``x^gap``
-        shift of the previous locator and one for the adjustment.  When
-        every row has ``S_2j = S_j^2`` (one compare over the batch), the
-        odd steps are skipped as in :meth:`_berlekamp_massey_row`; one
-        row without it puts the whole batch on all 2t steps.
-        """
-        exp = self.field.exp_np
-        log = self.field.log_np
-        log_zero = self.field.log_zero
-        order = self.field.order
-        n_rows, n_syndromes = syndromes.shape
-        half = n_syndromes // 2
-        binary = (
-            exp[2 * log[syndromes[:, :half]]] == syndromes[:, 1::2]
-        ).all()
-        step = 2 if binary else 1
-        width = n_syndromes + 1
-        # Syndrome logs, taken once and reversed, so that the partners
-        # S_i, S_(i-1), ..., S_(i-L) of taps 0..L are one slice.
-        log_reversed = log[syndromes[:, ::-1]]
-        sigma = np.zeros((n_rows, width), dtype=np.int64)
-        sigma[:, 0] = 1
-        # log(sigma) over taps 0..longest (the longest live LFSR), with
-        # the taps beyond each word's own length (j > length) set to the
-        # zero sentinel.  sigma and length change only on iterations
-        # with a nonzero discrepancy, so this is rebuilt there and
-        # reused by the discrepancy windows in between.
-        log_taps = np.zeros((n_rows, 1), dtype=np.int64)
-        columns = np.arange(width, dtype=np.int64)
-        # prev_sigma is the right half of a zero-padded buffer, so the
-        # x^gap shift of every row is one flat gather whose out-of-range
-        # columns read the zero padding.
-        padded = np.zeros((n_rows, 2 * width), dtype=np.int64)
-        prev_sigma = padded[:, width:]
-        prev_sigma[:, 0] = 1
-        shift_base = (
-            np.arange(n_rows, dtype=np.int64)[:, None] * (2 * width)
-            + width
-            + columns[None, :]
-        )
-        prev_discrepancy = np.ones(n_rows, dtype=np.int64)
-        m_gap = np.ones(n_rows, dtype=np.int64)
-        length = np.zeros(n_rows, dtype=np.int64)
-        longest = 0
-        for i in range(0, n_syndromes, step):
-            # S_i + sum_j sigma_j S_(i-j) over taps j = 1..length, tap 0
-            # (sigma_0 = 1) contributing S_i.  longest <= i here (lengths
-            # were set at earlier iterations), so the window of partners
-            # stays inside the syndromes.
-            first = n_syndromes - 1 - i
-            discrepancy = np.bitwise_xor.reduce(
-                exp[log_taps + log_reversed[:, first:first + longest + 1]],
-                axis=1,
-            )
-            active = discrepancy != 0
-            if not active.any():
-                m_gap += step
-                continue
-            # Inactive rows have discrepancy 0, hence scale 0, so their
-            # adjustment vanishes and sigma passes through unchanged.
-            # prev_discrepancy is never 0: it only takes active values.
-            scale = exp[log[discrepancy] - log[prev_discrepancy] + order]
-            shifted = padded.take(shift_base - m_gap[:, None])
-            adjustment = exp[log[scale][:, None] + log[shifted]]
-            update = active & (2 * length <= i)
-            np.copyto(prev_sigma, sigma, where=update[:, None])
-            np.copyto(prev_discrepancy, discrepancy, where=update)
-            length = np.where(update, i + 1 - length, length)
-            m_gap = np.where(update, step, m_gap + step)
-            sigma ^= adjustment
-            longest = int(length.max())
-            log_taps = np.where(
-                columns[:longest + 1] <= length[:, None],
-                log[sigma[:, :longest + 1]],
-                log_zero,
-            )
-        return sigma
+        return np.flatnonzero(values == 1)
 
     def _chien_table(self) -> np.ndarray:
         """``(k * -d) mod order`` for k in 0..t and every degree d < n.
 
-        The evaluation-point exponent matrix of the batched Chien search:
-        coefficient k of a locator contributes
-        ``alpha^(log(coeff) + table[k, d])`` at the position of degree d.
-        Lazily built and cached per codec — i.e. once per ``(m, t)`` per
-        process via the :func:`get_code` registry.
+        The evaluation-point exponent matrix of :meth:`_chien_row`, in
+        uint16 and in transmission order: column j holds degree
+        ``n - 1 - j``, so a word shortened by s reads the contiguous
+        columns ``s:``.  Coefficient k of a locator contributes
+        ``alpha^(log(coeff) + table[k, j])`` at column j.  Lazily built
+        and cached per codec — i.e. once per ``(m, t)`` per process via
+        the :func:`get_code` registry.
         """
         if self._chien_table_cache is None:
-            degrees = np.arange(self.n, dtype=np.int64)
+            degrees = np.arange(self.n - 1, -1, -1, dtype=np.int64)
             inv_exponents = (-degrees) % self.field.order
             ks = np.arange(self.t + 1, dtype=np.int64)
             self._chien_table_cache = (
                 (ks[:, None] * inv_exponents[None, :]) % self.field.order
-            ).astype(np.int16)
+            ).astype(np.uint16)
         return self._chien_table_cache
-
-    def _chien_batch(
-        self, sigma: np.ndarray, shortening: int, word_len: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Root positions of every locator at every transmitted position.
-
-        ``sigma`` is ``(B, >= t + 1)`` locator rows of degree <= t,
-        evaluated up to the largest degree among them; returns
-        ``(root_rows, root_cols)`` index arrays in row-major order —
-        exactly the ``(row, position)`` pairs where
-        sigma(alpha^-degree) == 0, i.e. the positions the scalar Chien
-        search returns per word.  Two table-driven passes instead of one
-        Python loop per word: a byte-folded screen over the full
-        ``(B, word_len)`` grid (no false negatives — folding commutes
-        with XOR), then a full-width evaluation of the ~1/256 surviving
-        candidates.
-        """
-        n_rows = sigma.shape[0]
-        # Coefficients above the batch's largest degree are zero in
-        # every row and contribute nothing.
-        n_coeffs = int(np.flatnonzero(sigma.any(axis=0))[-1]) + 1
-        degrees = (
-            self.n - 1 - shortening - np.arange(word_len, dtype=np.int64)
-        )
-        table = self._chien_table()[:n_coeffs, degrees]
-        log16 = self._log16
-        folded = np.zeros((n_rows, word_len), dtype=np.uint8)
-        for k in range(n_coeffs):
-            coefficients = sigma[:, k]
-            rows = np.flatnonzero(coefficients)
-            if rows.size == 0:
-                continue
-            # np.take beats fancy indexing for this gather (~1.6x on the
-            # uint8 screen); in-place XOR on all rows beats the
-            # fancy-indexed scatter when every row participates.
-            if rows.size == n_rows:
-                folded ^= np.take(
-                    self._expf8,
-                    log16[coefficients][:, None] + table[k][None, :],
-                )
-            else:
-                folded[rows] ^= np.take(
-                    self._expf8,
-                    log16[coefficients[rows]][:, None] + table[k][None, :],
-                )
-        # flatnonzero + divmod beats 2-D nonzero ~1.7x on this array.
-        cand_rows, cand_cols = np.divmod(
-            np.flatnonzero(folded.reshape(-1) == 0), word_len
-        )
-        if cand_rows.size == 0:
-            return cand_rows, cand_cols
-        # Full-width evaluation of the candidates only.  int16 is exact:
-        # log + table <= 2 * order - 2 = 32764 < 2^15 for m <= 14.
-        values = np.zeros(cand_rows.size, dtype=np.int16)
-        for k in range(n_coeffs):
-            coefficients = sigma[cand_rows, k]
-            live = coefficients != 0
-            values[live] ^= np.take(
-                self._exp16,
-                log16[coefficients[live]]
-                + np.take(table[k], cand_cols[live]),
-            )
-        is_root = values == 0
-        return cand_rows[is_root], cand_cols[is_root]
 
 
 #: Process-wide codec registry.  Generator polynomial and remainder-table

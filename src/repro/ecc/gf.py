@@ -8,10 +8,11 @@ Besides the scalar ops, the field carries one zero-sentinel table pair on
 which products and quotients are single lookups, zero operands included:
 ``exp[log[a] + log[b]]`` is ``a * b`` and ``exp[log[a] - log[b] + order]``
 is ``a / b`` for ``b != 0``.  It comes twice: as Python lists
-(:attr:`GF2m.log` / :attr:`GF2m.exp`), which the per-word kernels in
-:mod:`repro.ecc.bch` index with Python ints, and as numpy arrays
-(:attr:`GF2m.log_np` / :attr:`GF2m.exp_np`), on which the batched
-Berlekamp-Massey and Chien kernels gather whole arrays.
+(:attr:`GF2m.log` / :attr:`GF2m.exp`), which the per-word
+Berlekamp-Massey kernel in :mod:`repro.ecc.bch` indexes with Python
+ints, and as numpy arrays (:attr:`GF2m.log_np` / :attr:`GF2m.exp_np`),
+from which the codec's syndrome power table and its Chien kernel's
+uint16 copies are built.
 """
 
 from __future__ import annotations
@@ -103,9 +104,8 @@ class GF2m:
         for i in range(self.order, 2 * self.order):
             self.exp[i] = self.exp[i - self.order]
         self.log[0] = self.log_zero
-        #: The same pair as numpy arrays.  The largest index a kernel
-        #: forms is ``2 * log_zero`` (0 * 0), past the int16 range for
-        #: m = 14: the arrays are int64 throughout.
+        #: The same pair as numpy arrays, int64: an index can reach
+        #: ``2 * log_zero`` (0 * 0), past the int16 range for m = 14.
         self.exp_np = np.array(self.exp, dtype=np.int64)
         self.log_np = np.array(self.log, dtype=np.int64)
 

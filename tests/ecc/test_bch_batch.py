@@ -7,13 +7,15 @@ words raise, across random field sizes, error counts beyond capacity, and
 shortened lengths.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.ecc import BchCode, EccError
-from repro.ecc.bch import SCALAR_MAX_ROWS, get_code
+from repro.ecc.bch import get_code
 
 CODE = BchCode(7, 5)  # n=127
 
@@ -276,57 +278,110 @@ def _raised(code, words):
     return None
 
 
+def _assert_split_invariant(code, words, chunks):
+    """``decode_many`` over the `chunks` (``(start, stop)`` pairs that
+    tile `words`) equals one call over the whole: every result, every
+    ``EccError`` message and ``batch_index`` in both ``on_error`` modes,
+    and the ``bch.decode.*`` counters."""
+    was_enabled = obs.is_enabled()
+    obs.set_enabled(True)
+    try:
+        whole, whole_counters = _decode_counted(code, words)
+        parts, part_counters = [], {}
+        for start, stop in chunks:
+            results, counters = _decode_counted(code, words[start:stop])
+            parts += [(start, result) for result in results]
+            for name, value in counters.items():
+                part_counters[name] = part_counters.get(name, 0) + value
+    finally:
+        obs.set_enabled(was_enabled)
+    assert part_counters == whole_counters
+    for index, (got, (start, part)) in enumerate(zip(whole, parts)):
+        if isinstance(got, EccError):
+            assert isinstance(part, EccError)
+            assert str(part) == str(got)
+            assert got.batch_index == index == start + part.batch_index
+            continue
+        assert not isinstance(part, EccError)
+        assert np.array_equal(part.data, got.data)
+        assert part.corrected_errors == got.corrected_errors
+        assert np.array_equal(part.codeword, got.codeword)
+        assert part.error_positions.dtype == got.error_positions.dtype
+        assert np.array_equal(part.error_positions, got.error_positions)
+    first_part_error = None
+    for start, stop in chunks:
+        raised = _raised(code, words[start:stop])
+        if raised is not None:
+            first_part_error = (start + raised[0], raised[1])
+            break
+    assert first_part_error == _raised(code, words)
+
+
+#: The fleet's slot code and word length.
+FLEET = (10, 30, 639)
+
+
 class TestSplitInvariance:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_any_split_decodes_like_the_whole(self, data):
-        """``decode_many`` over any split of a batch, with chunks on both
-        sides of ``SCALAR_MAX_ROWS``, equals one call over the whole:
-        every result, every ``EccError`` message and ``batch_index`` in
-        both ``on_error`` modes, and the ``bch.decode.*`` counters."""
+        """Any split of a mixed batch, into chunks of any size, decodes
+        like the whole."""
         m, t, word_len = data.draw(st.sampled_from(SHIPPED))
         code = get_code(m, t)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         words = _mixed_words(
-            code, word_len, rng,
-            data.draw(st.integers(1, 3 * SCALAR_MAX_ROWS)),
+            code, word_len, rng, data.draw(st.integers(1, 40))
         )
         starts = [0]
         while starts[-1] < len(words):
             starts.append(
-                starts[-1]
-                + data.draw(st.integers(1, 2 * SCALAR_MAX_ROWS + 1))
+                starts[-1] + data.draw(st.integers(1, len(words)))
             )
-        chunks = list(zip(starts[:-1], starts[1:]))
-        was_enabled = obs.is_enabled()
-        obs.set_enabled(True)
+        _assert_split_invariant(
+            code, words, list(zip(starts[:-1], starts[1:]))
+        )
+
+    def test_split_across_the_chunk_bound(self):
+        """300 fleet words, 260 of them random (mount-scan misses, all
+        dirty) and 40 clean or corrupted codewords, so the chunks hold
+        corrections too.  Their dirty rows cross ``decode_many``'s chunk
+        bound (4M cells over 2t * n_parity = 18,000 per row: 222 rows),
+        so the whole call runs a full and a partial chunk; pieces of 1,
+        149 and 150 words decode like it."""
+        m, t, word_len = FLEET
+        code = get_code(m, t)
+        rng = np.random.default_rng(300)
+        words = [
+            rng.integers(0, 2, word_len).astype(np.uint8)
+            for _ in range(300)
+        ]
+        for index in rng.choice(300, size=40, replace=False):
+            words[index] = _mixed_words(code, word_len, rng, 1)[0]
+        _assert_split_invariant(code, words, [(0, 1), (1, 150), (150, 300)])
+
+
+class TestDirtyChunkMemory:
+    def test_dense_dirty_batch_peak_is_bounded(self):
+        """One ``decode_many`` over 2,000 dirty fleet words stays within
+        32 MiB of traced heap: the syndrome gather's ``(2t, set bits)``
+        int64 array is bounded per chunk, not per call (unchunked it
+        alone is ~140 MiB here).  Each word is a codeword with one
+        flipped data bit, so its re-encode difference carries about
+        n_parity / 2 set bits, as a random word's does, while its
+        degree-1 locator keeps the traced Python work small."""
+        m, t, word_len = FLEET
+        code = get_code(m, t)
+        rng = np.random.default_rng(2000)
+        data = rng.integers(0, 2, (2000, word_len - code.n_parity))
+        words = np.array(code.encode_many(data.astype(np.uint8)))
+        words[np.arange(2000), rng.integers(0, data.shape[1], 2000)] ^= 1
+        code.decode_many(words[:1])  # build the tables
+        tracemalloc.start()
         try:
-            whole, whole_counters = _decode_counted(code, words)
-            parts, part_counters = [], {}
-            for start, stop in chunks:
-                results, counters = _decode_counted(code, words[start:stop])
-                parts += [(start, result) for result in results]
-                for name, value in counters.items():
-                    part_counters[name] = part_counters.get(name, 0) + value
+            results = code.decode_many(words)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            obs.set_enabled(was_enabled)
-        assert part_counters == whole_counters
-        for index, (got, (start, part)) in enumerate(zip(whole, parts)):
-            if isinstance(got, EccError):
-                assert isinstance(part, EccError)
-                assert str(part) == str(got)
-                assert got.batch_index == index == start + part.batch_index
-                continue
-            assert not isinstance(part, EccError)
-            assert np.array_equal(part.data, got.data)
-            assert part.corrected_errors == got.corrected_errors
-            assert np.array_equal(part.codeword, got.codeword)
-            assert part.error_positions.dtype == got.error_positions.dtype
-            assert np.array_equal(part.error_positions, got.error_positions)
-        first_part_error = None
-        for start, stop in chunks:
-            raised = _raised(code, words[start:stop])
-            if raised is not None:
-                first_part_error = (start + raised[0], raised[1])
-                break
-        assert first_part_error == _raised(code, words)
+            tracemalloc.stop()
+        assert [result.corrected_errors for result in results] == [1] * 2000
+        assert peak <= 32 * 2**20

@@ -2,18 +2,18 @@
 
 `test_bch_batch.py` pins the end-to-end ``decode_many`` contract; this
 module aims lower, at the kernels the dirty path is made of — the
-lockstep ``_berlekamp_massey_batch`` and the per-word
-``_berlekamp_massey_row`` against ``_berlekamp_massey``, and
-``_chien_batch`` and ``_chien_row`` against ``_chien_search`` — plus the
-bookkeeping that stitches them back into per-word results
-(``error_positions``, ``batch_index``) for mixed clean/dirty/failing
-batches.
+per-word ``_berlekamp_massey_row`` against ``_berlekamp_massey`` and
+``_chien_row`` against ``_chien_search`` — plus the bookkeeping that
+stitches them back into per-word results (``error_positions``,
+``batch_index``, the ``bch.decode.*`` counters) for mixed
+clean/dirty/failing batches.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.ecc import EccError
 from repro.ecc.bch import get_code
 
@@ -47,15 +47,10 @@ def _corrupted_batch(code, rng, n_words, weights=None):
 
 
 def _assert_chien_matches_scalar(code, locators, shortening, word_len):
-    """The batched search over all `locators` at once, and the per-word
-    search over each, return exactly the scalar root set per locator."""
-    sigma = np.zeros((len(locators), 2 * code.t + 1), dtype=np.int64)
-    for row, locator in enumerate(locators):
-        sigma[row, : len(locator)] = locator
-    root_rows, root_cols = code._chien_batch(sigma, shortening, word_len)
-    for row, locator in enumerate(locators):
+    """The per-word search over each of `locators` returns exactly the
+    scalar root set."""
+    for locator in locators:
         expected = code._chien_search(locator, shortening, word_len)
-        assert np.array_equal(root_cols[root_rows == row], expected)
         assert np.array_equal(code._chien_row(locator, shortening), expected)
 
 
@@ -63,9 +58,9 @@ class TestBerlekampMasseyBatch:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_on_real_syndromes(self, data):
-        """Lockstep and per-word BM row-for-row equal the scalar loop on
-        syndromes of genuinely corrupted words, error weights 0..t+1,
-        and of random words."""
+        """The per-word BM equals the scalar loop on syndromes of
+        genuinely corrupted words, error weights 0..t+1, and of random
+        words."""
         m, t = data.draw(st.sampled_from(SMALL_PARAMS))
         code = get_code(m, t)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
@@ -73,25 +68,18 @@ class TestBerlekampMasseyBatch:
         words += [
             rng.integers(0, 2, code.n).astype(np.uint8) for _ in range(2)
         ]
-        rows = []
-        scalars = []
         for word in words:
             syndromes = code._syndromes(word, code.n - word.size)
-            rows.append(syndromes)
-            scalars.append(code._berlekamp_massey(syndromes))
-            assert code._berlekamp_massey_row(syndromes) == scalars[-1]
-        batch = code._berlekamp_massey_batch(
-            np.array(rows, dtype=np.int64)
-        )
-        for row, scalar in zip(batch, scalars):
-            padded = scalar + [0] * (row.size - len(scalar))
-            assert row.tolist() == padded
+            assert code._berlekamp_massey_row(syndromes) == (
+                code._berlekamp_massey(syndromes)
+            )
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_on_arbitrary_syndromes(self, data):
-        """BM is defined for any syndrome sequence; the lockstep kernel
-        must agree even on sequences no codeword could have produced."""
+        """BM is defined for any syndrome sequence; the per-word kernel
+        must agree even on sequences no codeword could have produced
+        (there it takes all 2t steps)."""
         m, t = data.draw(st.sampled_from(SMALL_PARAMS))
         code = get_code(m, t)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
@@ -99,25 +87,20 @@ class TestBerlekampMasseyBatch:
         syndromes = rng.integers(
             0, code.field.size, (n_rows, 2 * code.t)
         ).astype(np.int64)
-        batch = code._berlekamp_massey_batch(syndromes)
-        for row, syndrome_row in zip(batch, syndromes):
-            scalar = code._berlekamp_massey(
-                [int(s) for s in syndrome_row]
+        for syndrome_row in syndromes.tolist():
+            assert code._berlekamp_massey_row(syndrome_row) == (
+                code._berlekamp_massey(syndrome_row)
             )
-            padded = scalar + [0] * (row.size - len(scalar))
-            assert row.tolist() == padded
-            assert code._berlekamp_massey_row(syndrome_row.tolist()) == scalar
 
     @pytest.mark.parametrize(
         "m,t,word_len", SHIPPED, ids=[f"m{m}t{t}" for m, t, _ in SHIPPED]
     )
     def test_matches_scalar_at_shipped_sizes(self, m, t, word_len):
-        """Row-for-row agreement at the shipped field sizes, where the
-        hypothesis sweeps do not reach: syndromes of error patterns of
-        weight 0..t+1 (a corrupted codeword's syndromes are its error
+        """Agreement at the shipped field sizes, where the hypothesis
+        sweeps do not reach: syndromes of error patterns of weight
+        0..t+1 (a corrupted codeword's syndromes are its error
         pattern's), random words, a pattern with S_1 = 0, all-zero
-        rows, and arbitrary syndromes with zeros — in one mixed batch
-        and one row at a time."""
+        rows, and arbitrary syndromes with zeros."""
         code = get_code(m, t)
         field = code.field
         rng = np.random.default_rng(m * 100 + t)
@@ -131,9 +114,8 @@ class TestBerlekampMasseyBatch:
             rng.integers(0, 2, word_len).astype(np.uint8) for _ in range(6)
         ]
         # Three error locators that sum to zero, so S_1 = 0: the binary
-        # shortcut's first step has a zero discrepancy in every row of a
-        # one-row batch, and a later step does not.  Position i is
-        # degree word_len - 1 - i.
+        # shortcut's first step has a zero discrepancy, and a later step
+        # does not.  Position i is degree word_len - 1 - i.
         top = word_len - 1
         for second in range(1, word_len):
             third = top - field.log[field.exp[top] ^ field.exp[top - second]]
@@ -147,29 +129,23 @@ class TestBerlekampMasseyBatch:
         arbitrary = rng.integers(0, code.field.size, (6, 2 * t))
         arbitrary[rng.random(arbitrary.shape) < 0.3] = 0
         rows += arbitrary.tolist()
-        syndromes = np.array(rows, dtype=np.int64)
-        order = rng.permutation(len(rows))
-        batch = code._berlekamp_massey_batch(syndromes[order])
-        for position, index in enumerate(order):
-            scalar = code._berlekamp_massey(rows[index])
-            padded = scalar + [0] * (2 * t + 1 - len(scalar))
-            assert batch[position].tolist() == padded
-            single = code._berlekamp_massey_batch(syndromes[index:index + 1])
-            assert single[0].tolist() == padded
-            assert code._berlekamp_massey_row(rows[index]) == scalar
+        for row in rows:
+            assert code._berlekamp_massey_row(row) == (
+                code._berlekamp_massey(row)
+            )
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_one_non_binary_row_puts_the_batch_on_all_steps(self, data):
-        """The binary shortcut's guard: syndromes of binary words
-        (``S_2j = S_j^2``) plus one row that breaks the identity at a
-        random j; every row still equals the scalar loop, in the
-        lockstep and the per-word kernel."""
+    def test_non_binary_row_takes_all_steps(self, data):
+        """The binary shortcut's guard: a syndrome row with
+        ``S_2j = S_j^2`` at every j but one random j, where the identity
+        breaks, still equals the scalar loop — as do the binary rows of
+        genuinely corrupted words."""
         m, t = data.draw(st.sampled_from(SMALL_PARAMS + [(10, 30)]))
         code = get_code(m, t)
         field = code.field
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        words, _ = _corrupted_batch(code, rng, 5)
+        words, _ = _corrupted_batch(code, rng, 3)
         rows = [code._syndromes(w, code.n - w.size) for w in words]
         broken = []  # S_1..S_2t with S_2j = S_j^2, then one S_2j off
         for j in range(1, 2 * t + 1):
@@ -180,12 +156,11 @@ class TestBerlekampMasseyBatch:
             )
         j = int(rng.integers(1, t + 1))
         broken[2 * j - 1] ^= int(rng.integers(1, field.size))
-        rows.insert(int(rng.integers(0, len(rows) + 1)), broken)
-        batch = code._berlekamp_massey_batch(np.array(rows, dtype=np.int64))
-        for row, syndromes in zip(batch, rows):
-            scalar = code._berlekamp_massey(syndromes)
-            assert row.tolist() == scalar + [0] * (row.size - len(scalar))
-            assert code._berlekamp_massey_row(syndromes) == scalar
+        rows.append(broken)
+        for syndromes in rows:
+            assert code._berlekamp_massey_row(syndromes) == (
+                code._berlekamp_massey(syndromes)
+            )
 
 
 class TestChienBatch:
@@ -219,11 +194,58 @@ class TestChienBatch:
             )
         _assert_chien_matches_scalar(code, locators, shortening, word_len)
 
+    @pytest.mark.parametrize(
+        "m,t,word_len", SHIPPED, ids=[f"m{m}t{t}" for m, t, _ in SHIPPED]
+    )
+    def test_matches_scalar_at_shipped_codes(self, m, t, word_len):
+        """At every shipped code: the locators of error patterns of
+        weight 0..t, and locators of degree t with zero inner
+        coefficients, each rooted at a position where a zero
+        coefficient's exponent table entry is 2.  That is the one entry
+        at which an int16 index ``log_zero + 2`` would wrap to a nonzero
+        antilog at m = 14, dropping the root."""
+        code = get_code(m, t)
+        field = code.field
+        rng = np.random.default_rng(m * 100 + t)
+        shortening = code.n - word_len
+        locators = []
+        for weight in range(t + 1):
+            pattern = np.zeros(word_len, dtype=np.uint8)
+            pattern[rng.choice(word_len, size=weight, replace=False)] = 1
+            locators.append(
+                code._berlekamp_massey(code._syndromes(pattern, shortening))
+            )
+        degrees = np.arange(word_len)
+        for k in range(1, t):
+            # Degrees d in the window (transmitted bit word_len - 1 - d)
+            # where coefficient k's exponent, k * -d mod order, is 2.
+            (wrapping,) = np.nonzero((k * -degrees) % field.order == 2)
+            if wrapping.size == 0:
+                continue
+            root = field.exp[(-int(wrapping[0])) % field.order]
+            top = 0
+            while top == 0:
+                locator = [1] + rng.integers(1, field.size, t).tolist()
+                for zero in [k] + rng.integers(1, t, 3).tolist():
+                    locator[zero] = 0
+                value = 0
+                for power, coeff in enumerate(locator[:t]):
+                    value ^= field.mul(coeff, field.pow(root, power))
+                top = field.div(value, field.pow(root, t))
+            locator[t] = top
+            assert field.poly_eval(locator, root) == 0
+            locators.append(locator)
+            position = word_len - 1 - int(wrapping[0])
+            assert position in code._chien_search(
+                locator, shortening, word_len
+            )
+        _assert_chien_matches_scalar(code, locators, shortening, word_len)
+
     @pytest.mark.parametrize("top", [0, 1, 2, 15, 29])
     def test_batches_below_t(self, top):
-        """Batches whose largest locator degree is below t, down to 0
-        and 1, at the fleet code (t = 30): the search bounded by that
-        degree still finds exactly the scalar roots."""
+        """Locators of degree below t, down to 0 and 1, at the fleet code
+        (t = 30): the search over the locator's own coefficients finds
+        exactly the scalar roots."""
         code = get_code(10, 30)
         word_len = 639
         shortening = code.n - word_len
@@ -239,14 +261,12 @@ class TestChienBatch:
         _assert_chien_matches_scalar(code, locators, shortening, word_len)
 
     def test_no_roots_case(self):
-        """A locator with no roots in the window yields empty indices."""
+        """A locator with no roots in the window yields no positions."""
         code = get_code(4, 2)
         # sigma(x) = 1: never zero anywhere.
-        sigma = np.zeros((1, 2 * code.t + 1), dtype=np.int64)
-        sigma[0, 0] = 1
-        root_rows, root_cols = code._chien_batch(sigma, 0, code.n)
-        assert root_rows.size == 0
-        assert root_cols.size == 0
+        roots = code._chien_row([1], 0)
+        assert roots.size == 0
+        assert roots.size == code._chien_search([1], 0, code.n).size
 
 
 class TestMixedBatchBookkeeping:
@@ -255,20 +275,39 @@ class TestMixedBatchBookkeeping:
     def test_interleaved_clean_dirty_failing(self, data):
         """Clean, correctable and failing words interleaved: every slot
         matches its scalar outcome — data, codeword, error positions,
-        and which indices fail with which message."""
+        and which indices fail with which message — and the batch's
+        nonzero ``bch.decode.*`` counters equal the scalar loop's."""
         m, t = data.draw(st.sampled_from(SMALL_PARAMS))
         code = get_code(m, t)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         words, _ = _corrupted_batch(
             code, rng, 9, weights=[0, t, t + 1]
         )
-        batch = code.decode_many(words, on_error="return")
+        was_enabled = obs.is_enabled()
+        obs.set_enabled(True)
+        try:
+            with obs.collect(absorb=False) as batch_scope:
+                batch = code.decode_many(words, on_error="return")
+            with obs.collect(absorb=False) as scalar_scope:
+                scalars = []
+                for word in words:
+                    try:
+                        scalars.append(code.decode(word))
+                    except EccError as error:
+                        scalars.append(error)
+        finally:
+            obs.set_enabled(was_enabled)
+        counted = [
+            {
+                name: value
+                for name, value in scope.snapshot.counters.items()
+                if name.startswith("bch.decode.") and value
+            }
+            for scope in (batch_scope, scalar_scope)
+        ]
+        assert counted[0] == counted[1]
         failing = []
-        for index, word in enumerate(words):
-            try:
-                scalar = code.decode(word)
-            except EccError as error:
-                scalar = error
+        for index, scalar in enumerate(scalars):
             result = batch[index]
             if isinstance(scalar, EccError):
                 failing.append(index)

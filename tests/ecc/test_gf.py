@@ -133,7 +133,7 @@ def test_sentinel_tables_match_scalar_mul_and_div(m):
 
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
 def test_kernel_indices_stay_inside_the_antilog_table(m):
-    """Every index the batch kernels form lies inside ``exp_np``: real
+    """Every index the field kernels form lies inside ``exp_np``: real
     sums stay below the sentinel, sums with a zero operand reach at most
     ``2 * log_zero`` (0 * 0), and the index dtype holds that."""
     field = get_field(m)

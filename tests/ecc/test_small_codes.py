@@ -1,81 +1,9 @@
-"""Repetition code, interleaver, parity group."""
+"""XOR parity group."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.ecc import (
-    ParityGroup,
-    RepetitionCode,
-    deinterleave,
-    interleave,
-)
-
-
-class TestRepetition:
-    def test_factor_must_be_odd(self):
-        with pytest.raises(ValueError):
-            RepetitionCode(2)
-        with pytest.raises(ValueError):
-            RepetitionCode(0)
-
-    def test_roundtrip_clean(self):
-        code = RepetitionCode(3)
-        data = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(code.decode(code.encode(data)), data)
-
-    def test_corrects_minority_flips(self):
-        code = RepetitionCode(5)
-        data = np.array([1, 0], dtype=np.uint8)
-        coded = code.encode(data)
-        coded[0] ^= 1
-        coded[6] ^= 1
-        coded[8] ^= 1
-        assert np.array_equal(code.decode(coded), data)
-
-    def test_majority_flips_lose(self):
-        code = RepetitionCode(3)
-        coded = code.encode(np.array([1], dtype=np.uint8))
-        coded[:2] ^= 1
-        assert code.decode(coded)[0] == 0
-
-    def test_length_validation(self):
-        code = RepetitionCode(3)
-        with pytest.raises(ValueError):
-            code.decode(np.zeros(4, dtype=np.uint8))
-
-    def test_overhead(self):
-        assert RepetitionCode(5).overhead() == pytest.approx(0.8)
-
-
-class TestInterleave:
-    @given(
-        depth=st.integers(min_value=1, max_value=8),
-        rows=st.integers(min_value=1, max_value=32),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, depth, rows):
-        bits = np.arange(depth * rows) % 2
-        assert np.array_equal(
-            deinterleave(interleave(bits, depth), depth), bits
-        )
-
-    def test_spreads_bursts(self):
-        bits = np.zeros(32, dtype=np.uint8)
-        woven = interleave(bits, 4)
-        woven[0:4] = 1  # a burst of 4 in the channel
-        restored = deinterleave(woven, 4)
-        positions = np.flatnonzero(restored)
-        # the burst lands on positions spaced `depth` apart
-        assert np.array_equal(positions, [0, 4, 8, 12])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interleave(np.zeros(5), 2)
-        with pytest.raises(ValueError):
-            interleave(np.zeros(4), 0)
-        with pytest.raises(ValueError):
-            deinterleave(np.zeros(5), 2)
+from repro.ecc import ParityGroup
 
 
 class TestParityGroup:
