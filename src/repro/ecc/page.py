@@ -68,19 +68,11 @@ class PagePipeline:
         cells_per_page: int,
         ecc_m: int = 14,
         ecc_t: int = 40,
-        n_words: int = None,
     ) -> None:
         self.cells_per_page = cells_per_page
         self.code = get_code(ecc_m, ecc_t)
-        if n_words is None:
-            n_words = -(-cells_per_page // self.code.n)  # ceil
-        if n_words < 1:
-            raise ValueError("n_words must be >= 1")
-        if cells_per_page // n_words > self.code.n:
-            raise ValueError(
-                f"{n_words} codewords of <= {self.code.n} bits cannot "
-                f"cover {cells_per_page} cells"
-            )
+        # The fewest codewords of at most n bits that cover the page.
+        n_words = max(1, -(-cells_per_page // self.code.n))
         if cells_per_page // n_words <= self.code.n_parity:
             raise ValueError(
                 f"page words of {cells_per_page // n_words} bits leave no "

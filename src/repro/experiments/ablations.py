@@ -67,7 +67,6 @@ def pulse_size(
         config = STANDARD_CONFIG.replace(
             ecc_t=0, bits_per_page=bits, pp_fraction=fraction
         )
-        vthi = VtHi(chip, config)
         block = index
         chip.erase_block(block)
         public = random_page_bits(chip, "abl-pulse-pub", index)

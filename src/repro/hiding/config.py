@@ -75,17 +75,11 @@ class HidingConfig:
 
     @property
     def parity_bits(self) -> int:
-        """Hidden bits consumed by ECC parity per page."""
+        """The m·t parity bits of one BCH word, the floor the hidden
+        budget must clear.  A page's payload capacity is
+        :attr:`~repro.hiding.payload.PayloadCodec.max_data_bits`, which
+        charges every word its own parity."""
         return self.ecc_m * self.ecc_t if self.ecc_t else 0
-
-    @property
-    def data_bits_per_page(self) -> int:
-        """Usable hidden data bits per page after parity."""
-        return self.bits_per_page - self.parity_bits
-
-    @property
-    def data_bytes_per_page(self) -> int:
-        return self.data_bits_per_page // 8
 
     @property
     def page_stride(self) -> int:

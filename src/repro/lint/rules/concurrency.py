@@ -1,9 +1,11 @@
 """CONC001/CONC002 — thread-safety rules.
 
-The thread backend shares one interpreter across workers and the ONFI
-client's ``_post``/``drain`` pipeline runs frame completion on a reader
-thread, so module-level caches written from that code race unless every
-write sits under the module's lock — and the locks themselves can
+The thread backend shares one interpreter across workers, a
+thread-backed chip server (``serve_socket`` on a daemon thread) runs
+beside its client in one process, and a remote fleet drain runs shard
+rounds on a thread pool (``shard_workers``), so module-level caches
+written from that code race unless every write sits under the module's
+lock — and the locks themselves can
 deadlock if two code paths acquire them in opposite orders.  CONC001
 enforces the write-side discipline in any module that declares a
 module-level lock; CONC002 builds a project-wide lock-order graph

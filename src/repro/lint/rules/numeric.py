@@ -1,9 +1,12 @@
 """NUM001 — dtype discipline in the ``repro.ecc`` and ``repro.nand`` kernels.
 
-The vectorised BCH hot path (DESIGN §8) works in int16 GF elements end
-to end, and the chip simulator's block-level kernels (DESIGN §11) keep
-voltages float32 and latent fields float64 end to end; their correctness
-proofs (batch == scalar, bit-for-bit) assume no silent widening.  An
+The vectorised BCH hot path (DESIGN §8) keeps its GF log/antilog
+tables int64, runs the Chien search on uint16 copies of them (uint16
+holds every index; int16 would wrap) and the parity GEMM in float32,
+and runs Berlekamp–Massey on Python ints; the chip simulator's
+block-level kernels (DESIGN §11) keep voltages float32 and latent fields
+float64 end to end.  Their correctness proofs (batch == scalar,
+bit-for-bit) assume no silent change of width.  An
 array constructor without an explicit ``dtype=`` defaults to the
 platform C long (``np.arange``/``np.array`` of ints: int32 on Windows,
 int64 on Linux), which both breaks cross-platform bit-identity and
@@ -32,7 +35,7 @@ _CONSTRUCTORS = {
     "numpy.frombuffer": 1,
 }
 
-#: Packages the rule applies to: the int16/GF kernel package and the
+#: Packages the rule applies to: the fixed-width BCH kernels and the
 #: float32-voltage / float64-latent chip kernels.
 _SCOPE_PREFIXES = ("repro.ecc", "repro.nand")
 

@@ -20,13 +20,11 @@ from .geometry import ChipGeometry
 from .mlc import MlcView, bits_to_levels, levels_to_bits
 from .noise import (
     PageLevels,
-    PageLevelsBatch,
     erased_tail_exceedance,
     page_levels,
     programmed_underflow,
     sample_erased,
     sample_erased_batch,
-    sample_programmed,
     sample_programmed_batch,
 )
 from .params import (
@@ -67,7 +65,6 @@ __all__ = [
     "OpCosts",
     "OpCounters",
     "PageLevels",
-    "PageLevelsBatch",
     "PartialProgramModel",
     "ProgramError",
     "RetentionModel",
@@ -89,7 +86,6 @@ __all__ = [
     "programmed_underflow",
     "sample_erased",
     "sample_erased_batch",
-    "sample_programmed",
     "sample_programmed_batch",
     "scaled_geometry",
     "scaled_model",

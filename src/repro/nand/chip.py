@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .errors import AddressError, EraseError, ProgramError, WearOutError
 from .geometry import ChipGeometry
 from .noise import (
     PageLevels,
-    PageLevelsBatch,
     page_levels,
     sample_erased_batch,
     sample_programmed_batch,
@@ -150,21 +149,33 @@ def check_cell_lists(
                 f"cell list {i} must be a 1-D integer array, got shape "
                 f"{array.shape} of {array.dtype}"
             )
-        array = array.astype(np.int64, copy=False)
-        if array.size and (array.min() < 0 or array.max() >= n_cells):
-            raise AddressError(
-                f"cell list {i} has a cell index outside [0, {n_cells})"
-            )
-        checked.append(array)
+        checked.append(_check_cells(
+            geometry, array,
+            f"cell list {i} has a cell index outside [0, {n_cells})",
+        ))
     return checked
 
 
-def _check_distinct(cells: np.ndarray, what: str) -> None:
-    """A pulse charges each listed cell once: reject a repeated index."""
-    if cells.size > 1:
+def _check_cells(
+    geometry: ChipGeometry, cells, out_of_range: str, distinct: str = ""
+) -> np.ndarray:
+    """One location's cell indices as int64, each in ``[0, cells_per_page)``.
+
+    The cell check of every command that names cells; `out_of_range`
+    is its :class:`AddressError` text.  A non-empty `distinct` names a
+    pulse command: a pulse charges each listed cell once, so a repeated
+    index is an error too.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.size and (
+        cells.min() < 0 or cells.max() >= geometry.cells_per_page
+    ):
+        raise AddressError(out_of_range)
+    if distinct and cells.size > 1:
         ordered = np.sort(cells, axis=None)
         if (ordered[1:] == ordered[:-1]).any():
-            raise AddressError(f"{what} repeats a cell index")
+            raise AddressError(f"{distinct} repeats a cell index")
+    return cells
 
 
 def _check_pulse(fraction: float, precision: float) -> None:
@@ -274,10 +285,6 @@ class PageOps:
             [(block, page) for page in pages], threshold=threshold
         )
 
-    def read_page_bytes(self, block: int, page: int) -> bytes:
-        """Standard read returning packed bytes."""
-        return np.packbits(self.read_page(block, page)).tobytes()
-
     def probe_voltages(self, block: int, page: int) -> np.ndarray:
         """Measure per-cell voltages in normalised units (uint8, 0-255).
 
@@ -385,6 +392,22 @@ class FlashChip(PageOps):
             self._blocks[index] = state
         return state
 
+    def _good_block(self, block: int) -> BlockState:
+        """The block's state, if it may be programmed or pulsed."""
+        state = self._block(block)
+        if state.bad:
+            raise ProgramError(f"block {block} is marked bad")
+        return state
+
+    def _checked(self, locations: Sequence, cells) -> Tuple[list, list]:
+        """Checked locations and cell lists (None: the whole page), the
+        cell lists first, as the wire client checks them."""
+        if cells is not None:
+            locations = list(locations)
+            cells = check_cell_lists(self.geometry, cells, len(locations))
+        locs = check_locations(self.geometry, locations)
+        return locs, [None] * len(locs) if cells is None else cells
+
     def block_pec(self, block: int) -> int:
         return self._block(block).pec
 
@@ -462,7 +485,7 @@ class FlashChip(PageOps):
         rngs = self._kernel_rngs(
             ("erase", state.index, state.erase_epoch), pages
         )
-        levels = self._page_levels_batch(state, pages)
+        levels = [self._page_levels(state, page) for page in pages]
         sample_erased_batch(rngs, levels, state.voltages)
 
     # ------------------------------------------------------------------
@@ -492,31 +515,17 @@ class FlashChip(PageOps):
         the full read's: one read accounted per location and the same
         read-disturb exposure.
         """
-        if cells is not None:
-            locations = list(locations)
-            cells = check_cell_lists(self.geometry, cells, len(locations))
-        locs = check_locations(self.geometry, locations)
+        locs, lists = self._checked(locations, cells)
         if threshold is None:
             threshold = self.params.voltage.slc_threshold
         prob = self.params.disturb.read_flip_prob
-        bits: Union[np.ndarray, List[np.ndarray]]
-        if cells is None:
-            bits = np.empty(
-                (len(locs), self.geometry.cells_per_page), dtype=np.uint8
-            )
-        else:
-            bits = []
-        for i, (block, page) in enumerate(locs):
+        bits = []
+        for (block, page), index in zip(locs, lists):
             state = self._block(block)
             voltages = self._effective_voltages(state, page)
-            index = None if cells is None else cells[i]
-            if index is None:
-                row = bits[i]
-                # Compare straight into the row: a bool view stores 0/1.
-                np.less(voltages, threshold, out=row.view(np.bool_))
-            else:
-                row = np.less(voltages[index], threshold).view(np.uint8)
-                bits.append(row)
+            if index is not None:
+                voltages = voltages[index]
+            row = np.less(voltages, threshold).view(np.uint8)
             flip = self._disturb_mask(state, page, index)
             if flip.any():
                 row[flip] ^= 1
@@ -524,8 +533,9 @@ class FlashChip(PageOps):
             # future error exposure — after its own mask, and locations
             # are distinct, so each mask sees the serial loop's exposure.
             state.page_exposure[page] += prob
+            bits.append(row)
         self._account("read", len(locs))
-        return bits
+        return bits if cells is not None else np.stack(bits)
 
     def probe_voltages_locations(
         self, locations: Sequence, cells: Optional[Sequence] = None
@@ -537,36 +547,26 @@ class FlashChip(PageOps):
         as in :meth:`read_locations`, the result is the list of full
         rows indexed by them.
         """
-        if cells is not None:
-            locations = list(locations)
-            cells = check_cell_lists(self.geometry, cells, len(locations))
-        return self._probe_locations(
-            check_locations(self.geometry, locations), cells
-        )
+        locs, lists = self._checked(locations, cells)
+        rows = self._probe_locations(locs, lists)
+        return rows if cells is not None else np.stack(rows)
 
     def _probe_locations(
-        self, locs: Sequence, cells: Optional[Sequence[np.ndarray]]
-    ) -> Union[np.ndarray, List[np.ndarray]]:
-        """The probe kernel over checked locations and cell lists."""
+        self, locs: Sequence, cells: Sequence[Optional[np.ndarray]]
+    ) -> List[np.ndarray]:
+        """The probe kernel over checked locations: one row per location,
+        the whole page's where its `cells` entry is None."""
         probe_max = self.params.voltage.probe_max
-        if cells is None:
-            voltages = np.empty(
-                (len(locs), self.geometry.cells_per_page), dtype=np.float32
+        rows = []
+        for (block, page), index in zip(locs, cells):
+            voltages = self._effective_voltages(self._block(block), page)
+            if index is not None:
+                voltages = voltages[index]
+            rows.append(
+                np.clip(np.rint(voltages), 0, probe_max).astype(np.uint8)
             )
-            for i, (block, page) in enumerate(locs):
-                state = self._block(block)
-                voltages[i] = self._effective_voltages(state, page)
-            self._account("read", len(locs))
-            return np.clip(np.rint(voltages), 0, probe_max).astype(np.uint8)
-        rows = [
-            self._effective_voltages(self._block(block), page)[index]
-            for (block, page), index in zip(locs, cells)
-        ]
         self._account("read", len(locs))
-        return [
-            np.clip(np.rint(row), 0, probe_max).astype(np.uint8)
-            for row in rows
-        ]
+        return rows
 
     def program_locations(self, locations: Sequence, data) -> None:
         """Program public data at many ``(block, page)`` locations.
@@ -584,9 +584,7 @@ class FlashChip(PageOps):
         for i, (block, page) in enumerate(locs):
             grouped.setdefault(block, []).append(i)
         for block, indices in grouped.items():
-            state = self._block(block)
-            if state.bad:
-                raise ProgramError(f"block {block} is marked bad")
+            state = self._good_block(block)
             pages = [locs[i][1] for i in indices]
             already = [int(p) for p in pages if state.page_programmed[p]]
             if already:
@@ -620,7 +618,7 @@ class FlashChip(PageOps):
         rngs = self._kernel_rngs(
             ("program", block), page_list, (state.erase_epoch,)
         )
-        levels = self._page_levels_batch(state, page_list)
+        levels = [self._page_levels(state, page) for page in page_list]
         rows = [state.voltages[p] for p in page_list]
         zero_cells = [np.flatnonzero(all_bits[i] == 0) for i in range(len(rows))]
         sample_programmed_batch(rngs, levels, zero_cells, rows)
@@ -656,16 +654,12 @@ class FlashChip(PageOps):
         finer in-controller programming §6.2 argues a vendor could provide.
         """
         _check_pulse(fraction, precision)
-        state = self._block(block)
         self.geometry.check_page(block, page)
-        if state.bad:
-            raise ProgramError(f"block {block} is marked bad")
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.size and (
-            cells.min() < 0 or cells.max() >= self.geometry.cells_per_page
-        ):
-            raise AddressError("partial_program cell index out of range")
-        _check_distinct(cells, "partial_program")
+        state = self._good_block(block)
+        cells = _check_cells(
+            self.geometry, cells, "partial_program cell index out of range",
+            distinct="partial_program",
+        )
         self._pulse(state, page, cells, fraction, precision)
 
     def _pulse(
@@ -736,19 +730,17 @@ class FlashChip(PageOps):
             raise ValueError(f"target must be finite, got {target}")
         locs = check_locations(self.geometry, [item[:2] for item in prepared])
         for block, page in locs:
-            state = self._block(block)
-            if state.bad:
-                raise ProgramError(f"block {block} is marked bad")
-            if not state.page_programmed[page]:
+            if not self._good_block(block).page_programmed[page]:
                 raise ProgramError(
                     f"page {page} of block {block} holds no public data; "
                     "VT-HI hides inside public data (§5.1)"
                 )
-        n_cells = self.geometry.cells_per_page
         for _, _, cells in prepared:
-            if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
-                raise AddressError("embed_locations cell index out of range")
-            _check_distinct(cells, "embed_locations")
+            _check_cells(
+                self.geometry, cells,
+                "embed_locations cell index out of range",
+                distinct="embed_locations",
+            )
         used = [0] * len(prepared)
         below = [cells for _, _, cells in prepared]
         active = [i for i, cells in enumerate(below) if cells.size]
@@ -823,14 +815,6 @@ class FlashChip(PageOps):
             std_mult=state.std_mult,
             tail_mult=state.tail_mult_for_page(page),
             tail_scale_mult=state.tail_scale_mult_for_page(page),
-        )
-
-    def _page_levels_batch(
-        self, state: BlockState, pages: Sequence[int]
-    ) -> PageLevelsBatch:
-        """Struct-of-arrays levels for a batch of pages (memoized rows)."""
-        return PageLevelsBatch.from_levels(
-            [self._page_levels(state, int(page)) for page in pages]
         )
 
     def _kernel_rngs(
@@ -998,15 +982,12 @@ class FlashChip(PageOps):
         """
         if cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {cycles}")
-        state = self._block(block)
-        if state.bad:
-            raise ProgramError(f"block {block} is marked bad")
-        n_cells = self.geometry.cells_per_page
+        state = self._good_block(block)
         for page, cells in cells_by_page.items():
             self.geometry.check_page(block, page)
-            cells = np.asarray(cells, dtype=np.int64)
-            if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
-                raise AddressError("apply_stress cell index out of range")
+            cells = _check_cells(
+                self.geometry, cells, "apply_stress cell index out of range"
+            )
             trap = state.trap_for_page(page)
             trap[cells] += self.params.partial_program.trap_per_cycle * cycles
             state.page_stress_pec[page] = state.pec + cycles

@@ -74,8 +74,10 @@ class MlcView:
             raise ProgramError(
                 f"MLC pages must cover {chip.geometry.cells_per_page} cells"
             )
-        state = chip._block(block)
         chip.geometry.check_page(block, page)
+        if chip.is_bad_block(block):
+            raise ProgramError(f"block {block} is marked bad")
+        state = chip._block(block)
         if state.page_programmed[page]:
             raise ProgramError(
                 f"page {page} of block {block} already programmed"

@@ -97,56 +97,9 @@ def _page_levels_cached(
     )
 
 
-@dataclass(frozen=True)
-class PageLevelsBatch:
-    """Struct-of-arrays :class:`PageLevels` for a batch of pages.
-
-    Each field is a float64 vector with one entry per page, in batch
-    order.  The block-level kernels below index these vectors instead of
-    unpacking one frozen :class:`PageLevels` per page in the hot loop.
-    """
-
-    erased_core_mean: np.ndarray
-    erased_core_std: np.ndarray
-    erased_tail_frac: np.ndarray
-    erased_tail_start: np.ndarray
-    erased_tail_scale: np.ndarray
-    erased_tail_span: np.ndarray
-    programmed_mean: np.ndarray
-    programmed_std: np.ndarray
-
-    @classmethod
-    def from_levels(cls, levels: Sequence[PageLevels]) -> "PageLevelsBatch":
-        return cls(
-            *(
-                np.array([getattr(lv, field) for lv in levels], dtype=np.float64)
-                for field in (
-                    "erased_core_mean", "erased_core_std", "erased_tail_frac",
-                    "erased_tail_start", "erased_tail_scale", "erased_tail_span",
-                    "programmed_mean", "programmed_std",
-                )
-            )
-        )
-
-    def __len__(self) -> int:
-        return self.erased_core_mean.size
-
-    def row(self, i: int) -> PageLevels:
-        return PageLevels(
-            erased_core_mean=float(self.erased_core_mean[i]),
-            erased_core_std=float(self.erased_core_std[i]),
-            erased_tail_frac=float(self.erased_tail_frac[i]),
-            erased_tail_start=float(self.erased_tail_start[i]),
-            erased_tail_scale=float(self.erased_tail_scale[i]),
-            erased_tail_span=float(self.erased_tail_span[i]),
-            programmed_mean=float(self.programmed_mean[i]),
-            programmed_std=float(self.programmed_std[i]),
-        )
-
-
 def sample_erased_batch(
     rngs: Sequence[np.random.Generator],
-    levels: PageLevelsBatch,
+    levels: Sequence[PageLevels],
     rows: Sequence[np.ndarray],
 ) -> None:
     """Fill float32 voltage rows with the erased-state mixture, in place.
@@ -165,30 +118,28 @@ def sample_erased_batch(
     reusing the selection uniform for the magnitude saves a second
     full-page draw without correlating surviving bulk cells.
     """
-    for i, rng in enumerate(rngs):
-        row = rows[i]
+    for rng, lv, row in zip(rngs, levels, rows):
         rng.standard_normal(dtype=np.float32, out=row)
-        row *= np.float32(levels.erased_core_std[i])
-        row += np.float32(levels.erased_core_mean[i])
-        frac = float(levels.erased_tail_frac[i])
+        row *= np.float32(lv.erased_core_std)
+        row += np.float32(lv.erased_core_mean)
+        frac = lv.erased_tail_frac
         u = rng.random(row.size, dtype=np.float32)
         if frac <= 0.0:
             continue
         tail = np.flatnonzero(u < np.float32(frac))
         if not tail.size:
             continue
-        scale = float(levels.erased_tail_scale[i])
-        span = float(levels.erased_tail_span[i])
-        norm = np.float32(1.0 - np.exp(-span / scale))
+        scale = lv.erased_tail_scale
+        norm = np.float32(1.0 - np.exp(-lv.erased_tail_span / scale))
         conditional = u[tail] * np.float32(1.0 / frac)
-        row[tail] = np.float32(levels.erased_tail_start[i]) + np.float32(
+        row[tail] = np.float32(lv.erased_tail_start) + np.float32(
             -scale
         ) * np.log1p(-conditional * norm)
 
 
 def sample_programmed_batch(
     rngs: Sequence[np.random.Generator],
-    levels: PageLevelsBatch,
+    levels: Sequence[PageLevels],
     cell_indices: Sequence[np.ndarray],
     rows: Sequence[np.ndarray],
 ) -> None:
@@ -201,12 +152,11 @@ def sample_programmed_batch(
     erase that opened the epoch, which is how physical NAND programming
     works (only '0' cells receive charge).
     """
-    for i, rng in enumerate(rngs):
-        idx = cell_indices[i]
+    for rng, lv, idx, row in zip(rngs, levels, cell_indices, rows):
         z = rng.standard_normal(idx.size, dtype=np.float32)
-        z *= np.float32(levels.programmed_std[i])
-        z += np.float32(levels.programmed_mean[i])
-        rows[i][idx] = z
+        z *= np.float32(lv.programmed_std)
+        z += np.float32(lv.programmed_mean)
+        row[idx] = z
 
 
 def sample_truncated_exponential(
@@ -240,15 +190,6 @@ def sample_erased(
             )
         )
     return voltages.astype(np.float32)
-
-
-def sample_programmed(
-    rng: np.random.Generator, size: int, levels: PageLevels
-) -> np.ndarray:
-    """Voltages for `size` programmed ('0') cells."""
-    return rng.normal(
-        levels.programmed_mean, levels.programmed_std, size
-    ).astype(np.float32)
 
 
 def erased_tail_exceedance(levels: PageLevels, threshold: float) -> float:

@@ -53,12 +53,8 @@ class LeakField:
     Collapses the two full-page latent uniform fields ("leak-select" and
     "leak-magnitude") into the only data any elapsed time needs: which
     cells are leaky and the negated log of their magnitude uniforms.
-    Building it costs the same as one :func:`leakage` call; every later
-    evaluation is a scatter-add over just the leaky cells.
-
-    ``scale * neg_log_magnitude`` is bit-identical to the historical
-    ``-scale * log(magnitude)`` (IEEE-754 multiplication commutes with
-    negation of either operand), so caching changes no output.
+    Every evaluation (:func:`leakage_from_field`) is then a scatter-add
+    over just the leaky cells.
     """
 
     n_cells: int
@@ -94,7 +90,12 @@ def leak_field(
 def leakage_from_field(
     model: RetentionModel, field: LeakField, *, elapsed_s: float
 ) -> np.ndarray:
-    """Per-cell voltage loss at `elapsed_s`, from cached latents."""
+    """Per-cell voltage loss for a page, `elapsed_s` after programming.
+
+    Deterministic in the field and `elapsed_s`, and monotonically
+    non-decreasing in `elapsed_s`, so reads are repeatable and cells
+    never "heal".
+    """
     factor = time_factor(model, elapsed_s)
     if factor == 0.0:
         return np.zeros(field.n_cells, dtype=np.float32)
@@ -108,47 +109,13 @@ def leakage_from_field(
     return leak.astype(np.float32)
 
 
-def leakage(
-    model: RetentionModel,
-    *,
-    chip_seed: int,
-    block: int,
-    page: int,
-    epoch: int,
-    elapsed_s: float,
-    pec_at_program: int,
-    n_cells: int,
-) -> np.ndarray:
-    """Per-cell voltage loss for a page, `elapsed_s` after programming.
-
-    Deterministic in all arguments and monotonically non-decreasing in
-    `elapsed_s`, so reads are repeatable and cells never "heal".
-    Equivalent to :func:`leak_field` + :func:`leakage_from_field`, which
-    callers with repeated reads should prefer.
-    """
-    if time_factor(model, elapsed_s) == 0.0:
-        return np.zeros(n_cells, dtype=np.float32)
-    field = leak_field(
-        model,
-        chip_seed=chip_seed,
-        block=block,
-        page=page,
-        epoch=epoch,
-        pec_at_program=pec_at_program,
-        n_cells=n_cells,
-    )
-    return leakage_from_field(model, field, elapsed_s=elapsed_s)
-
-
 def disturb_field(
     *, chip_seed: int, block: int, page: int, epoch: int, n_cells: int
 ) -> np.ndarray:
     """The latent disturb-susceptibility uniforms for one (page, epoch).
 
-    Cache-friendly counterpart of :func:`disturb_flip_mask`: materialise
-    the field once per program epoch, then threshold it per read with
-    :func:`disturb_flips_from_field` (a single vector compare) instead of
-    re-deriving the generator and re-drawing the field on every read.
+    Materialised once per program epoch, then thresholded per read with
+    :func:`disturb_flips_from_field` (a single vector compare).
     """
     return uniform_field(chip_seed, "disturb", block, page, epoch, size=n_cells)
 
@@ -156,30 +123,11 @@ def disturb_field(
 def disturb_flips_from_field(
     field: np.ndarray, flip_probability: float
 ) -> np.ndarray:
-    """Boolean flip mask from a cached latent field (see disturb_flip_mask)."""
-    if flip_probability <= 0:
-        return np.zeros(field.size, dtype=bool)
-    return field < min(flip_probability, 1.0)
-
-
-def disturb_flip_mask(
-    *,
-    chip_seed: int,
-    block: int,
-    page: int,
-    epoch: int,
-    flip_probability: float,
-    n_cells: int,
-) -> np.ndarray:
     """Boolean mask of cells whose read value is flipped by disturb errors.
 
     The mask is monotone in `flip_probability`: raising exposure can only
-    add flips, never remove them, because the same latent uniform field is
-    thresholded.
+    add flips, never remove them, because the same latent field is
+    thresholded.  Its uniforms lie in [0, 1), so a probability of 0 or
+    less flips no cell.
     """
-    if flip_probability <= 0:
-        return np.zeros(n_cells, dtype=bool)
-    field = disturb_field(
-        chip_seed=chip_seed, block=block, page=page, epoch=epoch, n_cells=n_cells
-    )
-    return disturb_flips_from_field(field, flip_probability)
+    return field < min(flip_probability, 1.0)

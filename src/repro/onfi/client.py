@@ -277,32 +277,37 @@ class RemoteChip(PageOps):
         threshold: Optional[float] = None,
         cells: Optional[Sequence] = None,
     ) -> Union[np.ndarray, List[np.ndarray]]:
-        pairs = [(int(block), int(page)) for block, page in locations]
-        lists = None if cells is None else check_cell_lists(
-            self.geometry, cells, len(pairs)
-        )
         flags = 0 if threshold is None else FLAG_THRESHOLD
-        bits = self._request(
-            Op.READ_LOCATIONS, flags, threshold=threshold, locations=pairs
-        )["bits"]
-        return bits if lists is None else [
-            row[index] for row, index in zip(bits, lists)
-        ]
+        return self._rows(
+            Op.READ_LOCATIONS, "bits", locations, cells, flags,
+            threshold=threshold,
+        )
 
     def probe_voltages_locations(
         self,
         locations: Sequence[Tuple[int, int]],
         cells: Optional[Sequence] = None,
     ) -> Union[np.ndarray, List[np.ndarray]]:
+        return self._rows(Op.PROBE_LOCATIONS, "voltages", locations, cells)
+
+    def _rows(
+        self,
+        op: Op,
+        field: str,
+        locations: Sequence[Tuple[int, int]],
+        cells: Optional[Sequence],
+        flags: int = 0,
+        **fields: Any,
+    ) -> Union[np.ndarray, List[np.ndarray]]:
+        """A whole-page read or probe frame; with `cells`, checked first,
+        the list of its rows indexed by them."""
         pairs = [(int(block), int(page)) for block, page in locations]
         lists = None if cells is None else check_cell_lists(
             self.geometry, cells, len(pairs)
         )
-        voltages = self._request(Op.PROBE_LOCATIONS, locations=pairs)[
-            "voltages"
-        ]
-        return voltages if lists is None else [
-            row[index] for row, index in zip(voltages, lists)
+        rows = self._request(op, flags, locations=pairs, **fields)[field]
+        return rows if lists is None else [
+            row[index] for row, index in zip(rows, lists)
         ]
 
     def program_locations(

@@ -88,26 +88,3 @@ def uniform_field(root: int, *parts: SeedPart, size: int) -> np.ndarray:
     of the same page observe consistent physics.
     """
     return substream(root, *parts).random(size, dtype=np.float64)
-
-
-def uniform_fields(
-    root: int,
-    prefix: Sequence[SeedPart],
-    varying: Sequence[SeedPart],
-    suffix: Sequence[SeedPart] = (),
-    *,
-    size: int,
-) -> np.ndarray:
-    """Stacked latent fields, one row per ``varying`` element.
-
-    Row ``i`` is bit-identical to
-    ``uniform_field(root, *prefix, varying[i], *suffix, size=size)`` —
-    batch consumers (the chip's block-level kernels) and single-page
-    consumers therefore observe the same latent physics.  Only the seed
-    derivation is batched; each row keeps its own independent generator.
-    """
-    seeds = derive_seeds(root, prefix, varying, suffix)
-    out = np.empty((len(seeds), size), dtype=np.float64)
-    for i, seed in enumerate(seeds):
-        np.random.default_rng(int(seed)).random(size, dtype=np.float64, out=out[i])
-    return out

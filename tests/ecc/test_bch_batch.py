@@ -345,10 +345,10 @@ class TestSplitInvariance:
     def test_split_across_the_chunk_bound(self):
         """300 fleet words, 260 of them random (mount-scan misses, all
         dirty) and 40 clean or corrupted codewords, so the chunks hold
-        corrections too.  Their dirty rows cross ``decode_many``'s chunk
-        bound (4M cells over 2t * n_parity = 18,000 per row: 222 rows),
-        so the whole call runs a full and a partial chunk; pieces of 1,
-        149 and 150 words decode like it."""
+        corrections too.  They cross ``decode_many``'s chunk bound (4M
+        cells over 2t * n_parity = 17,700 per row: 225 rows), so the
+        whole call runs a full and a partial chunk; pieces of 1, 149 and
+        150 words decode like it."""
         m, t, word_len = FLEET
         code = get_code(m, t)
         rng = np.random.default_rng(300)
@@ -385,3 +385,52 @@ class TestDirtyChunkMemory:
             tracemalloc.stop()
         assert [result.corrected_errors for result in results] == [1] * 2000
         assert peak <= 32 * 2**20
+
+
+class TestBatchChunkMemory:
+    """A size group runs in chunks end to end — stack, re-encode, diff
+    and dirty decode — so a batch's temporaries stay bounded however
+    many words it holds; only the results grow with it."""
+
+    WORDS = 5000
+
+    def _transient_peak(self, fn, *args):
+        """Traced peak heap of one call beyond what its result keeps."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - kept
+
+    def test_encode_many_temporaries_are_bounded(self):
+        m, t, word_len = FLEET
+        code = get_code(m, t)
+        rng = np.random.default_rng(5000)
+        data = rng.integers(
+            0, 2, (self.WORDS, word_len - code.n_parity)
+        ).astype(np.uint8)
+        code.encode_many(data[:1])  # build the parity matrix
+        codewords, transient = self._transient_peak(code.encode_many, data)
+        assert np.array_equal(codewords[-1], code.encode(data[-1]))
+        # Unchunked, the float32 GEMM operands and the int64 parity
+        # reduction alone are ~17 MiB at 5,000 words.
+        assert transient <= 8 * 2**20
+
+    def test_decode_many_temporaries_are_bounded(self):
+        m, t, word_len = FLEET
+        code = get_code(m, t)
+        rng = np.random.default_rng(5001)
+        data = rng.integers(
+            0, 2, (self.WORDS, word_len - code.n_parity)
+        ).astype(np.uint8)
+        words = [word.copy() for word in code.encode_many(data)]
+        for word in words[::50]:
+            word[rng.integers(word.size)] ^= 1
+        code.decode_many(words[:60])  # build the tables
+        results, transient = self._transient_peak(code.decode_many, words)
+        assert sum(r.corrected_errors for r in results) == len(words[::50])
+        # Unchunked, the stacked, re-encoded and difference arrays plus
+        # the re-encode's GEMM temporaries are ~17 MiB at 5,000 words.
+        assert transient <= 8 * 2**20

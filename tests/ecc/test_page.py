@@ -133,8 +133,8 @@ def test_word_layout_covers_page_exactly(pipeline):
 
 
 def test_construction_validation():
-    with pytest.raises(ValueError):
-        PagePipeline(100, ecc_m=13, ecc_t=8, n_words=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="room for 104 parity bits"):
         # words too small to hold parity
-        PagePipeline(200, ecc_m=13, ecc_t=8, n_words=2)
+        PagePipeline(100, ecc_m=13, ecc_t=8)
+    with pytest.raises(ValueError):
+        PagePipeline(0, ecc_m=13, ecc_t=8)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.hiding import ENHANCED_CONFIG, STANDARD_CONFIG, HidingConfig
+from repro.fleet import FLEET_HIDING
+from repro.hiding import (
+    ENHANCED_CONFIG,
+    STANDARD_CONFIG,
+    HidingConfig,
+    PayloadCodec,
+)
 
 
 def test_standard_matches_section_6_3():
@@ -32,10 +38,13 @@ def test_hidden_pages_stride():
 def test_parity_accounting():
     cfg = HidingConfig(ecc_m=9, ecc_t=8)
     assert cfg.parity_bits == 72
-    assert cfg.data_bits_per_page == cfg.bits_per_page - 72
-    assert cfg.data_bytes_per_page == cfg.data_bits_per_page // 8
     raw = HidingConfig(ecc_t=0)
     assert raw.parity_bits == 0
+    # A page's capacity is the codec's: each BCH word pays its own parity.
+    assert PayloadCodec(cfg).max_data_bits == cfg.bits_per_page - 72
+    assert PayloadCodec(raw).max_data_bits == raw.bits_per_page
+    assert PayloadCodec(ENHANCED_CONFIG).max_data_bits == 2560 - 2 * 968
+    assert PayloadCodec(FLEET_HIDING).max_data_bits == 345
 
 
 def test_replace_returns_modified_copy():

@@ -25,7 +25,7 @@ class TestProgramRead:
             : chip.geometry.page_bytes
         ]
         chip.program_page(0, 0, data)
-        back = chip.read_page_bytes(0, 0)
+        back = np.packbits(chip.read_page(0, 0)).tobytes()
         errors = sum(
             bin(a ^ b).count("1") for a, b in zip(back, data)
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nand import TEST_MODEL, FlashChip
 from repro.nand.errors import ProgramError
 from repro.nand.mlc import (
     LEVEL_BITS,
@@ -82,6 +83,20 @@ class TestMlcIo:
         mlc.program_page(0, 0, lower, upper)
         with pytest.raises(ProgramError):
             mlc.program_page(0, 0, lower, upper)
+
+    def test_bad_block_rejected_like_slc(self):
+        chip = FlashChip(
+            TEST_MODEL.geometry, TEST_MODEL.params, seed=1234,
+            factory_bad_blocks=1,
+        )
+        (bad,) = chip.factory_bad_blocks
+        lower, upper = pages(chip, seed=5)
+        with pytest.raises(ProgramError, match=f"^block {bad} is marked bad$"):
+            chip.program_page(bad, 0, lower)
+        with pytest.raises(ProgramError, match=f"^block {bad} is marked bad$"):
+            MlcView(chip).program_page(bad, 0, lower, upper)
+        assert not chip.is_page_programmed(bad, 0)
+        assert chip.counters.programs == 0
 
     def test_mlc_costs_two_programs(self, chip):
         mlc = MlcView(chip)

@@ -1,4 +1,8 @@
-"""Distribution samplers and their analytic counterparts."""
+"""Distribution samplers and their analytic counterparts.
+
+The batch samplers are the chip's erase and program kernels; MLC mode
+draws its erased cells from the scalar :func:`sample_erased`.
+"""
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from repro.nand.noise import (
     page_levels,
     programmed_underflow,
     sample_erased,
-    sample_programmed,
+    sample_erased_batch,
+    sample_programmed_batch,
     sample_truncated_exponential,
 )
 
@@ -42,20 +47,31 @@ def test_truncated_exponential_rejects_bad_params():
         sample_truncated_exponential(rng, 10, scale=5, span=0)
 
 
+def kernel_rng(seed):
+    """A generator of the family the chip's kernels draw from."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 def test_erased_sampler_matches_analytic_exceedance():
     lv = levels()
-    rng = np.random.default_rng(1)
-    draws = sample_erased(rng, 400_000, lv)
-    for threshold in (15.0, 34.0):
-        empirical = (draws > threshold).mean()
-        analytic = erased_tail_exceedance(lv, threshold)
-        assert empirical == pytest.approx(analytic, rel=0.15, abs=5e-4)
+    batch = np.empty(400_000, dtype=np.float32)
+    sample_erased_batch([kernel_rng(1)], [lv], [batch])
+    scalar = sample_erased(np.random.default_rng(1), 400_000, lv)
+    for draws in (batch, scalar):
+        for threshold in (15.0, 34.0):
+            empirical = (draws > threshold).mean()
+            analytic = erased_tail_exceedance(lv, threshold)
+            assert empirical == pytest.approx(analytic, rel=0.15, abs=5e-4)
 
 
 def test_programmed_sampler_matches_analytic_underflow():
     lv = levels()
-    rng = np.random.default_rng(2)
-    draws = sample_programmed(rng, 2_000_000, lv)
+    draws = np.full(2_000_000, np.nan, dtype=np.float32)
+    sample_programmed_batch(
+        [kernel_rng(2)], [lv], [np.arange(draws.size)], [draws]
+    )
+    assert draws.mean() == pytest.approx(lv.programmed_mean, abs=0.05)
+    assert draws.std() == pytest.approx(lv.programmed_std, rel=0.01)
     empirical = (draws < 127.0).mean()
     analytic = programmed_underflow(lv, 127.0)
     assert empirical == pytest.approx(analytic, rel=0.6, abs=3e-5)

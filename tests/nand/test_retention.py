@@ -1,12 +1,15 @@
-"""Retention and disturb-overlay models."""
+"""Retention and disturb-overlay models, through the cached latent
+fields the chip reads with."""
 
 import numpy as np
 import pytest
 
 from repro.nand.params import RetentionModel
 from repro.nand.retention import (
-    disturb_flip_mask,
-    leakage,
+    disturb_field,
+    disturb_flips_from_field,
+    leak_field,
+    leakage_from_field,
     leaky_fraction,
     time_factor,
 )
@@ -14,6 +17,19 @@ from repro.units import DAY, MONTH
 
 
 MODEL = RetentionModel()
+
+
+def page_leakage(model, *, elapsed_s, **field_kwargs):
+    """A page's leakage as the chip computes it: latents, then loss."""
+    field = leak_field(model, **field_kwargs)
+    return leakage_from_field(model, field, elapsed_s=elapsed_s)
+
+
+def page_flip_mask(*, flip_probability, **field_kwargs):
+    """A page's read-disturb flips as the chip computes them."""
+    return disturb_flips_from_field(
+        disturb_field(**field_kwargs), flip_probability
+    )
 
 
 class TestLeakyFraction:
@@ -62,26 +78,26 @@ class TestLeakage:
         return base
 
     def test_deterministic(self):
-        a = leakage(MODEL, **self.kwargs())
-        b = leakage(MODEL, **self.kwargs())
+        a = page_leakage(MODEL, **self.kwargs())
+        b = page_leakage(MODEL, **self.kwargs())
         assert np.array_equal(a, b)
 
     def test_monotone_in_time(self):
-        early = leakage(MODEL, **self.kwargs(elapsed_s=DAY))
-        late = leakage(MODEL, **self.kwargs(elapsed_s=4 * MONTH))
+        early = page_leakage(MODEL, **self.kwargs(elapsed_s=DAY))
+        late = page_leakage(MODEL, **self.kwargs(elapsed_s=4 * MONTH))
         assert (late >= early - 1e-6).all()
 
     def test_zero_before_any_time(self):
-        none = leakage(MODEL, **self.kwargs(elapsed_s=0.0))
+        none = page_leakage(MODEL, **self.kwargs(elapsed_s=0.0))
         assert (none == 0).all()
 
     def test_worn_cells_leak_more(self):
-        fresh = leakage(MODEL, **self.kwargs(pec_at_program=0))
-        worn = leakage(MODEL, **self.kwargs(pec_at_program=2000))
+        fresh = page_leakage(MODEL, **self.kwargs(pec_at_program=0))
+        worn = page_leakage(MODEL, **self.kwargs(pec_at_program=2000))
         assert worn.mean() > fresh.mean() * 2
 
     def test_leaky_population_size(self):
-        leak = leakage(MODEL, **self.kwargs())
+        leak = page_leakage(MODEL, **self.kwargs())
         frac = leaky_fraction(MODEL, 2000)
         baseline = MODEL.baseline_drift_4mo
         heavy = (leak > baseline + 1.0).mean()
@@ -91,25 +107,25 @@ class TestLeakage:
 
 class TestDisturbMask:
     def test_zero_probability_is_empty(self):
-        mask = disturb_flip_mask(
+        mask = page_flip_mask(
             chip_seed=1, block=0, page=0, epoch=0,
             flip_probability=0.0, n_cells=1000,
         )
         assert not mask.any()
 
     def test_rate_matches_probability(self):
-        mask = disturb_flip_mask(
+        mask = page_flip_mask(
             chip_seed=1, block=0, page=0, epoch=0,
             flip_probability=0.01, n_cells=200_000,
         )
         assert mask.mean() == pytest.approx(0.01, rel=0.15)
 
     def test_monotone_in_probability(self):
-        low = disturb_flip_mask(
+        low = page_flip_mask(
             chip_seed=1, block=0, page=0, epoch=0,
             flip_probability=0.001, n_cells=100_000,
         )
-        high = disturb_flip_mask(
+        high = page_flip_mask(
             chip_seed=1, block=0, page=0, epoch=0,
             flip_probability=0.01, n_cells=100_000,
         )

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rng import (
-    derive_seed,
-    derive_seeds,
-    substream,
-    uniform_field,
-    uniform_fields,
-)
+from repro.rng import derive_seed, derive_seeds, substream, uniform_field
 
 
 def test_derive_seed_is_deterministic():
@@ -83,13 +77,3 @@ def test_derive_seeds_property(root, count, suffix):
     seeds = derive_seeds(root, ("lbl",), range(count), (suffix,))
     for i in range(count):
         assert int(seeds[i]) == derive_seed(root, "lbl", i, suffix)
-
-
-def test_uniform_fields_rows_match_uniform_field():
-    fields = uniform_fields(7, ("leak",), [0, 1, 2], (5,), size=100)
-    assert fields.shape == (3, 100)
-    assert fields.dtype == np.float64
-    for i in range(3):
-        np.testing.assert_array_equal(
-            fields[i], uniform_field(7, "leak", i, 5, size=100)
-        )
