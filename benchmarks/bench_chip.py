@@ -5,7 +5,9 @@ Times the chip data plane at ``pages_per_block``-sized batches on
 shape every fleet/adversary experiment issues:
 
 - ``program_batch`` / ``program_scalar``: whole-block public program via
-  ``program_pages`` vs the single-page loop (erases are excluded);
+  ``program_pages`` vs the single-page loop (an erase-only loop is
+  subtracted; an erase draws no row, so each program's first-touch
+  draw of its erased row counts here);
 - ``probe_batch`` / ``probe_scalar``: per-cell voltage measurement of a
   worn, time-aged block (the retention-leak path is active) — the VT-HI
   embed/extract hot path;
@@ -24,8 +26,10 @@ shape every fleet/adversary experiment issues:
 Every run first verifies the batch ops are bit-identical to the
 single-page loops (voltages, probe, readback and ``OpCounters``), that
 the cell forms of probe and read equal the full-page rows indexed
-(counters included), and that erasing a block the chip never touched
-equals touching it and then erasing it.
+(counters included), that erasing a block the chip never touched
+equals touching it and then erasing it, and that a chip drawing its
+erased rows on first touch equals one forced to draw every row after
+each op.
 
 Usage::
 
@@ -177,10 +181,10 @@ def verify_batch_equivalence(model) -> None:
     assert _counters_tuple(batch_chip) == _counters_tuple(loop_chip), (
         "cell forms accounted different OpCounters than full-page calls"
     )
-    # An erase of a block the chip never touched skips the epoch-0 fill
-    # and must leave what touch-then-erase leaves.
+    # An erase of a block the chip never touched must leave what drawing
+    # its epoch-0 rows and then erasing leaves.
     fresh, touched = _fresh_chip(model), _fresh_chip(model)
-    touched.is_bad_block(1)
+    touched._block(1).voltages
     for chip in (fresh, touched):
         chip.age_block(1, WORKLOAD_PEC)
     np.testing.assert_array_equal(
@@ -188,6 +192,40 @@ def verify_batch_equivalence(model) -> None:
         err_msg="erasing an untouched block diverged from touch-then-erase",
     )
     assert _counters_tuple(fresh) == _counters_tuple(touched)
+    verify_lazy_equals_eager(model, bits)
+
+
+def verify_lazy_equals_eager(model, bits) -> None:
+    """A chip drawing erased rows on first touch must equal one forced
+    eager — every owed row drawn, through ``BlockState.voltages`` —
+    after each op: outputs, voltages and ``OpCounters``."""
+    geometry = model.geometry
+    pages = list(range(0, geometry.pages_per_block, 2))
+    cells = np.arange(0, geometry.cells_per_page, 97)
+    ops = [
+        lambda chip: chip.age_block(0, WORKLOAD_PEC),
+        lambda chip: chip.program_pages(0, pages, bits[pages]),
+        lambda chip: chip.partial_program(0, pages[0], cells),
+        lambda chip: chip.advance_time(WORKLOAD_AGE_S),
+        lambda chip: chip.read_locations([(0, 1), (0, pages[-1])]),
+        lambda chip: chip.probe_voltages_locations([(0, 3)], cells=[cells]),
+        lambda chip: chip.erase_block(0),
+        lambda chip: chip.probe_voltages(0, 1),
+    ]
+    lazy, eager = _fresh_chip(model), _fresh_chip(model)
+    for op in ops:
+        lazy_out, eager_out = op(lazy), op(eager)
+        np.testing.assert_equal(
+            lazy_out, eager_out,
+            err_msg="a lazily drawn chip answered differently",
+        )
+        eager._block(0).voltages
+    assert lazy._block(0).owed.any(), "the lazy chip drew every row"
+    np.testing.assert_array_equal(
+        lazy._block(0).voltages, eager._block(0).voltages,
+        err_msg="rows drawn on first touch differ from rows drawn eagerly",
+    )
+    assert _counters_tuple(lazy) == _counters_tuple(eager)
 
 
 def collect(params) -> dict:
@@ -412,7 +450,8 @@ def main(argv=None) -> int:
         check_tiny_floors(report)
         print(
             "tiny chip smoke OK (batch == scalar, cell forms == full "
-            "rows, fresh erase == touch-then-erase, floors hold)"
+            "rows, fresh erase == touch-then-erase, lazy rows == eager "
+            "rows, floors hold)"
         )
         return 0
     if before_path is not None:

@@ -111,7 +111,7 @@ def measure_ber_curves(
             locations, threshold=threshold, cells=cells_list
         )
         for i, bits in enumerate(bits_list):
-            curves[i, step] = float((readback[i] != bits).mean())
+            curves[i, step] = np.count_nonzero(readback[i] != bits) / bits.size
     return curves
 
 

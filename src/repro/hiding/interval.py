@@ -133,7 +133,7 @@ class IntervalHider:
                 targets[mask] = rng.normal(
                     centre, self.config.sublevel_std, count
                 ).astype(np.float32)
-        state.voltages[page, cells] = targets
+        state.row(page)[cells] = targets
         state.invalidate_page_voltages(page)
         # The fine pass costs another program's worth of work.
         self.chip._account("program")

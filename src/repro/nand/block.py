@@ -4,14 +4,20 @@ A :class:`BlockState` owns the analog voltage array for its pages plus the
 bookkeeping the physics models need: manufacturing offsets fixed at
 construction (the block's position in the chip's variation hierarchy), wear
 (PEC), per-page program timestamps/epochs, and accumulated disturb exposure.
+
+Erased voltages are drawn a row at a time, the first time a row is used:
+manufacture and every erase only mark the block's rows *owed*.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from ..rng import substream
 from .geometry import ChipGeometry
+from .noise import PageLevels, kernel_rngs, page_levels, sample_erased_batch
 from .params import ChipParams
 
 
@@ -28,6 +34,8 @@ class BlockState:
     ) -> None:
         self.index = index
         self.geometry = geometry
+        self.params = params
+        self.chip_seed = chip_seed
         n_pages = geometry.pages_per_block
         variation = params.variation
 
@@ -53,15 +61,22 @@ class BlockState:
             0.0, variation.page_tail_scale_jitter, n_pages
         )
 
-        #: Analog cell voltages (pages x cells).  Deep-erased state is a
-        #: small positive residue; values may go negative under leakage.
-        self.voltages = np.zeros(
+        # The voltage store behind :attr:`voltages` and :meth:`row`.  A
+        # row is written first when it is drawn, so at paper size the
+        # rows no command touches never become resident.
+        self._voltages = np.zeros(
             (n_pages, geometry.cells_per_page), dtype=np.float32
         )
         #: Program/erase cycles endured.
         self.pec = 0
         #: Incremented on every erase; scopes the per-page latent fields.
         self.erase_epoch = 0
+        #: Rows whose erased-state draw is still owed.  NAND ships erased,
+        #: so every row is owed at manufacture, and again after each erase.
+        self.owed = np.ones(n_pages, dtype=bool)
+        #: Wear left by the erase that opened the epoch (0 at manufacture):
+        #: owed rows draw at it even after a refused erase moves ``pec``.
+        self.erase_pec = 0
         #: Whether the block exceeded endurance and was retired.
         self.bad = False
         self.page_programmed = np.zeros(n_pages, dtype=bool)
@@ -98,6 +113,65 @@ class BlockState:
         self.effective_rows: dict = {}
         #: page -> per-cell partial-program response factors (float64).
         self.pp_responses: dict = {}
+        #: page -> the encoded head of the page's pulse labels
+        #: (:func:`repro.rng.label_prefix`).
+        self.pulse_prefixes: dict = {}
+
+    @property
+    def voltages(self) -> np.ndarray:
+        """Analog cell voltages (pages x cells), every owed row drawn.
+
+        Deep-erased state is a small positive residue; values may go
+        negative under leakage.  The whole-block view for code outside
+        the chip kernels: writes into it stick, since no row is owed
+        once it is returned.  The kernels use :meth:`row` instead.
+        """
+        if self.owed.any():
+            self.draw_rows(np.flatnonzero(self.owed))
+        return self._voltages
+
+    def row(self, page: int) -> np.ndarray:
+        """The page's voltage row (a writable view), drawn if owed."""
+        if self.owed[page]:
+            self.draw_rows((page,))
+        return self._voltages[page]
+
+    def draw_rows(self, pages: Sequence[int]) -> None:
+        """Draw the owed rows among `pages` from the epoch's erase streams.
+
+        Row ``p`` comes from ``SFC64(derive_seed(seed, "erase", block,
+        epoch, p))`` at :attr:`erase_pec`, its own stream at the epoch's
+        wear, so when a row is drawn changes none of its values.  The
+        owed rows of one call share one batched seed derivation.
+        """
+        owed = [int(page) for page in pages if self.owed[page]]
+        if not owed:
+            return
+        rngs = kernel_rngs(
+            self.chip_seed, ("erase", self.index, self.erase_epoch), owed
+        )
+        levels = [self.levels(page, self.erase_pec) for page in owed]
+        sample_erased_batch(rngs, levels, [self._voltages[p] for p in owed])
+        self.owed[owed] = False
+
+    def write_row(self, page: int, voltages: np.ndarray) -> None:
+        """Replace a whole row; it is settled without being drawn."""
+        self._voltages[page] = voltages
+        self.owed[page] = False
+        self.invalidate_page_voltages(page)
+
+    def levels(self, page: int, pec: int) -> PageLevels:
+        """The page's distribution levels at wear `pec`."""
+        return page_levels(
+            self.params,
+            pec=pec,
+            mean_offset=float(self.mean_offset + self.page_offsets[page]),
+            std_mult=self.std_mult,
+            tail_mult=float(self.tail_mult * self.page_tail_mults[page]),
+            tail_scale_mult=float(
+                self.tail_scale_mult * self.page_tail_scale_mults[page]
+            ),
+        )
 
     def trap_for_page(self, page: int) -> np.ndarray:
         """Trapped-charge array for a page, allocating on first use."""
@@ -120,12 +194,13 @@ class BlockState:
     def reset_for_erase(self) -> None:
         """Apply the state changes of an erase operation.
 
-        The voltage array is *not* touched here: the erase operation
-        itself repopulates every row with fresh erased-state draws (see
-        ``FlashChip.erase_block``) right after the epoch bump.
+        The voltage array is *not* touched: every row becomes owed, to
+        be drawn from the new epoch's erase streams on first use.
         """
         self.pec += 1
         self.erase_epoch += 1
+        self.erase_pec = self.pec
+        self.owed[:] = True
         self.page_programmed[:] = False
         self.page_program_time[:] = 0.0
         self.page_pec[:] = 0
@@ -136,12 +211,4 @@ class BlockState:
         self.disturb_fields.clear()
         self.effective_rows.clear()
         self.pp_responses.clear()
-
-    def mean_offset_for_page(self, page: int) -> float:
-        return float(self.mean_offset + self.page_offsets[page])
-
-    def tail_mult_for_page(self, page: int) -> float:
-        return float(self.tail_mult * self.page_tail_mults[page])
-
-    def tail_scale_mult_for_page(self, page: int) -> float:
-        return float(self.tail_scale_mult * self.page_tail_scale_mults[page])
+        self.pulse_prefixes.clear()

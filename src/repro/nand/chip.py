@@ -42,16 +42,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..rng import derive_seeds, substream
+from ..rng import label_prefix, seed_from_prefix, substream
 from .block import BlockState
 from .errors import AddressError, EraseError, ProgramError, WearOutError
 from .geometry import ChipGeometry
-from .noise import (
-    PageLevels,
-    page_levels,
-    sample_erased_batch,
-    sample_programmed_batch,
-)
+from .noise import kernel_rngs, sample_programmed_batch
 from .params import ChipParams
 from .retention import (
     LeakField,
@@ -141,32 +136,49 @@ def check_cell_lists(
             f"got {len(lists)} cell lists for {count} locations"
         )
     n_cells = geometry.cells_per_page
-    checked = []
-    for i, index in enumerate(lists):
-        array = np.asarray(index)
-        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
-            raise AddressError(
-                f"cell list {i} must be a 1-D integer array, got shape "
-                f"{array.shape} of {array.dtype}"
-            )
-        checked.append(_check_cells(
-            geometry, array,
+    return [
+        _check_cells(
+            geometry, index, f"cell list {i}",
             f"cell list {i} has a cell index outside [0, {n_cells})",
-        ))
-    return checked
+        )
+        for i, index in enumerate(lists)
+    ]
+
+
+def cell_array(cells, name: str) -> np.ndarray:
+    """A cell list as a 1-D int64 array, else :class:`AddressError`.
+
+    A float, bool or multi-dimensional list is rejected, not truncated
+    or flattened; an empty list of any dtype is valid.  `name` names the
+    list in the error.  Pure in its inputs: the wire client runs it
+    before encoding, and the commands it serves run it first too, so
+    both chips raise the same error for every bad call.
+    """
+    array = np.asarray(cells)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise AddressError(
+            f"{name} must be a 1-D integer array, got shape "
+            f"{array.shape} of {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
 
 
 def _check_cells(
-    geometry: ChipGeometry, cells, out_of_range: str, distinct: str = ""
+    geometry: ChipGeometry,
+    cells,
+    name: str,
+    out_of_range: str,
+    distinct: str = "",
 ) -> np.ndarray:
     """One location's cell indices as int64, each in ``[0, cells_per_page)``.
 
-    The cell check of every command that names cells; `out_of_range`
-    is its :class:`AddressError` text.  A non-empty `distinct` names a
-    pulse command: a pulse charges each listed cell once, so a repeated
-    index is an error too.
+    The cell check of every command that names cells: :func:`cell_array`
+    under `name`, then the range, with `out_of_range` as its
+    :class:`AddressError` text.  A non-empty `distinct` names a pulse
+    command: a pulse charges each listed cell once, so a repeated index
+    is an error too.
     """
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = cell_array(cells, name)
     if cells.size and (
         cells.min() < 0 or cells.max() >= geometry.cells_per_page
     ):
@@ -370,12 +382,11 @@ class FlashChip(PageOps):
         """This sample's manufacturing mean offset (voltage units)."""
         return self._chip_offset
 
-    def _block(self, index: int, fill: bool = True) -> BlockState:
+    def _block(self, index: int) -> BlockState:
         """The block's state, materialised on first access.
 
-        ``fill=False`` skips the epoch-0 erased fill of a block that is
-        materialised here; only :meth:`_erase` passes it, and it fills
-        the block itself unless the erase goes ahead.
+        NAND ships erased: a freshly manufactured block owes every row
+        its epoch-0 erased-state draw (deterministic in seed/block).
         """
         self.geometry.check_block(index)
         state = self._blocks.get(index)
@@ -383,10 +394,6 @@ class FlashChip(PageOps):
             state = BlockState(
                 index, self.geometry, self.params, self.seed, self._chip_offset
             )
-            # NAND ships erased: a freshly manufactured block carries the
-            # epoch-0 erased-state voltages (deterministic in seed/block).
-            if fill:
-                self._fill_erased(state)
             if index in self.factory_bad_blocks:
                 state.bad = True
             self._blocks[index] = state
@@ -445,48 +452,25 @@ class FlashChip(PageOps):
     def _erase(self, block: int, pec: Optional[int] = None) -> None:
         """Erase `block`, first setting its wear counter to `pec` if given.
 
-        A block the chip has not materialised yet skips its epoch-0
-        erased fill when the erase goes ahead: the erase redraws every
-        row from its own ``("erase", block, epoch)`` streams, and the
-        skipped fill feeds no other stream, counter or cache, so the
-        state is the one touch-then-erase leaves.  A refused erase
-        (factory-bad block, strict endurance) leaves the block
-        materialised and filled, at the wear it was filled at.
+        The erase draws nothing: it opens a new epoch in which every row
+        is owed (:attr:`BlockState.owed`), each drawn from the epoch's
+        ``("erase", block, epoch, page)`` stream at the wear the erase
+        left the first time a kernel uses it.  A refused erase (factory-
+        bad block, strict endurance) opens no epoch; the wear it sets
+        does not reach the owed rows of the epoch still open.
         """
-        fresh = block not in self._blocks
-        state = self._block(block, fill=False)
-        endurance = self.params.wear.endurance_pec
-        wear = state.pec if pec is None else pec
-        refused = state.bad or (self.strict_endurance and wear >= endurance)
-        if fresh and refused:
-            self._fill_erased(state)
+        state = self._block(block)
         if state.bad:
             raise EraseError(f"block {block} is marked bad")
-        state.pec = wear
-        if refused:
+        endurance = self.params.wear.endurance_pec
+        state.pec = state.pec if pec is None else pec
+        if self.strict_endurance and state.pec >= endurance:
             state.bad = True
             raise WearOutError(
                 f"block {block} exceeded endurance ({endurance} PEC)"
             )
         state.reset_for_erase()
-        self._fill_erased(state)
         self._account("erase")
-
-    def _fill_erased(self, state: BlockState) -> None:
-        """Repopulate a block with erased-state draws for its epoch.
-
-        Runs at manufacture (epoch 0) and after every erase, at the
-        block's *current* wear level — PEC changes only through erase, so
-        these levels are exactly the ones any program in the open epoch
-        would use.  One independent substream per page, derived in a
-        single batched pass.
-        """
-        pages = range(self.geometry.pages_per_block)
-        rngs = self._kernel_rngs(
-            ("erase", state.index, state.erase_epoch), pages
-        )
-        levels = [self._page_levels(state, page) for page in pages]
-        sample_erased_batch(rngs, levels, state.voltages)
 
     # ------------------------------------------------------------------
     # location kernels
@@ -519,23 +503,26 @@ class FlashChip(PageOps):
         if threshold is None:
             threshold = self.params.voltage.slc_threshold
         prob = self.params.disturb.read_flip_prob
-        bits = []
-        for (block, page), index in zip(locs, lists):
+        # Whole-page rows are written straight into the result.
+        rows = [None] * len(locs) if cells is not None else np.empty(
+            (len(locs), self.geometry.cells_per_page), dtype=np.bool_
+        )
+        for i, ((block, page), index) in enumerate(zip(locs, lists)):
             state = self._block(block)
             voltages = self._effective_voltages(state, page)
-            if index is not None:
-                voltages = voltages[index]
-            row = np.less(voltages, threshold).view(np.uint8)
-            flip = self._disturb_mask(state, page, index)
-            if flip.any():
-                row[flip] ^= 1
+            if index is None:
+                row = np.less(voltages, threshold, out=rows[i])
+            else:
+                row = rows[i] = np.less(voltages[index], threshold)
+            row ^= self._disturb_mask(state, page, index)
             # Read disturb: every read slightly raises its own page's
             # future error exposure — after its own mask, and locations
             # are distinct, so each mask sees the serial loop's exposure.
             state.page_exposure[page] += prob
-            bits.append(row)
         self._account("read", len(locs))
-        return bits if cells is not None else np.stack(bits)
+        if cells is None:
+            return rows.view(np.uint8)
+        return [row.view(np.uint8) for row in rows]
 
     def probe_voltages_locations(
         self, locations: Sequence, cells: Optional[Sequence] = None
@@ -609,17 +596,18 @@ class FlashChip(PageOps):
         """The block program kernel behind :meth:`program_locations`.
 
         Only the '0' cells of each page draw randomness: bit value 1
-        leaves the cell at the erased-state voltage the opening erase
-        already established (the levels match — PEC changes only through
-        erase).  Per-page RNG substreams keep any batch shape, one-row
-        batches included, bit-identical.
+        leaves the cell at the erased-state voltage of the epoch, drawn
+        here first if the row is still owed (the levels match — PEC
+        changes only through erase).  Per-page RNG substreams keep any
+        batch shape, one-row batches included, bit-identical.
         """
         page_list = [int(p) for p in pages]
-        rngs = self._kernel_rngs(
-            ("program", block), page_list, (state.erase_epoch,)
+        rngs = kernel_rngs(
+            self.seed, ("program", block), page_list, (state.erase_epoch,)
         )
-        levels = [self._page_levels(state, page) for page in page_list]
-        rows = [state.voltages[p] for p in page_list]
+        levels = [state.levels(page, state.pec) for page in page_list]
+        state.draw_rows(page_list)
+        rows = [state.row(page) for page in page_list]
         zero_cells = [np.flatnonzero(all_bits[i] == 0) for i in range(len(rows))]
         sample_programmed_batch(rngs, levels, zero_cells, rows)
         index = np.asarray(page_list, dtype=np.int64)
@@ -653,11 +641,13 @@ class FlashChip(PageOps):
         `precision` scales the pulse's spread — values below 1.0 model the
         finer in-controller programming §6.2 argues a vendor could provide.
         """
+        cells = cell_array(cells, "partial_program cells")
         _check_pulse(fraction, precision)
         self.geometry.check_page(block, page)
         state = self._good_block(block)
         cells = _check_cells(
-            self.geometry, cells, "partial_program cell index out of range",
+            self.geometry, cells, "partial_program cells",
+            "partial_program cell index out of range",
             distinct="partial_program",
         )
         self._pulse(state, page, cells, fraction, precision)
@@ -671,23 +661,30 @@ class FlashChip(PageOps):
         precision: float,
     ) -> None:
         """The pulse behind :meth:`partial_program`, on checked inputs:
-        distinct in-range `cells` of a good block's page."""
+        distinct in-range `cells` of a good block's page.
+
+        Pulse ``n`` of a page in an epoch draws from
+        ``substream(seed, "pp-pulse", block, page, epoch, n)``; the
+        label's head is hashed once per page and epoch and kept with the
+        page's latent caches.
+        """
         pp = self.params.partial_program
         response = self._pp_response(state.index, page)[cells]
-        pulse_rng = substream(
-            self.seed,
-            "pp-pulse",
-            state.index,
-            page,
-            state.erase_epoch,
-            int(state.page_pp_pulses[page]),
+        prefix = state.pulse_prefixes.get(page)
+        if prefix is None:
+            prefix = label_prefix(
+                self.seed, "pp-pulse", state.index, page, state.erase_epoch
+            )
+            state.pulse_prefixes[page] = prefix
+        pulse_rng = np.random.default_rng(
+            seed_from_prefix(prefix, int(state.page_pp_pulses[page]))
         )
         mean = pp.pulse_mean * fraction
         std = pp.pulse_std * fraction * precision
         pulses = pulse_rng.normal(mean, std, size=cells.size)
         # Charge per pulse is bounded: clip to [0, mean + 2 std].
         np.clip(pulses, 0.0, mean + 2.0 * std, out=pulses)
-        state.voltages[page, cells] += (response * pulses).astype(np.float32)
+        state.row(page)[cells] += (response * pulses).astype(np.float32)
         state.invalidate_page_voltages(page)
         state.page_pp_pulses[page] += 1
         self._expose_neighbours(
@@ -720,8 +717,12 @@ class FlashChip(PageOps):
         Returns ``(steps_used, cells_left)`` per item.
         """
         prepared = [
-            (int(block), int(page), np.asarray(cells, dtype=np.int64).ravel())
-            for block, page, cells in items
+            (
+                int(block),
+                int(page),
+                cell_array(cells, f"embed_locations item {i} cells"),
+            )
+            for i, (block, page, cells) in enumerate(items)
         ]
         _check_pulse(fraction, precision)
         if steps < 1:
@@ -735,9 +736,9 @@ class FlashChip(PageOps):
                     f"page {page} of block {block} holds no public data; "
                     "VT-HI hides inside public data (§5.1)"
                 )
-        for _, _, cells in prepared:
+        for i, (_, _, cells) in enumerate(prepared):
             _check_cells(
-                self.geometry, cells,
+                self.geometry, cells, f"embed_locations item {i} cells",
                 "embed_locations cell index out of range",
                 distinct="embed_locations",
             )
@@ -807,35 +808,6 @@ class FlashChip(PageOps):
     # ------------------------------------------------------------------
     # internals
 
-    def _page_levels(self, state: BlockState, page: int) -> PageLevels:
-        return page_levels(
-            self.params,
-            pec=state.pec,
-            mean_offset=state.mean_offset_for_page(page),
-            std_mult=state.std_mult,
-            tail_mult=state.tail_mult_for_page(page),
-            tail_scale_mult=state.tail_scale_mult_for_page(page),
-        )
-
-    def _kernel_rngs(
-        self,
-        prefix: Sequence,
-        pages: Sequence[int],
-        suffix: Sequence = (),
-    ) -> list:
-        """Independent per-page generators for a block-level kernel.
-
-        Seeds come from one batched SHA-256 pass (:func:`derive_seeds`,
-        same label scheme as :func:`repro.rng.substream`); the streams use
-        SFC64, whose float32 normal fill is the fastest this workload has
-        measured.  The generator family is part of the documented stream
-        layout (DESIGN §11): changing it changes drawn voltages.
-        """
-        seeds = derive_seeds(self.seed, prefix, pages, suffix)
-        return [
-            np.random.Generator(np.random.SFC64(int(seed))) for seed in seeds
-        ]
-
     def _effective_voltages(self, state: BlockState, page: int) -> np.ndarray:
         """Stored voltages minus retention leakage at the current clock.
 
@@ -844,7 +816,7 @@ class FlashChip(PageOps):
         lookup, not a leakage evaluation.  Callers must treat the returned
         array as read-only (it may alias the store or the cache).
         """
-        voltages = state.voltages[page]
+        voltages = state.row(page)
         if not state.page_programmed[page]:
             return voltages
         elapsed = self.clock - state.page_program_time[page]
@@ -947,7 +919,7 @@ class FlashChip(PageOps):
             wear_rng = substream(
                 self.seed, "pp-wear", block, page, state.erase_epoch
             )
-            response = response * wear_rng.lognormal(0.0, wear_sigma, n)
+            response *= wear_rng.lognormal(0.0, wear_sigma, n)
         # Charge injection saturates: process + wear variation is bounded
         # above (the low side — slow/hard cells — is not).
         np.clip(response, None, pp.response_cap, out=response)
@@ -983,11 +955,15 @@ class FlashChip(PageOps):
         if cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {cycles}")
         state = self._good_block(block)
+        checked = []
         for page, cells in cells_by_page.items():
             self.geometry.check_page(block, page)
-            cells = _check_cells(
-                self.geometry, cells, "apply_stress cell index out of range"
-            )
+            checked.append((page, _check_cells(
+                self.geometry, cells, f"apply_stress cells of page {page}",
+                "apply_stress cell index out of range",
+            )))
+        # Every page and cell list is valid: only now does a trap change.
+        for page, cells in checked:
             trap = state.trap_for_page(page)
             trap[cells] += self.params.partial_program.trap_per_cycle * cycles
             state.page_stress_pec[page] = state.pec + cycles

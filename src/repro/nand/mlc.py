@@ -82,7 +82,7 @@ class MlcView:
             raise ProgramError(
                 f"page {page} of block {block} already programmed"
             )
-        page_levels = chip._page_levels(state, page)
+        page_levels = state.levels(page, state.pec)
         mlc = chip.params.mlc
         rng = substream(
             chip.seed, "program-mlc", block, page, state.erase_epoch
@@ -106,8 +106,7 @@ class MlcView:
                 mlc.level_stds[level - 1] * state.std_mult,
                 count,
             ).astype(np.float32)
-        state.voltages[page] = voltages
-        state.invalidate_page_voltages(page)
+        state.write_row(page, voltages)
         state.page_programmed[page] = True
         state.page_program_time[page] = chip.clock
         state.page_pec[page] = state.pec

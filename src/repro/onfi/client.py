@@ -31,7 +31,10 @@ leave their location checks to the served chip, whose status register
 records a bad address as a device's would.  The cell forms of reads
 and probes check their cell lists client-side
 (:func:`~repro.nand.chip.check_cell_lists`, which the in-process chip
-also runs first), send the full-page frame and slice the answer.
+also runs first), send the full-page frame and slice the answer; pulses
+and embeds reject a non-integer or multi-dimensional cell list before
+encoding it (:func:`~repro.nand.chip.cell_array`, the in-process
+command's first check too).
 Everything stateful is judged by the real chip on the server.
 """
 
@@ -59,6 +62,7 @@ from ..nand.chip import (
     OpCounters,
     PageOps,
     as_bits,
+    cell_array,
     check_cell_lists,
     check_locations,
     stack_payloads,
@@ -330,7 +334,10 @@ class RemoteChip(PageOps):
         """Algorithm 1's loop on the served chip: one EMBED_LOCATIONS
         round trip, however many probe and pulse steps it runs."""
         pairs = [(int(block), int(page)) for block, page, _ in items]
-        lists = [np.asarray(c, dtype=np.int64).ravel() for _, _, c in items]
+        lists = [
+            cell_array(cells, f"embed_locations item {i} cells")
+            for i, (_, _, cells) in enumerate(items)
+        ]
         answer = self._request(
             Op.EMBED_LOCATIONS,
             target=target,
@@ -364,7 +371,7 @@ class RemoteChip(PageOps):
             page=page,
             fraction=fraction,
             precision=precision,
-            cells=cells,
+            cells=cell_array(cells, "partial_program cells"),
         )
 
     def partial_program_via_reset(

@@ -47,6 +47,27 @@ def derive_seed(root: int, *parts: SeedPart) -> int:
     return int.from_bytes(hasher.digest()[:8], "little")
 
 
+def label_prefix(root: int, *parts: SeedPart) -> bytes:
+    """The encoded head ``(root, *parts)`` of a label.
+
+    A family of labels that differ only in their tail encodes the shared
+    head once and keeps the bytes; :func:`seed_from_prefix` appends each
+    tail.
+    """
+    prefix = int(root).to_bytes(16, "little", signed=True)
+    for part in parts:
+        prefix += _encode_part(part)
+    return prefix
+
+
+def seed_from_prefix(prefix: bytes, *parts: SeedPart) -> int:
+    """``derive_seed(root, *head, *parts)`` for ``prefix =
+    label_prefix(root, *head)``."""
+    for part in parts:
+        prefix += _encode_part(part)
+    return int.from_bytes(hashlib.sha256(prefix).digest()[:8], "little")
+
+
 def derive_seeds(
     root: int,
     prefix: Sequence[SeedPart],
@@ -61,10 +82,7 @@ def derive_seeds(
     (``hasher.copy()``), so deriving a block's worth of per-page seeds is
     one pass instead of a SHA-256 from scratch per page.
     """
-    base = hashlib.sha256()
-    base.update(int(root).to_bytes(16, "little", signed=True))
-    for part in prefix:
-        base.update(_encode_part(part))
+    base = hashlib.sha256(label_prefix(root, *prefix))
     tail = b"".join(_encode_part(part) for part in suffix)
     seeds: list = []
     for part in varying:

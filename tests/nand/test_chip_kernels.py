@@ -11,9 +11,9 @@ the rebuild relies on:
   never survive an erase and always equal a cold recompute;
 * ``cycle_block`` equals the explicit erase + per-page program loop it
   replaced, pattern draws and wear accounting included;
-* erasing a block the chip has not materialised skips the epoch-0 fill
-  the erase would overwrite and leaves what touch-then-erase leaves,
-  refused erases (factory-bad, strict endurance) included.
+* an erase draws no row: erasing a block the chip has not materialised
+  leaves what touch-then-erase leaves, refused erases (factory-bad,
+  strict endurance) included, and every row is drawn on first use.
 """
 
 import numpy as np
@@ -250,7 +250,7 @@ def block_snapshot(chip, block):
     state = chip._block(block)
     return (
         state.voltages.copy(),
-        [chip._page_levels(state, page) for page in range(PAGES_PER_BLOCK)],
+        [state.levels(page, state.pec) for page in range(PAGES_PER_BLOCK)],
         (state.pec, state.erase_epoch, state.bad),
         counters_tuple(chip),
     )
@@ -269,20 +269,14 @@ ERASES = {
 
 
 @pytest.mark.parametrize("how", list(ERASES))
-def test_erase_of_untouched_block_equals_touch_then_erase(how, monkeypatch):
-    """The epoch-0 fill an erase would overwrite is skipped, and the
-    block ends exactly as touching it first and then erasing leaves it."""
+def test_erase_of_untouched_block_equals_touch_then_erase(how):
+    """An erase draws no row, and the block ends exactly as touching it
+    first (and drawing its epoch-0 rows) and then erasing leaves it."""
     fresh, touched = chip_pair(61)
-    touched.is_bad_block(0)  # materialises block 0 with its epoch-0 fill
-    fills = []
-    fill = FlashChip._fill_erased
-    monkeypatch.setattr(
-        FlashChip, "_fill_erased",
-        lambda chip, state: (fills.append(chip), fill(chip, state)),
-    )
+    touched._block(0).voltages  # materialises block 0, epoch-0 rows drawn
     for chip in (fresh, touched):
         ERASES[how](chip)
-    assert fills.count(fresh) == fills.count(touched)
+        assert chip._block(0).owed.all()
     assert_same_block(block_snapshot(fresh, 0), block_snapshot(touched, 0))
     np.testing.assert_array_equal(
         fresh.probe_voltages_batch(0, range(PAGES_PER_BLOCK)),
@@ -293,13 +287,13 @@ def test_erase_of_untouched_block_equals_touch_then_erase(how, monkeypatch):
 @pytest.mark.parametrize("how", ["erase", "age"])
 def test_refused_erase_of_untouched_block_leaves_it_filled(how):
     """A factory-bad block still raises EraseError and keeps its
-    epoch-0 fill, exactly as when it was touched first."""
+    epoch-0 rows, exactly as when it was touched first."""
     fresh = FlashChip(GEOMETRY, TEST_MODEL.params, seed=3, factory_bad_blocks=1)
     touched = FlashChip(
         GEOMETRY, TEST_MODEL.params, seed=3, factory_bad_blocks=1
     )
     (bad,) = fresh.factory_bad_blocks
-    touched.is_bad_block(bad)
+    touched._block(bad).voltages
     for chip in (fresh, touched):
         with pytest.raises(EraseError, match="marked bad"):
             if how == "erase":
@@ -316,15 +310,16 @@ def test_refused_erase_of_untouched_block_leaves_it_filled(how):
 
 def test_strict_endurance_refusal_of_untouched_block_leaves_it_filled():
     """Aging an untouched block past strict endurance raises WearOutError
-    and leaves the epoch-0 fill at the wear it was drawn at, while an
-    erase within endurance still skips the dead fill."""
+    and leaves its epoch-0 rows at the wear they were drawn at — not at
+    the wear the refused erase set — while an erase within endurance
+    leaves what touch-then-erase leaves."""
     endurance = TEST_MODEL.params.wear.endurance_pec
     fresh, touched = (
         FlashChip(GEOMETRY, TEST_MODEL.params, seed=9, strict_endurance=True)
         for _ in range(2)
     )
     for block in (0, 1):
-        touched.is_bad_block(block)
+        touched._block(block).voltages
     for chip in (fresh, touched):
         with pytest.raises(WearOutError, match="exceeded endurance"):
             chip.age_block(0, endurance + 2)
