@@ -19,6 +19,10 @@ shape every fleet/adversary experiment issues:
   the cache-effectiveness control for ``read_repeat``;
 - ``partial_program``: repeated PP pulses on one page (the Algorithm 1
   inner op);
+- ``partial_program_cold``: the first pulse of the same cells on each
+  freshly programmed page of a block — what every Fig. 6 page and
+  fleet embed pays, and what ``partial_program``'s repeats of one page
+  hide;
 - ``cycle``: one real program/erase cycle with pseudorandom data;
 - ``mixed_embed_extract``: an end-to-end scenario — program a block,
   VT-HI-embed hidden bits into every page, bake, extract them back.
@@ -337,6 +341,17 @@ def collect(params) -> dict:
             chip.partial_program(0, 0, cells, fraction=1.0)
 
     record("partial_program", _time(pp_pulses, repeats), n_pulses)
+
+    cold_chips = [_aged_programmed_chip(model, bits) for _ in range(repeats)]
+
+    def pp_first_pulses():
+        chip = cold_chips.pop()
+        for page in pages:
+            chip.partial_program(0, page, cells, fraction=1.0)
+
+    record(
+        "partial_program_cold", _time(pp_first_pulses, repeats), len(pages)
+    )
 
     # --- full program/erase cycle ------------------------------------
     chip = _fresh_chip(model)

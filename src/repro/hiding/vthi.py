@@ -193,7 +193,7 @@ class VtHi:
         come from `key` and each location's public bits; a supplied
         ``public_bits`` entry skips that location's public read.
         """
-        locations = [(int(block), int(page)) for block, page in locations]
+        locations = [(block, page) for block, page in locations]
         if len(hidden_bits) != len(locations):
             raise ValueError(
                 f"got {len(hidden_bits)} hidden-bit vectors for "
@@ -287,7 +287,7 @@ class VtHi:
         and the codec produces the page bits including parity.  Each
         `hidden_data` entry must fit :attr:`max_data_bytes_per_page`.
         """
-        locations = [(int(block), int(page)) for block, page in locations]
+        locations = [(block, page) for block, page in locations]
         if not len(public_data) == len(hidden_data) == len(locations):
             raise ValueError(
                 f"got {len(public_data)} public and {len(hidden_data)} "
@@ -335,7 +335,7 @@ class VtHi:
         (a supplied ``public_bits`` entry skips that read); with
         ``on_error="return"`` an uncorrectable payload yields ``None``.
         """
-        locations = [(int(block), int(page)) for block, page in locations]
+        locations = [(block, page) for block, page in locations]
         publics = self._public_bits_list(public_bits, len(locations))
         coded_len = self.codec.coded_length(n_bytes)
         views = self._public_views(locations, publics)

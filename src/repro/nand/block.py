@@ -11,11 +11,11 @@ manufacture and every erase only mark the block's rows *owed*.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..rng import substream
+from ..rng import derive_seed, label_prefix, substream
 from .geometry import ChipGeometry
 from .noise import PageLevels, kernel_rngs, page_levels, sample_erased_batch
 from .params import ChipParams
@@ -100,22 +100,17 @@ class BlockState:
         self.page_stress_pec: dict = {}
 
         # Lazy per-page latent caches, all scoped to the current erase
-        # epoch (and, for pp_responses, to the current PEC/trap state —
-        # both of which only change through an erase).  Materialised on
-        # first use by the chip's kernels and cleared wholesale by
-        # :meth:`reset_for_erase`, so a cached value can never outlive
-        # the (page, epoch) physics it encodes.
+        # epoch.  Materialised on first use by the chip's kernels and
+        # cleared wholesale by :meth:`reset_for_erase`, so a cached value
+        # can never outlive the (page, epoch) physics it encodes.
         #: page -> :class:`repro.nand.retention.LeakField`.
         self.leak_fields: dict = {}
         #: page -> latent disturb uniforms (float64, one per cell).
         self.disturb_fields: dict = {}
         #: page -> (clock, leakage-adjusted float32 voltage row).
         self.effective_rows: dict = {}
-        #: page -> per-cell partial-program response factors (float64).
-        self.pp_responses: dict = {}
-        #: page -> the encoded head of the page's pulse labels
-        #: (:func:`repro.rng.label_prefix`).
-        self.pulse_prefixes: dict = {}
+        #: page -> the page's pulse labels (:meth:`labels_for_page`).
+        self.pulse_labels: dict = {}
 
     @property
     def voltages(self) -> np.ndarray:
@@ -173,6 +168,26 @@ class BlockState:
             ),
         )
 
+    def labels_for_page(self, page: int) -> Tuple[bytes, int, int]:
+        """``(pulse prefix, response seed, wear seed)`` of the page.
+
+        The encoded head of its ``("pp-pulse", block, page, epoch)``
+        pulse labels (:func:`repro.rng.label_prefix`), and the label
+        seeds of its PP response's manufacturing part, ``("pp-response",
+        block, page)``, and wear part, ``("pp-wear", block, page,
+        epoch)``: hashed once per page and epoch, so a pulse hashes only
+        its pulse count.
+        """
+        labels = self.pulse_labels.get(page)
+        if labels is None:
+            seed, block, epoch = self.chip_seed, self.index, self.erase_epoch
+            labels = self.pulse_labels[page] = (
+                label_prefix(seed, "pp-pulse", block, page, epoch),
+                derive_seed(seed, "pp-response", block, page),
+                derive_seed(seed, "pp-wear", block, page, epoch),
+            )
+        return labels
+
     def trap_for_page(self, page: int) -> np.ndarray:
         """Trapped-charge array for a page, allocating on first use."""
         trap = self.page_trap.get(page)
@@ -210,5 +225,4 @@ class BlockState:
         self.leak_fields.clear()
         self.disturb_fields.clear()
         self.effective_rows.clear()
-        self.pp_responses.clear()
-        self.pulse_prefixes.clear()
+        self.pulse_labels.clear()

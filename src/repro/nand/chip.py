@@ -42,10 +42,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..rng import label_prefix, seed_from_prefix, substream
+from ..rng import box_muller, counter_uniforms, seed_from_prefix, substream
 from .block import BlockState
 from .errors import AddressError, EraseError, ProgramError, WearOutError
-from .geometry import ChipGeometry
+from .geometry import ChipGeometry, check_integer
 from .noise import kernel_rngs, sample_programmed_batch
 from .params import ChipParams
 from .retention import (
@@ -108,7 +108,7 @@ def check_locations(geometry: ChipGeometry, locations: Sequence) -> list:
     touch the same location twice in one batch).  Pure in geometry and
     inputs — shared by the in-process chip and the wire client.
     """
-    locs = [(int(block), int(page)) for block, page in locations]
+    locs = integer_locations(locations)
     if not locs:
         raise AddressError("locations must be a non-empty sequence")
     for block, page in locs:
@@ -116,6 +116,24 @@ def check_locations(geometry: ChipGeometry, locations: Sequence) -> list:
     if len(set(locs)) != len(locs):
         raise AddressError("batched locations must be distinct")
     return locs
+
+
+def integer_locations(locations: Sequence) -> list:
+    """``[(block, page)]`` as Python ints, else :class:`AddressError`.
+
+    The type half of :func:`check_locations`, run over every location
+    before any range: a float or bool number is rejected, not
+    truncated.  The wire client runs it before encoding and leaves the
+    ranges to the served chip, whose status register records them.
+    """
+    pairs = []
+    for block, page in locations:
+        if type(block) is not int or type(page) is not int:
+            check_integer("block", block)
+            check_integer("page", page)
+            block, page = int(block), int(page)
+        pairs.append((block, page))
+    return pairs
 
 
 def check_cell_lists(
@@ -642,8 +660,8 @@ class FlashChip(PageOps):
         finer in-controller programming §6.2 argues a vendor could provide.
         """
         cells = cell_array(cells, "partial_program cells")
-        _check_pulse(fraction, precision)
         self.geometry.check_page(block, page)
+        _check_pulse(fraction, precision)
         state = self._good_block(block)
         cells = _check_cells(
             self.geometry, cells, "partial_program cells",
@@ -659,26 +677,23 @@ class FlashChip(PageOps):
         cells: np.ndarray,
         fraction: float,
         precision: float,
+        response: Optional[np.ndarray] = None,
     ) -> None:
         """The pulse behind :meth:`partial_program`, on checked inputs:
         distinct in-range `cells` of a good block's page.
 
-        Pulse ``n`` of a page in an epoch draws from
+        `response` is :meth:`_pp_response` at `cells`, evaluated here
+        if not given.  Pulse ``n`` of a page in an epoch draws from
         ``substream(seed, "pp-pulse", block, page, epoch, n)``; the
         label's head is hashed once per page and epoch and kept with the
         page's latent caches.
         """
         pp = self.params.partial_program
-        response = self._pp_response(state.index, page)[cells]
-        prefix = state.pulse_prefixes.get(page)
-        if prefix is None:
-            prefix = label_prefix(
-                self.seed, "pp-pulse", state.index, page, state.erase_epoch
-            )
-            state.pulse_prefixes[page] = prefix
-        pulse_rng = np.random.default_rng(
-            seed_from_prefix(prefix, int(state.page_pp_pulses[page]))
-        )
+        if response is None:
+            response = self._pp_response(state, page, cells)
+        pulse_rng = np.random.default_rng(seed_from_prefix(
+            state.labels_for_page(page)[0], int(state.page_pp_pulses[page])
+        ))
         mean = pp.pulse_mean * fraction
         std = pp.pulse_std * fraction * precision
         pulses = pulse_rng.normal(mean, std, size=cells.size)
@@ -716,54 +731,59 @@ class FlashChip(PageOps):
 
         Returns ``(steps_used, cells_left)`` per item.
         """
-        prepared = [
-            (
-                int(block),
-                int(page),
-                cell_array(cells, f"embed_locations item {i} cells"),
-            )
-            for i, (block, page, cells) in enumerate(items)
+        items = list(items)
+        lists = [
+            cell_array(cells, f"embed_locations item {i} cells")
+            for i, (_, _, cells) in enumerate(items)
         ]
+        locs = check_locations(self.geometry, [item[:2] for item in items])
         _check_pulse(fraction, precision)
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         if not math.isfinite(target):
             raise ValueError(f"target must be finite, got {target}")
-        locs = check_locations(self.geometry, [item[:2] for item in prepared])
         for block, page in locs:
             if not self._good_block(block).page_programmed[page]:
                 raise ProgramError(
                     f"page {page} of block {block} holds no public data; "
                     "VT-HI hides inside public data (§5.1)"
                 )
-        for i, (_, _, cells) in enumerate(prepared):
+        for i, cells in enumerate(lists):
             _check_cells(
                 self.geometry, cells, f"embed_locations item {i} cells",
                 "embed_locations cell index out of range",
                 distinct="embed_locations",
             )
-        used = [0] * len(prepared)
-        below = [cells for _, _, cells in prepared]
-        active = [i for i, cells in enumerate(below) if cells.size]
+        states = [self._block(block) for block, _ in locs]
+        used = [0] * len(lists)
+        below = list(lists)
+        active = [i for i, cells in enumerate(lists) if cells.size]
+        # Nothing a response depends on changes within the call: each
+        # item's is evaluated once, at its cells, and indexed per step.
+        responses = {
+            i: self._pp_response(states[i], locs[i][1], lists[i])
+            for i in active
+        }
         for _ in range(steps):
             if not active:
                 break
             probed = self._probe_locations(
-                [locs[i] for i in active], [prepared[i][2] for i in active]
+                [locs[i] for i in active], [lists[i] for i in active]
             )
             still_active = []
             for row, i in zip(probed, active):
-                block, page, zero_cells = prepared[i]
-                below[i] = zero_cells[row < target]
+                charging = row < target
+                below[i] = lists[i][charging]
                 if below[i].size == 0:
                     continue
                 self._pulse(
-                    self._block(block), page, below[i], fraction, precision
+                    states[i], locs[i][1], below[i], fraction, precision,
+                    responses[i][charging],
                 )
                 used[i] += 1
                 still_active.append(i)
             active = still_active
-        return [(used[i], int(below[i].size)) for i in range(len(prepared))]
+        return [(used[i], int(below[i].size)) for i in range(len(lists))]
 
     # ------------------------------------------------------------------
     # wear helpers
@@ -889,48 +909,57 @@ class FlashChip(PageOps):
             field if cells is None else field[cells], probability
         )
 
-    def _pp_response(self, block: int, page: int) -> np.ndarray:
-        """Per-cell programming-speed factors.
+    def _pp_response(
+        self, state: BlockState, page: int, cells: np.ndarray
+    ) -> np.ndarray:
+        """Per-cell programming-speed factors of the page, at `cells`.
 
         Three components multiply:
 
         * a fixed manufacturing lognormal (plus rare hard cells);
+        * a per-erase-epoch wear jitter that grows with PEC;
         * the deliberate stress-trap gain PT-HI encodes through, attenuated
           as general wear accumulates (worn cells all carry trapped charge,
-          masking the deliberate signal — why PT-HI degrades with PEC);
-        * a per-erase-epoch wear jitter that grows with PEC.
+          masking the deliberate signal — why PT-HI degrades with PEC).
 
-        Cached per page until the next erase: every input (PEC, epoch,
-        trap state) only changes through an erase, and apply_stress —
-        which mutates the trap — always erases before returning.
+        Each cell's value is a pure function of the chip seed, block,
+        page, cell and — for the wear part — epoch
+        (:func:`repro.rng.counter_uniforms` over the page's label seeds,
+        :meth:`BlockState.labels_for_page`), given the block's PEC and the
+        page's trap: so it costs in proportion to the cells asked for,
+        and no page-size array is drawn or kept.
         """
-        state = self._block(block)
-        cached = state.pp_responses.get(page)
-        if cached is not None:
-            return cached
         pp = self.params.partial_program
-        rng = substream(self.seed, "pp-response", block, page)
-        n = self.geometry.cells_per_page
-        response = rng.lognormal(0.0, pp.response_sigma, n)
-        hard = rng.random(n) < pp.hard_cell_frac
-        response[hard] = pp.hard_cell_response
+        _, mfg, wear = state.labels_for_page(page)
         wear_sigma = pp.wear_response_sigma_per_kpec * state.pec / 1000.0
+        # One (seed, lane) row per uniform: the radial rows of the
+        # lognormals (manufacturing, then wear if any), their angular
+        # rows, then the hard-cell draw.
         if wear_sigma > 0:
-            wear_rng = substream(
-                self.seed, "pp-wear", block, page, state.erase_epoch
-            )
-            response *= wear_rng.lognormal(0.0, wear_sigma, n)
+            sigmas = [pp.response_sigma, wear_sigma]
+            keys = [(mfg, 0), (wear, 0), (mfg, 1), (wear, 1), (mfg, 2)]
+        else:
+            sigmas = [pp.response_sigma]
+            keys = [(mfg, 0), (mfg, 1), (mfg, 2)]
+        parts = len(sigmas)
+        uniforms = counter_uniforms(cells, keys)
+        factors = box_muller(uniforms[:parts], uniforms[parts:-1])
+        factors *= np.array(sigmas, dtype=np.float64)[:, None]
+        np.exp(factors, out=factors)
+        response = factors[0]
+        response[uniforms[-1] < pp.hard_cell_frac] = pp.hard_cell_response
+        if parts > 1:
+            response *= factors[1]
         # Charge injection saturates: process + wear variation is bounded
         # above (the low side — slow/hard cells — is not).
-        np.clip(response, None, pp.response_cap, out=response)
+        np.minimum(response, pp.response_cap, out=response)
         trap = state.page_trap.get(page)
         if trap is not None:
             pec_since = max(
                 state.pec - state.page_stress_pec.get(page, state.pec), 0
             )
             gain = pp.trap_gain / (1.0 + pec_since / pp.trap_decay_pec)
-            response = response * (1.0 + gain * trap)
-        state.pp_responses[page] = response
+            response = response * (1.0 + gain * trap[cells])
         return response
 
     # ------------------------------------------------------------------

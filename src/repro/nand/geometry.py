@@ -10,8 +10,19 @@ analog voltage state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import AddressError
+
+
+def check_integer(name: str, value) -> None:
+    """Reject an address number that is not a Python or numpy integer.
+
+    A float or bool is rejected, not truncated, so it can never address
+    a block or page it does not name.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise AddressError(f"{name} number must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +71,21 @@ class ChipGeometry:
         return self.n_blocks * self.pages_per_block
 
     def check_block(self, block: int) -> None:
+        """Reject a block number that is not an in-range integer."""
+        if type(block) is not int:
+            check_integer("block", block)
         if not 0 <= block < self.n_blocks:
             raise AddressError(
                 f"block {block} out of range [0, {self.n_blocks})"
             )
 
     def check_page(self, block: int, page: int) -> None:
+        """Reject a location that is not two in-range integers; both
+        types are checked before either range, as the wire client
+        checks types and leaves ranges to the served chip."""
+        if type(block) is not int or type(page) is not int:
+            check_integer("block", block)
+            check_integer("page", page)
         self.check_block(block)
         if not 0 <= page < self.pages_per_block:
             raise AddressError(

@@ -65,10 +65,11 @@ from ..nand.chip import (
     cell_array,
     check_cell_lists,
     check_locations,
+    integer_locations,
     stack_payloads,
 )
 from ..nand.errors import CommandError
-from ..nand.geometry import ChipGeometry
+from ..nand.geometry import ChipGeometry, check_integer
 from ..nand.params import ChipParams
 from ..obs.metrics import ObsSnapshot, is_enabled as _obs_enabled
 from ..obs.trace import current_span_name
@@ -305,10 +306,11 @@ class RemoteChip(PageOps):
     ) -> Union[np.ndarray, List[np.ndarray]]:
         """A whole-page read or probe frame; with `cells`, checked first,
         the list of its rows indexed by them."""
-        pairs = [(int(block), int(page)) for block, page in locations]
+        locations = list(locations)
         lists = None if cells is None else check_cell_lists(
-            self.geometry, cells, len(pairs)
+            self.geometry, cells, len(locations)
         )
+        pairs = integer_locations(locations)
         rows = self._request(op, flags, locations=pairs, **fields)[field]
         return rows if lists is None else [
             row[index] for row, index in zip(rows, lists)
@@ -333,11 +335,12 @@ class RemoteChip(PageOps):
     ) -> List[Tuple[int, int]]:
         """Algorithm 1's loop on the served chip: one EMBED_LOCATIONS
         round trip, however many probe and pulse steps it runs."""
-        pairs = [(int(block), int(page)) for block, page, _ in items]
+        items = list(items)
         lists = [
             cell_array(cells, f"embed_locations item {i} cells")
             for i, (_, _, cells) in enumerate(items)
         ]
+        pairs = integer_locations([item[:2] for item in items])
         answer = self._request(
             Op.EMBED_LOCATIONS,
             target=target,
@@ -355,6 +358,7 @@ class RemoteChip(PageOps):
         ]
 
     def erase_block(self, block: int) -> None:
+        check_integer("block", block)
         self._request(Op.ERASE, block=block)
 
     def partial_program(
@@ -365,13 +369,15 @@ class RemoteChip(PageOps):
         fraction: float = 1.0,
         precision: float = 1.0,
     ) -> None:
+        cells = cell_array(cells, "partial_program cells")
+        integer_locations([(block, page)])
         self._request(
             Op.PARTIAL_PROGRAM,
             block=block,
             page=page,
             fraction=fraction,
             precision=precision,
-            cells=cell_array(cells, "partial_program cells"),
+            cells=cells,
         )
 
     def partial_program_via_reset(
@@ -443,8 +449,10 @@ class RemoteChip(PageOps):
         return ops
 
     def is_page_programmed(self, block: int, page: int) -> bool:
+        integer_locations([(block, page)])
         answer = self._request(Op.IS_PROGRAMMED, block=block, page=page)
         return bool(answer["programmed"])
 
     def block_pec(self, block: int) -> int:
+        check_integer("block", block)
         return self._request(Op.BLOCK_PEC, block=block)["pec"]

@@ -466,7 +466,13 @@ def encode(
         if scalar is not None:
             parts.append(scalar.pack(value))
         elif field.type in (I64S, LOCS):
-            parts.append(np.asarray(value, dtype=_I64_ARRAY).tobytes())
+            array = np.asarray(value)
+            if array.size and array.dtype.kind not in "iu":
+                # Never truncate: 1.9 is no cell, page or list size.
+                raise CommandError(
+                    f"{field.name} must hold integers, got {array.dtype}"
+                )
+            parts.append(array.astype(_I64_ARRAY, copy=False).tobytes())
         elif field.type == PAGES:
             array = np.ascontiguousarray(value, dtype=np.uint8)
             parts.append(memoryview(array.ravel()))

@@ -10,12 +10,17 @@ e.g. ``(chip_seed, "program", block, page, epoch)``.
 Deriving substreams through SHA-256 (rather than ad-hoc arithmetic on seeds)
 guarantees substreams never collide and never correlate, and that the mapping
 is stable across numpy versions.
+
+A per-cell field that is read a few cells at a time draws from
+:func:`counter_uniforms` instead of a stream: each value is a keyed hash
+of its label seed, cell and lane, so any subset of cells costs in
+proportion to its size.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,6 +96,55 @@ def derive_seeds(
         hasher.update(tail)
         seeds.append(int.from_bytes(hasher.digest()[:8], "little"))
     return np.asarray(seeds, dtype=np.uint64)
+
+
+#: SplitMix64's Weyl increment (odd), its finalizer's multipliers, and
+#: the counters each cell owns: counter ``LANES * cell + lane``.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+LANES = 4
+_MASK = (1 << 64) - 1
+
+
+def counter_uniforms(
+    cells: np.ndarray, keys: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """Counter-based U[0, 1) draws: ``(len(keys), cells.size)`` float64.
+
+    Entry ``[k, i]`` is a pure function of ``(seed, cells[i], lane)``
+    for ``(seed, lane) = keys[k]``: the SplitMix64 finalizer of ``seed +
+    (LANES * cell + lane) * gamma`` (mod 2**64), its top 53 bits scaled
+    to [0, 1).  So a per-cell field is evaluated at any subset of cells,
+    in any order, with the values a whole-page evaluation gives there.
+    `seed` is a label seed (:func:`derive_seed`); ``0 <= lane < LANES``.
+    """
+    steps = cells.astype(np.uint64)
+    steps *= np.uint64(LANES * _GAMMA & _MASK)
+    # Row by row: a broadcast add would buffer, and at a few hundred
+    # cells the buffer outweighs the rows.
+    x = np.empty((len(keys), steps.size), dtype=np.uint64)
+    for row, (seed, lane) in zip(x, keys):
+        np.add(steps, np.uint64((seed + lane * _GAMMA) & _MASK), out=row)
+    shifted = np.empty_like(x)
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
+        x ^= np.right_shift(x, shift, out=shifted)
+        if multiplier is not None:
+            x *= multiplier
+    del shifted  # at most two (keys, cells) arrays are ever alive
+    x >>= 11
+    uniforms = x.astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
+def box_muller(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """Standard normals from two independent U[0, 1) arrays (Box–Muller,
+    cosine branch): ``sqrt(-2 ln(1 - radial)) * cos(2 pi angular)``."""
+    radius = np.log1p(-radial)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    return radius * np.cos(angular * (2.0 * np.pi))
 
 
 def substream(root: int, *parts: SeedPart) -> np.random.Generator:

@@ -120,12 +120,12 @@ def test_erase_drops_every_latent_cache():
     chip.read_page(0, 0)  # warms leak/disturb/effective caches
     state = chip._block(0)
     assert state.leak_fields and state.effective_rows
-    assert state.pp_responses
+    assert state.pulse_labels
     chip.erase_block(0)
     assert not state.leak_fields
     assert not state.disturb_fields
     assert not state.effective_rows
-    assert not state.pp_responses
+    assert not state.pulse_labels
 
 
 def test_warm_caches_do_not_leak_across_erase():
@@ -154,11 +154,12 @@ def test_cache_hit_equals_cold_recompute():
     row = chip._effective_voltages(state, 0).copy()
     leak = chip._leak_field(state, 0)
     disturb = chip._disturb_field(state, 0).copy()
-    response = chip._pp_response(0, 2).copy()
+    everywhere = np.arange(chip.geometry.cells_per_page)
+    response = chip._pp_response(state, 2, everywhere)
     state.leak_fields.clear()
     state.disturb_fields.clear()
     state.effective_rows.clear()
-    state.pp_responses.clear()
+    state.pulse_labels.clear()
     np.testing.assert_array_equal(chip._effective_voltages(state, 0), row)
     refreshed = chip._leak_field(state, 0)
     np.testing.assert_array_equal(refreshed.leaky_idx, leak.leaky_idx)
@@ -166,7 +167,12 @@ def test_cache_hit_equals_cold_recompute():
         refreshed.neg_log_magnitude, leak.neg_log_magnitude
     )
     np.testing.assert_array_equal(chip._disturb_field(state, 0), disturb)
-    np.testing.assert_array_equal(chip._pp_response(0, 2), response)
+    # The PP response keeps no field: a subset evaluation is the full
+    # one at those cells.
+    subset = np.array([everywhere.size - 1, 5, 0, 77])
+    np.testing.assert_array_equal(
+        chip._pp_response(state, 2, subset), response[subset]
+    )
 
 
 def test_partial_program_invalidates_effective_row():

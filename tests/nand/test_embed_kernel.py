@@ -21,7 +21,7 @@ from repro.experiments.mlc_extension import (
     PRECISE_MLC_CONFIG,
 )
 from repro.hiding import ENHANCED_CONFIG, STANDARD_CONFIG
-from repro.nand import TEST_MODEL, FlashChip
+from repro.nand import BENCH_MODEL, TEST_MODEL, FlashChip
 from repro.nand.errors import AddressError, ProgramError
 from repro.onfi import RemoteChip, spawn_chip_server
 from repro.rng import substream
@@ -97,7 +97,9 @@ def scenario(data, seed):
     items = []
     for block, page in locations:
         ones = np.flatnonzero(cover(seed, block, page) == 1)
-        size = data.draw(st.sampled_from([0, 1, 40, 300]), label="cells")
+        size = data.draw(
+            st.sampled_from([0, 1, 17, 40, 300, 333]), label="cells"
+        )
         items.append((block, page, rng.choice(ones, size=size, replace=False)))
     pulsed = data.draw(
         st.lists(st.sampled_from(range(n_items)), max_size=3), label="pulsed"
@@ -203,6 +205,42 @@ def test_remote_kernel_equals_local_host_loop(data, seed):
     finally:
         remote.close()
         handle.close()
+
+
+@pytest.mark.parametrize("pec", [0, 2000])
+def test_kernel_equals_host_loop_on_paper_size_pages(pec):
+    """Odd-length items on 144,384-cell pages, fresh and worn: each
+    item's response is evaluated once at its cells and indexed per
+    step, which must equal a pulse evaluating its own cells."""
+    geometry = BENCH_MODEL.geometry
+    n_cells = geometry.cells_per_page
+    chips = [FlashChip(geometry, BENCH_MODEL.params, seed=41) for _ in "ab"]
+    rng = substream(41, "paper-size-items")
+    items = []
+    for block, page, size in [(0, 3, 641), (1, 0, 257), (0, 5, 1)]:
+        ones = np.flatnonzero(rng.random(n_cells) < 0.5)
+        items.append((block, page, rng.choice(ones, size, replace=False)))
+    covers = [
+        np.isin(np.arange(n_cells), cells).astype(np.uint8)
+        for _, _, cells in items
+    ]
+    for chip in chips:
+        for block in (0, 1):
+            chip.age_block(block, pec)
+        chip.program_locations([item[:2] for item in items], covers)
+    target, fraction, precision = SHIPPED[0]
+    loop_chip, kernel_chip = chips
+    expected = reference_embed(
+        loop_chip, items, target, 10, fraction, precision
+    )
+    got = kernel_chip.embed_locations(
+        items, target, 10, fraction=fraction, precision=precision
+    )
+    assert got == expected
+    assert_same_state(
+        block_state(kernel_chip, [0, 1]), block_state(loop_chip, [0, 1])
+    )
+    assert counters_of(kernel_chip) == counters_of(loop_chip)
 
 
 # ----------------------------------------------------------------------
