@@ -13,7 +13,10 @@ the stream after it:
 - fig7: hidden BER after ten steps, per page interval;
 - fig8: the erased-cell mean shift at the highest density (256 bits);
 - fig9: the KS distance between a chip's hidden and normal blocks
-  (the mean over the experiment's two chips);
+  (the mean over the experiment's two chips), and the same distance
+  over the hidden cells only, on blocks worn to PEC 2000: the cells
+  VT-HI embedded into on the hidden block against the cells the same
+  key selects on the normal block;
 - fig11: hidden BER one month after embedding, at PEC 0 and PEC 2000;
 - §6.2: public bits the coarse MLC attempt flips;
 - PT-HI: the raw decode BER after 400 PEC of churn (its stress-trap gain
@@ -23,13 +26,14 @@ Each row holds every sample's value for both streams.  A row passes
 when the paired bootstrap interval of the mean of (after − before)
 contains 0 at a family-wise 95% level (Bonferroni over the rows).
 
-The rows here are the PP response's: the stream migration that moved it
-to counter-based per-cell draws (``repro.rng.counter_uniforms``) was
-gated on them, with "before" measured on the commit that still drew it
-as a page-size numpy stream.  The budget is sized so that each of
+The record is the hidden-cell selection stream's migration (``MIGRATION``)
+from a SHA-256 counter-mode keystream and a Fisher–Yates walk to a
+SHAKE-256 keystream and the keyed order of first draws, with "before"
+measured on the commit that still used the former.  The rows were first
+set for the PP response's migration to counter-based per-cell draws
+(``repro.rng.counter_uniforms``); the budget is sized so that each of
 ``response_sigma`` 0.35 → 0.45, ``hard_cell_frac`` × 2 and
-``wear_response_sigma_per_kpec`` × 2, made in a scratch copy, fails at
-least one row.
+``wear_response_sigma_per_kpec`` × 2 fails at least one row.
 
 Usage::
 
@@ -58,14 +62,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.analysis.distributions import ks_distance
 from repro.experiments import fig6, fig8, fig9, fig11, mlc_extension
 from repro.experiments.common import (
     default_model,
     experiment_key,
     make_samples,
     random_bits,
+    random_page_bits,
 )
-from repro.hiding import PtHi, PtHiConfig
+from repro.hiding import PtHi, PtHiConfig, VtHi, select_cells
 from repro.hiding.config import STANDARD_CONFIG
 from repro.parallel import ParallelRunner
 from repro.units import MONTH
@@ -85,6 +91,14 @@ BOOTSTRAP_SEED = 2024
 
 FIG6_STEPS = (1, 3, 5, 10, 15)
 
+#: The stream migration the record gates.
+MIGRATION = (
+    "hidden-cell selection stream: SHA-256 counter-mode keystream and a "
+    "Fisher-Yates walk -> one SHAKE-256 stream per (key, page) and the "
+    "keyed order of first uniform draws (repro.crypto.prng); PT-HI's "
+    "group layout and the payload cipher stream move with it"
+)
+
 #: Row name -> the paper's number, where it states one.
 ROWS: Dict[str, Optional[str]] = {
     **{
@@ -102,6 +116,7 @@ ROWS: Dict[str, Optional[str]] = {
     },
     "fig8.mean_shift_256_bits": "a tiny shift to the right",
     "fig9.hidden_vs_normal_ks": "within chip-to-chip variation",
+    "fig9.hidden_cells_ks_pec_2000": None,
     "fig11.hidden_ber_1_month_pec_0": None,
     "fig11.hidden_ber_1_month_pec_2000": None,
     "sec62.coarse_public_flips": "coarse PP disrupts public bits",
@@ -159,6 +174,56 @@ def _fig6_sample(seed: int) -> Dict[str, float]:
     return values
 
 
+def _fig9_hidden_cells_sample(seed: int) -> float:
+    """Fig. 9 over the hidden cells only, on the experiment's two chips
+    with both blocks worn to PEC 2000: the KS distance between the
+    voltages of the cells VT-HI embedded into on the hidden block and
+    of the cells the same key selects on the normal block (the mean
+    over the chips).
+
+    The fig9 row pools every erased cell, so the few charged cells
+    vanish in it.  Restricted to the hidden cells, the distance is set
+    by the share of charged cells that end above the target.  On fresh
+    blocks the probe-compare-pulse loop brings all of them there
+    whatever the PP response: none of the three mutations the budget
+    is sized for moved it.  On worn blocks the response's wear spread
+    leaves slow cells short of the target within the step budget.
+    """
+    model = default_model(pages_per_block=8)
+    key = experiment_key(f"fig9-{seed}")
+    config = STANDARD_CONFIG.replace(ecc_t=0, bits_per_page=64)
+    distances = []
+    for index in range(2):
+        chip = make_samples(model, 1, base_seed=9000 + seed + index)[0]
+        vthi = VtHi(chip, config)
+        voltages: Dict[bool, list] = {False: [], True: []}
+        for block, hide in ((0, False), (1, True)):
+            chip.age_block(block, 2000)
+            for page in range(chip.geometry.pages_per_block):
+                public = random_page_bits(
+                    chip, f"fig9-pub-{index}", block * 100 + page
+                )
+                chip.program_page(block, page, public)
+                if page % config.page_stride:
+                    continue
+                cells = select_cells(
+                    key, chip.geometry.page_address(block, page), public,
+                    config.bits_per_page,
+                )
+                if hide:
+                    hidden = random_bits(
+                        config.bits_per_page, f"fig9-hid-{index}",
+                        block * 100 + page,
+                    )
+                    vthi.embed_bits(block, page, hidden, key,
+                                    public_bits=public)
+                voltages[hide].append(chip.probe_voltages(block, page)[cells])
+        distances.append(ks_distance(
+            np.concatenate(voltages[False]), np.concatenate(voltages[True])
+        ))
+    return float(np.mean(distances))
+
+
 def _pthi_sample(seed: int) -> float:
     """PT-HI's raw BER: stress-encode two pages, churn the block 400 PEC
     (the trap gain fades and the wear jitter grows), decode."""
@@ -190,6 +255,7 @@ def measure_sample(seed: int) -> Dict[str, float]:
     values["fig9.hidden_vs_normal_ks"] = float(
         np.mean(fig9.run(n_chips=2, seed=seed, **serial).hidden_vs_normal_ks)
     )
+    values["fig9.hidden_cells_ks_pec_2000"] = _fig9_hidden_cells_sample(seed)
     retention = fig11.run(
         pec_levels=(0, 2000), periods=(("1 month", MONTH),), seed=seed,
         **serial,
@@ -311,10 +377,7 @@ def main(argv=None) -> int:
             "before and after, paired by chip sample; a row passes when "
             "the bootstrap interval of mean(after - before) contains 0."
         ),
-        "migration": (
-            "PP response: page-size PCG64 lognormal/uniform draws -> "
-            "counter-based per-cell draws (repro.rng.counter_uniforms)"
-        ),
+        "migration": MIGRATION,
         "samples": SAMPLES,
         "family_alpha": FAMILY_ALPHA,
         "per_row_alpha": FAMILY_ALPHA / len(ROWS),

@@ -5,7 +5,7 @@ The repo's benchmark suite persists one JSON snapshot per subsystem
 point-in-time measurement; this module gives them a *trajectory*:
 
 * :func:`extract_metrics` pulls a curated catalogue of scalar metrics
-  out of the six snapshot files (speedups, throughputs, overhead
+  out of the snapshot files (speedups, throughputs, overhead
   percentages, bit-identity booleans);
 * :func:`append_history` appends a schema-versioned row of those
   metrics to ``BENCH_history.jsonl`` (one JSON object per line —
@@ -51,6 +51,7 @@ BENCH_FILES = {
     "obs": "BENCH_obs.json",
     "parallel": "BENCH_parallel.json",
     "lint": "BENCH_lint.json",
+    "selection": "BENCH_selection.json",
 }
 
 MetricValue = Union[float, bool]
@@ -106,6 +107,8 @@ CATALOGUE: Tuple[MetricSpec, ...] = (
     # (any unsuppressed finding is an absolute regression).
     MetricSpec("lint", ("wall_ms",), "lower", 200.0, max_abs=10_000.0),
     MetricSpec("lint", ("findings_total",), "lower", 100.0, max_abs=0.0),
+    # Microseconds per hidden-cell selection and per 12 KiB keystream.
+    MetricSpec("selection", ("after_us", "*"), "lower", 100.0),
 )
 
 

@@ -30,8 +30,13 @@ class StreamCipher:
         uses the page address, which satisfies this within one embedding
         generation.
         """
-        stream = self._keystream(nonce, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        n = len(plaintext)
+        stream = self._keystream(nonce, n)
+        # One XOR over the whole message as a little-endian integer.
+        return (
+            int.from_bytes(plaintext, "little")
+            ^ int.from_bytes(stream, "little")
+        ).to_bytes(n, "little")
 
     def decrypt(self, ciphertext: bytes, nonce: bytes) -> bytes:
         """Inverse of :meth:`encrypt` (XOR is an involution)."""

@@ -84,8 +84,7 @@ class PtHi:
                 f"{n_bits} hidden bits need {needed} cells; page has {n_cells}"
             )
         prng = key.selection_prng().derive(b"pt-hi").for_page(page_address)
-        chosen = prng.sample_indices(n_cells, needed)
-        return np.asarray(chosen, dtype=np.int64).reshape(
+        return prng.sample_indices(n_cells, needed).reshape(
             n_bits, self.config.group_size
         )
 

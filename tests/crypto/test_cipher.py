@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import StreamCipher
+from repro.crypto import KeyedPrng, StreamCipher
 
 
 @given(plaintext=st.binary(max_size=512), nonce=st.binary(max_size=16))
@@ -45,3 +45,12 @@ def test_empty_key_rejected():
 def test_empty_message_ok():
     cipher = StreamCipher(b"secret")
     assert cipher.encrypt(b"", b"n") == b""
+
+
+@given(plaintext=st.binary(max_size=300), nonce=st.binary(max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_ciphertext_is_plaintext_xor_keystream(plaintext, nonce):
+    stream = KeyedPrng(b"secret", b"cipher/" + nonce).bytes(len(plaintext))
+    assert StreamCipher(b"secret").encrypt(plaintext, nonce) == bytes(
+        p ^ s for p, s in zip(plaintext, stream)
+    )

@@ -1,5 +1,8 @@
 """Keyed PRNG."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,11 +27,12 @@ def test_empty_key_rejected():
 
 
 def test_stream_is_consumed_sequentially():
+    # Uneven draws cross several re-squeezes of the XOF.
     prng = KeyedPrng(b"key")
-    first = prng.bytes(16)
-    second = prng.bytes(16)
-    assert first != second
-    assert KeyedPrng(b"key").bytes(32) == first + second
+    sizes = [16, 16, 1, 7, 0, 64, 3, 500, 2, 1000]
+    pieces = [prng.bytes(n) for n in sizes]
+    assert pieces[0] != pieces[1]
+    assert b"".join(pieces) == KeyedPrng(b"key").bytes(sum(sizes))
 
 
 def test_negative_draw_rejected():
@@ -48,24 +52,18 @@ def test_derive_does_not_disturb_parent():
     assert parent.bytes(16) == expected
 
 
-def test_uint_width_validation():
-    prng = KeyedPrng(b"key")
-    with pytest.raises(ValueError):
-        prng.uint(12)
-    assert 0 <= prng.uint(8) < 256
-
-
-def test_below_is_unbiased_enough():
-    prng = KeyedPrng(b"key")
-    draws = [prng.below(10) for _ in range(5000)]
-    counts = [draws.count(v) for v in range(10)]
-    assert min(counts) > 350  # crude uniformity check
-    assert max(draws) < 10 and min(draws) >= 0
-
-
-def test_below_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        KeyedPrng(b"key").below(0)
+def test_stream_is_the_framed_shake_256_xof():
+    # Key and context are absorbed length-prefixed, so moving bytes
+    # between them changes the stream.
+    framed = (
+        (3).to_bytes(8, "little") + b"key" + (3).to_bytes(8, "little") + b"ctx"
+    )
+    assert KeyedPrng(b"key", b"ctx").bytes(40) == hashlib.shake_256(
+        framed
+    ).digest(40)
+    assert KeyedPrng(b"ke", b"yctx").bytes(16) != KeyedPrng(
+        b"key", b"ctx"
+    ).bytes(16)
 
 
 @given(
@@ -86,12 +84,40 @@ def test_sample_more_than_population_rejected():
         KeyedPrng(b"key").sample_indices(5, 6)
 
 
-def test_index_stream_is_a_permutation():
-    stream = list(KeyedPrng(b"key").index_stream(100))
-    assert sorted(stream) == list(range(100))
+def test_sample_more_than_population_rejected():
+    with pytest.raises(ValueError):
+        KeyedPrng(b"key").sample_indices(5, 6)
 
 
-def test_index_stream_prefix_equals_sample_indices():
-    a = KeyedPrng(b"key").sample_indices(50, 20)
-    b = [v for v, _ in zip(KeyedPrng(b"key").index_stream(50), range(20))]
-    assert a == b
+def test_sample_of_everything_is_a_permutation():
+    sample = KeyedPrng(b"key").sample_indices(100, 100)
+    assert sorted(sample.tolist()) == list(range(100))
+
+
+@given(
+    population=st.integers(min_value=1, max_value=400),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_eligible_sample_restricts_the_keyed_order(population, data):
+    # Skipping ineligible indices where they appear is the same as
+    # filtering the full keyed order, however the chunks fall.
+    eligible = np.asarray(data.draw(st.lists(
+        st.booleans(), min_size=population, max_size=population
+    )))
+    k = data.draw(st.integers(min_value=0, max_value=int(eligible.sum())))
+    order = KeyedPrng(b"key").sample_indices(population, population)
+    sample = KeyedPrng(b"key").sample_indices(population, k, eligible)
+    assert sample.tolist() == order[eligible[order]][:k].tolist()
+
+
+def test_sample_arguments_are_checked():
+    prng = KeyedPrng(b"key")
+    with pytest.raises(ValueError):
+        prng.sample_indices(10, 1, np.ones(9, dtype=bool))
+    with pytest.raises(ValueError):
+        prng.sample_indices(10, 4, np.arange(10) < 3)
+    with pytest.raises(ValueError):
+        prng.sample_indices(10, -1)
+    with pytest.raises(ValueError):
+        prng.sample_indices(1 << 31, 1)

@@ -99,10 +99,11 @@ class TestRebuild:
             assert got[lba] == b"keep %d" % lba
 
     def test_uncorrectable_slot_is_dropped_not_fatal(self):
-        # Under a deliberately feeble code (t=2 against a ~6-error/page
-        # raw BER) rebuild decodes fail; the service must drop the dead
-        # slots, count them, and keep serving — identically under both
-        # schedulers (the decode result is scheduler-independent).
+        # Under a deliberately feeble code (t=2) a slot whose page took
+        # more raw errors than that fails its rebuild decode; the
+        # service must drop the dead slot, count it, and keep serving —
+        # identically under both schedulers (the decode result is
+        # scheduler-independent).
         from repro.fleet import FLEET_HIDING, NaiveScheduler
 
         def run(scheduler):
@@ -113,6 +114,21 @@ class TestRebuild:
             slots = len(service._host_pages)
             for lba in range(slots):
                 service.submit(Request(0, "write", lba, b"v%d" % lba))
+            service.drain(scheduler)
+            # Charge every other cell that reads as a hidden '1' on lba
+            # 1's page: ~160 wrong bits against t=2.  (Charging every
+            # hidden cell would leave the all-zero codeword.)
+            ts = service.tenants[0]
+            page = ts.slots[1][0]
+            cells = service._selection(ts, page)
+            shard = service.shards[ts.shard]
+            (hidden,) = shard.chip.read_locations(
+                [(ts.block, page)], threshold=shard.vthi.config.threshold,
+                cells=[cells],
+            )
+            shard.vthi.embed_prepared(
+                [(ts.block, page, cells[hidden == 1][::2])]
+            )
             service.submit(Request(0, "write", 0, b"again"))  # rebuild
             service.drain(scheduler)
             for lba in range(slots):

@@ -1,6 +1,7 @@
 """Hidden-cell selection."""
 
-import signal
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import HidingKey, KeyedPrng
 from repro.hiding import SelectionError, select_cells
-from repro.hiding.selection import _walk_plan
 
 KEY = HidingKey.generate(b"sel")
 
@@ -68,33 +68,77 @@ def test_selection_spreads_over_the_page():
     assert (cells >= 2048).sum() > 64
 
 
-def test_local_robustness_to_public_bit_flip():
-    """A flip on a NON-selected cell must not change the map at all —
-    the property that makes raw-read decoding mostly safe."""
+def keyed_order(prng, population):
+    """Yield ``(cell, word_index)`` for every cell of [0, population) in
+    keyed order, with the index of the 32-bit word that first drew it.
+
+    The documented definition, one word at a time: a word below
+    2**32 - 2**32 % population draws word % population, a larger one is
+    rejected, and a cell takes its place in the order at its first draw.
+    """
+    limit = (1 << 32) - (1 << 32) % population
+    seen = set()
+    word_index = 0
+    while len(seen) < population:
+        word = int.from_bytes(prng.bytes(4), "little")
+        cell = word % population
+        if word < limit and cell not in seen:
+            seen.add(cell)
+            yield cell, word_index
+        word_index += 1
+
+
+def reference_order(prng, population):
+    """``(order, first_word)`` arrays of the whole keyed order."""
+    order, first_word = zip(*keyed_order(prng, population))
+    return np.asarray(order, dtype=np.int64), np.asarray(first_word)
+
+
+def reference_walk(prng, bits, count):
+    """The first `count` '1' cells of the keyed order."""
+    ones = (cell for cell, _ in keyed_order(prng, bits.size) if bits[cell] == 1)
+    return np.fromiter(itertools.islice(ones, count), dtype=np.int64, count=count)
+
+
+def test_local_robustness_is_exact():
+    """A public-bit flip changes the map exactly as the keyed order says:
+    not at all on a cell the walk has not reached; on a selected cell,
+    that cell leaves and the next '1' cell of the order joins at the
+    end; on a reached '0' cell, that cell joins at its place in the
+    order."""
     bits = bits_with_ones(4096, seed=3)
-    cells = select_cells(KEY, 0, bits, 64)
-    flipped = bits.copy()
-    victim = next(
-        i for i in range(bits.size)
-        if i not in set(cells.tolist()) and bits[i] == 1
-    )
-    # Only flips on cells the keyed walk visits before completion matter;
-    # find a '1' cell that is not selected and comes after all selected
-    # ones in the walk by checking the map is unchanged.
-    flipped[victim] = 0
-    cells_after = select_cells(KEY, 0, flipped, 64)
-    changed = not np.array_equal(cells, cells_after)
-    if changed:
-        # if the victim was inside the walk prefix, the tail may shift,
-        # but the prefix before it must be identical
-        common = 0
-        for a, b in zip(cells, cells_after):
-            if a != b:
-                break
-            common += 1
-        assert common > 0
-    else:
-        assert np.array_equal(cells, cells_after)
+    page, count = 0, 64
+    order, _ = reference_order(KEY.selection_prng().for_page(page), bits.size)
+    ones_in_order = order[bits[order] == 1]
+    cells = select_cells(KEY, page, bits, count)
+    np.testing.assert_array_equal(cells, ones_in_order[:count])
+    reached = order[: int(np.flatnonzero(order == cells[-1])[0]) + 1]
+    unreached = order[reached.size:]
+
+    def after_flip(cell):
+        flipped = bits.copy()
+        flipped[cell] ^= 1
+        return select_cells(KEY, page, flipped, count)
+
+    tried = unreached[:: unreached.size // 40]
+    assert set(bits[tried]) == {0, 1}
+    for cell in tried:
+        np.testing.assert_array_equal(after_flip(cell), cells)
+    for at in (0, count // 2, count - 1):
+        np.testing.assert_array_equal(
+            after_flip(cells[at]),
+            np.concatenate([cells[:at], cells[at + 1:],
+                            ones_in_order[count:count + 1]]),
+        )
+    zeros = reached[bits[reached] == 0]
+    assert zeros.size
+    for cell in zeros[:: max(1, zeros.size // 10)]:
+        before = reached[: int(np.flatnonzero(reached == cell)[0])]
+        joins = int(np.count_nonzero(bits[before] == 1))
+        np.testing.assert_array_equal(
+            after_flip(cell),
+            np.concatenate([cells[:joins], [cell], cells[joins:-1]]),
+        )
 
 
 @given(
@@ -125,29 +169,15 @@ def half_ones(population, seed):
     return np.random.default_rng(seed).permutation(bits)
 
 
-def reference_walk(page, bits, count):
-    prng = KEY.selection_prng().for_page(page)
-    chosen = []
-    for offset in prng.index_stream(bits.size):
-        if bits[offset] == 1:
-            chosen.append(offset)
-            if len(chosen) == count:
-                break
-    return np.asarray(chosen, dtype=np.int64)
-
-
-#: Walk shapes ``(population, count, dense)`` beyond the 700-cell pages
-#: (``count`` None: 1 + seed % 128): paper-size pages on the sparse
-#: map, the fleet's 1,504-cell pages on the dense list, and one count
-#: each side of the ``5 * first_draws >= population`` crossover on
-#: 36,096 cells with exactly half of them '1'.
+#: Walk shapes ``(population, count)``: 700-cell pages with 1 + seed %
+#: 128 bits, the fleet's host pages (707-804 '1' cells, as its cover
+#: pages have), the Fig. 6 sweep's pages and paper-size pages, both half
+#: '1'.
 WALK_SHAPES = {
-    "700": (700, None, None),
-    "36096-sparse": (36_096, "8-640", False),
-    "144384-sparse": (144_384, "8-640", False),
-    "fleet-dense": (1_504, 639, True),
-    "crossover-sparse": (36_096, 3180, False),
-    "crossover-dense": (36_096, 3181, True),
+    "700": (700, None),
+    "fleet": (1_504, 639),
+    "fig6": (36_096, 128),
+    "paper": (144_384, 639),
 }
 
 
@@ -155,64 +185,57 @@ WALK_SHAPES = {
     seed=st.integers(min_value=0, max_value=10_000),
     shape=st.sampled_from(sorted(WALK_SHAPES)),
 )
-@example(seed=1, shape="36096-sparse")
-@example(seed=2, shape="144384-sparse")
-@example(seed=3, shape="fleet-dense")
-@example(seed=4, shape="crossover-sparse")
-@example(seed=5, shape="crossover-dense")
+@example(seed=1, shape="fleet")
+@example(seed=2, shape="fig6")
+@example(seed=3, shape="paper")
 @settings(max_examples=25, deadline=None)
-def test_matches_reference_index_stream_walk(seed, shape):
-    # The production selector inlines and bulk-decodes the keystream
-    # and walks a dense list or a sparse swap map; either way it must
-    # consume the exact same stream as the straightforward
-    # ``KeyedPrng.index_stream`` walk and pick the same cells.
-    population, count, dense = WALK_SHAPES[shape]
-    if population == 700:
+def test_matches_scalar_reference_walk(seed, shape):
+    population, count = WALK_SHAPES[shape]
+    if shape == "700":
         bits = bits_with_ones(700, seed=seed)
         count = min(int((bits == 1).sum()), 1 + seed % 128)
+    elif shape == "fleet":
+        bits = np.zeros(population, dtype=np.uint8)
+        bits[: 707 + seed % 98] = 1
+        bits = np.random.default_rng(seed).permutation(bits)
     else:
         bits = half_ones(population, seed)
-        if count == "8-640":
-            count = 8 + seed % 633
-        assert _walk_plan(count, population, population // 2)[1] is dense
     fast = select_cells(KEY, seed, bits, count)
-    np.testing.assert_array_equal(fast, reference_walk(seed, bits, count))
+    prng = KEY.selection_prng().for_page(seed)
+    np.testing.assert_array_equal(fast, reference_walk(prng, bits, count))
 
 
 class ForcedRejections(KeyedPrng):
-    """A keystream whose chosen 8-byte words (by index) read 0xFF..FF.
+    """A keystream whose chosen 32-bit words (by index) read `value`.
 
-    A 64-bit rejection test rejects that word for every bound that is
-    not a power of two, so each chosen word forces one rejected draw.
-    Derived streams force the same words and log the size of every draw
-    into the same ``calls`` list.
+    The tests pick a rejected word, ``2**32 - 2**32 % population +
+    cell``, which would draw `cell` if a walk accepted it.  Derived
+    streams force the same words and log the size of every draw into
+    the same ``calls`` list.
     """
 
-    def __init__(self, key, context=b"", words=(), calls=None):
+    def __init__(self, key, context=b"", words=(), value=0, calls=None):
         super().__init__(key, context)
         self.words = frozenset(words)
+        self.value = value
         self.calls = [] if calls is None else calls
         self.drawn = 0
 
     def derive(self, label):
         return ForcedRejections(
             self._key, self._context + b"/" + bytes(label),
-            self.words, self.calls,
+            self.words, self.value, self.calls,
         )
 
     def bytes(self, n):
         out = bytearray(super().bytes(n))
         for word in self.words:
-            at = 8 * word - self.drawn  # both walks draw whole words
+            at = 4 * word - self.drawn  # every walk draws whole words
             if 0 <= at < n:
-                out[at:at + 8] = b"\xff" * 8
+                out[at:at + 4] = self.value.to_bytes(4, "little")
         self.drawn += n
         self.calls.append(n)
         return bytes(out)
-
-
-def _walk_timed_out(signum, frame):
-    raise TimeoutError("select_cells kept retrying a rejected word")
 
 
 #: Forced word indexes, given the length of the walk's first chunk.
@@ -226,39 +249,81 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("case", list(REJECTIONS))
 def test_rejected_words_match_reference_walk(case, monkeypatch):
-    population, n_ones, page = 1000, 200, 3
-    # 100 cells walk the dense list, 10 the sparse map.
-    for count, dense in ((100, True), (10, False)):
-        assert _walk_plan(count, population, n_ones)[1] is dense
-        calls = []
-        words = []
-        monkeypatch.setattr(
-            HidingKey, "selection_prng",
-            lambda key: ForcedRejections(b"forced", words=words, calls=calls),
-        )
-        # The chunk length depends only on the counts, not on which
-        # cells hold the '1' bits.
-        select_cells(KEY, page, np.arange(population) < n_ones, count)
-        words.extend(REJECTIONS[case](calls[0] // 8))
-        reference = ForcedRejections(b"forced", words=words).for_page(page)
-        walk = np.fromiter(
-            reference.index_stream(population), dtype=np.int64
-        )
-        # Every forced word was drawn and rejected by the reference walk.
-        assert reference.drawn == 8 * (population + len(words))
-        # '1' bits on the walk's last cells: the selection must cross
-        # into the second chunk, past every forced word.
-        bits = np.zeros(population, dtype=np.uint8)
-        bits[walk[-n_ones:]] = 1
-        calls.clear()
-        # A walk that kept a rejected word would retry it forever: fail
-        # on a deadline instead of hanging the suite.
-        previous = signal.signal(signal.SIGALRM, _walk_timed_out)
-        signal.alarm(30)
-        try:
-            cells = select_cells(KEY, page, bits, count)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert len(calls) > 1
-        np.testing.assert_array_equal(cells, walk[-n_ones:][:count])
+    # 2**32 % 641 == 640: every cell but the last has a rejected word
+    # that would draw it.
+    population, n_ones, count, page = 641, 200, 100, 3
+    rejected_base = (1 << 32) - (1 << 32) % population
+    calls, words = [], []
+    forced = dict(words=words, value=rejected_base, calls=calls)
+    monkeypatch.setattr(
+        HidingKey, "selection_prng",
+        lambda key: ForcedRejections(b"forced", **forced),
+    )
+    # The first chunk's length depends only on the counts, not on which
+    # cells hold the '1' bits.
+    select_cells(KEY, page, np.arange(population) < n_ones, count)
+    words.extend(REJECTIONS[case](calls[0] // 4))
+    order, first_word = reference_order(
+        ForcedRejections(b"forced", **forced).for_page(page), population
+    )
+    # '1' bits on the order's last cells, all first drawn after every
+    # forced word.  The forced words read as the rejected word of the
+    # last of them (cell 640 has none), so a walk that accepted one
+    # would select that cell first.
+    late = order[-n_ones:]
+    assert first_word[-n_ones] > max(words)
+    target = late[-1] if late[-1] < 640 else late[-2]
+    forced["value"] = rejected_base + int(target)
+    bits = np.zeros(population, dtype=np.uint8)
+    bits[late] = 1
+    reference = ForcedRejections(b"forced", **forced).for_page(page)
+    expected = reference_walk(reference, bits, count)
+    np.testing.assert_array_equal(expected, late[:count])
+    calls.clear()
+    cells = select_cells(KEY, page, bits, count)
+    # The walk drew every forced word and went on past its first chunk.
+    assert len(calls) > 1 and sum(calls) > 4 * max(words)
+    np.testing.assert_array_equal(cells, expected)
+
+
+def test_matches_reference_across_chunks(monkeypatch):
+    # '1' bits only on the cells the fleet page's keyed order reaches
+    # last: a first chunk sized for '1' cells spread over the page holds
+    # few of them, so the walk runs on through further chunks.
+    population, n_ones, count, page = 1_504, 750, 639, 11
+    order, _ = reference_order(KEY.selection_prng().for_page(page), population)
+    bits = np.zeros(population, dtype=np.uint8)
+    bits[order[-n_ones:]] = 1
+    calls = []
+    draw = KeyedPrng.bytes
+    monkeypatch.setattr(
+        KeyedPrng, "bytes", lambda prng, n: calls.append(n) or draw(prng, n)
+    )
+    cells = select_cells(KEY, page, bits, count)
+    assert len(calls) > 1
+    np.testing.assert_array_equal(cells, order[-n_ones:][:count])
+
+
+def chi_square_bound(dof, z=3.090):
+    """The upper 0.1% point of chi-square with `dof` degrees of freedom
+    (Wilson–Hilferty)."""
+    return dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+
+def test_selected_positions_are_uniform():
+    # 2,000 pages, each selecting 12 of the same 48 '1' cells among 96:
+    # each '1' cell is selected 500 times on average, and is the first
+    # selection 2000 / 48 times.
+    bits = half_ones(96, seed=7)
+    ones = np.flatnonzero(bits)
+    picked = np.zeros(bits.size)
+    first = np.zeros(bits.size)
+    for page in range(2_000):
+        cells = select_cells(KEY, page, bits, 12)
+        picked[cells] += 1
+        first[cells[0]] += 1
+    for counts in (picked, first):
+        assert counts[bits == 0].sum() == 0
+        expected = counts.sum() / ones.size
+        statistic = ((counts[ones] - expected) ** 2 / expected).sum()
+        assert statistic < chi_square_bound(ones.size - 1)

@@ -130,6 +130,17 @@ class TestCompare:
         got = statuses(compare(worse, base))
         assert got["onfi.transport.read_pages.overhead_pct"] == "regression"
 
+    def test_selection_microseconds_are_lower_is_better(self):
+        def selection(fleet_us):
+            return extract_metrics(
+                {"selection": {"after_us": {"fleet": fleet_us}}}
+            )
+
+        got = statuses(compare(selection(130.0), selection(120.0)))
+        assert got["selection.after_us.fleet"] == "ok"
+        got = statuses(compare(selection(300.0), selection(120.0)))
+        assert got["selection.after_us.fleet"] == "regression"
+
     def test_bool_must_stay_true(self):
         base = extract_metrics(snapshots())
         broken = extract_metrics(snapshots(bit_identical=False))
