@@ -20,20 +20,30 @@ the stream after it:
 - fig11: hidden BER one month after embedding, at PEC 0 and PEC 2000;
 - §6.2: public bits the coarse MLC attempt flips;
 - PT-HI: the raw decode BER after 400 PEC of churn (its stress-trap gain
-  rides on the PP response).
+  rides on the PP response);
+- fig2: the mean and standard deviation of a randomly programmed
+  block's probed erased ('1') and programmed ('0') cells, and the
+  natural-charge count: erased cells per page probed above the hiding
+  threshold (§6.3 counts them to size the hidden budget);
+- fig3: the erased and programmed mean drift per 1,000 PEC (the
+  least-squares slope over the experiment's four wear levels);
+- §6.3: the public BER of programmed blocks before any hiding.
 
 Each row holds every sample's value for both streams.  A row passes
 when the paired bootstrap interval of the mean of (after − before)
 contains 0 at a family-wise 95% level (Bonferroni over the rows).
 
-The record is the hidden-cell selection stream's migration (``MIGRATION``)
-from a SHA-256 counter-mode keystream and a Fisher–Yates walk to a
-SHAKE-256 keystream and the keyed order of first draws, with "before"
-measured on the commit that still used the former.  The rows were first
-set for the PP response's migration to counter-based per-cell draws
-(``repro.rng.counter_uniforms``); the budget is sized so that each of
+The record is the erased and programmed voltages' migration
+(``MIGRATION``) from SFC64 row draws to counter-based per-cell fields,
+with the PP pulse noise's from a PCG64 generator per pulse to counter
+words, and "before" measured on the commit that still drew rows.  The first
+rows were set for the PP response's migration to counter-based per-cell
+draws (``repro.rng.counter_words``), sized so that each of
 ``response_sigma`` 0.35 → 0.45, ``hard_cell_frac`` × 2 and
-``wear_response_sigma_per_kpec`` × 2 fails at least one row.
+``wear_response_sigma_per_kpec`` × 2 fails at least one row; the fig2,
+fig3 and §6.3 rows came with the voltage fields, sized so that each of
+``erased_core_std`` × 1.1, ``erased_tail_frac`` × 1.25 and
+``programmed_std`` × 1.1 fails at least one of them.
 
 Usage::
 
@@ -47,8 +57,8 @@ Usage::
     # record's "after" values, and check that every row passes:
     PYTHONPATH=src python benchmarks/bench_calibration.py --tiny
 
-Full mode measures one side in about 40 s on two CPUs; ``--tiny`` in
-seconds.
+Full mode measures one side in about a minute on two CPUs; ``--tiny``
+in seconds.
 Exit status 1 if a row fails or the record does not match this tree.
 """
 
@@ -63,7 +73,15 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.distributions import ks_distance
-from repro.experiments import fig6, fig8, fig9, fig11, mlc_extension
+from repro.experiments import (
+    fig3,
+    fig6,
+    fig8,
+    fig9,
+    fig11,
+    mlc_extension,
+    public_interference,
+)
 from repro.experiments.common import (
     default_model,
     experiment_key,
@@ -73,6 +91,7 @@ from repro.experiments.common import (
 )
 from repro.hiding import PtHi, PtHiConfig, VtHi, select_cells
 from repro.hiding.config import STANDARD_CONFIG
+from repro.nand import NandTester
 from repro.parallel import ParallelRunner
 from repro.units import MONTH
 
@@ -93,10 +112,14 @@ FIG6_STEPS = (1, 3, 5, 10, 15)
 
 #: The stream migration the record gates.
 MIGRATION = (
-    "hidden-cell selection stream: SHA-256 counter-mode keystream and a "
-    "Fisher-Yates walk -> one SHAKE-256 stream per (key, page) and the "
-    "keyed order of first uniform draws (repro.crypto.prng); PT-HI's "
-    "group layout and the payload cipher stream move with it"
+    "erased and programmed voltages: one SFC64 stream per row, drawn at "
+    "program or first touch -> counter-based per-cell fields of the "
+    "('erase', block, epoch, page) and ('program', block, page, epoch) "
+    "label seeds, evaluated when a command first names a cell "
+    "(repro.nand.noise); the MLC level draws move to one counter word "
+    "per cell of the ('program-mlc', block, page, epoch) seed, and the "
+    "PP pulse noise (a PCG64 generator per pulse) to one counter word "
+    "per cell and pulse, with them"
 )
 
 #: Row name -> the paper's number, where it states one.
@@ -121,6 +144,17 @@ ROWS: Dict[str, Optional[str]] = {
     "fig11.hidden_ber_1_month_pec_2000": None,
     "sec62.coarse_public_flips": "coarse PP disrupts public bits",
     "pthi.raw_ber_after_churn": None,
+    "fig2.erased_mean": "erased cells in [0, 70]",
+    "fig2.erased_std": None,
+    "fig2.programmed_mean": "programmed cells in [120, 210]",
+    "fig2.programmed_std": None,
+    "fig2.natural_charge_per_page": (
+        "at least ~700 per page above the hiding threshold (34), on "
+        "paper-size pages"
+    ),
+    "fig3.erased_drift_per_kpec": "distributions shift right with wear",
+    "fig3.programmed_drift_per_kpec": "distributions shift right with wear",
+    "sec63.public_ber": "about 3e-5",
 }
 
 
@@ -244,6 +278,43 @@ def _pthi_sample(seed: int) -> float:
     return wrong / (64 * len(bits))
 
 
+def _fig2_sample(seed: int) -> Dict[str, float]:
+    """Fig. 2's block statistics on one chip sample: a block programmed
+    with random data and probed, split into erased and programmed
+    cells, and the erased cells above the hiding threshold per page."""
+    model = default_model(pages_per_block=8)
+    chip = make_samples(model, 1, base_seed=2000 + seed)[0]
+    tester = NandTester([chip])
+    data = tester.program_random_block(0, 0, seed=seed)
+    voltages = tester.probe_block(0, 0).astype(np.float64)
+    erased, programmed = voltages[data == 1], voltages[data == 0]
+    return {
+        "fig2.erased_mean": float(erased.mean()),
+        "fig2.erased_std": float(erased.std()),
+        "fig2.programmed_mean": float(programmed.mean()),
+        "fig2.programmed_std": float(programmed.std()),
+        "fig2.natural_charge_per_page": float(
+            np.count_nonzero(erased > STANDARD_CONFIG.threshold)
+            / chip.geometry.pages_per_block
+        ),
+    }
+
+
+def _fig3_sample(seed: int) -> Dict[str, float]:
+    """Fig. 3's drift on one chip sample: the least-squares slope of the
+    erased and programmed means over the wear levels, per 1,000 PEC."""
+    rows = fig3.run(seed=seed).summary.rows
+    kpec = np.array([row[0] for row in rows], dtype=np.float64) / 1000.0
+    return {
+        "fig3.erased_drift_per_kpec": float(
+            np.polyfit(kpec, [row[1] for row in rows], 1)[0]
+        ),
+        "fig3.programmed_drift_per_kpec": float(
+            np.polyfit(kpec, [row[3] for row in rows], 1)[0]
+        ),
+    }
+
+
 def measure_sample(seed: int) -> Dict[str, float]:
     """Every row's value on chip sample `seed`."""
     values = _fig6_sample(seed)
@@ -266,6 +337,11 @@ def measure_sample(seed: int) -> Dict[str, float]:
         mlc_extension.run(bits=256, seed=seed).coarse_public_flips
     )
     values["pthi.raw_ber_after_churn"] = _pthi_sample(seed)
+    values.update(_fig2_sample(seed))
+    values.update(_fig3_sample(seed))
+    values["sec63.public_ber"] = float(
+        public_interference.run(intervals=(1,), seed=seed).baseline_ber
+    )
     assert list(values) == list(ROWS), sorted(set(values) ^ set(ROWS))
     return values
 

@@ -40,6 +40,14 @@ CLI_CONFIG = STANDARD_CONFIG.replace(bits_per_page=512, ecc_m=10, ecc_t=18)
 MODELS = {"test": TEST_MODEL, "bench": BENCH_MODEL}
 
 
+#: The chip-state layout a device file is written in.  A device file
+#: pickles the whole chip, block states included, so code whose chip
+#: state has another shape cannot drive it; bump this with every such
+#: change.  2: per-cell settle state (``BlockState.settle_codes``,
+#: ``page_labels``).
+DEVICE_LAYOUT = 2
+
+
 @dataclass
 class Device:
     """The persisted public world: a chip and its FTL."""
@@ -47,6 +55,7 @@ class Device:
     model_name: str
     chip: FlashChip
     ftl: Ftl
+    layout: int = DEVICE_LAYOUT
 
     def save(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -62,8 +71,23 @@ class Device:
                 f"no device file at {path} (create one with "
                 f"`repro-stash init {path}`)"
             ) from None
+        except (pickle.UnpicklingError, AttributeError, ImportError, EOFError):
+            device = None
         if not isinstance(device, cls):
             raise SystemExit(f"{path} is not a repro-stash device file")
+        # The instance's own stamp: a file from before stamping has none
+        # (the class default is not what the file holds).
+        layout = vars(device).get("layout")
+        if layout != DEVICE_LAYOUT:
+            found = (
+                "no chip-state layout stamp" if layout is None
+                else f"chip-state layout {layout}"
+            )
+            raise SystemExit(
+                f"{path} holds {found}, and this version reads layout "
+                f"{DEVICE_LAYOUT}; re-create the device with "
+                f"`repro-stash init {path}`"
+            )
         return device
 
     def volume(self, passphrase: str) -> HiddenVolume:

@@ -13,14 +13,15 @@ Shortened codes (fewer data bits than k) are supported, which is how the
 hiding layer matches codewords to its per-page hidden-bit budget.
 
 Batch APIs (:meth:`BchCode.encode_many` / :meth:`BchCode.decode_many`)
-vectorise the per-page hot paths: encoding is one GF(2) matrix multiply
-against the precomputed parity generator, and decoding re-encodes the
-whole batch to find the dirty words, so the common error-free case never
-touches Berlekamp-Massey or Chien search.  The dirty words go one at a
-time through one kernel: Berlekamp-Massey on Python ints over the
-zero-sentinel log/antilog lists of :mod:`repro.ecc.gf`, t steps instead
-of 2t when the syndromes satisfy ``S_2j = S_j^2`` (those of a binary
-word always do), then a Chien search that evaluates the locator at
+vectorise the per-page hot paths: encoding XORs one precomputed parity
+table entry per data byte (no BLAS, so no thread pool), and decoding
+re-encodes the whole batch to find the dirty words, so the common
+error-free case never touches Berlekamp-Massey or Chien search.  The
+dirty words go one at a time through one kernel: Berlekamp-Massey on
+Python ints over the zero-sentinel log/antilog lists of
+:mod:`repro.ecc.gf`, t steps instead of 2t when the syndromes satisfy
+``S_2j = S_j^2`` (those of a binary word always do), then a Chien
+search that evaluates the locator at
 every transmitted position in one gather over a precomputed ``(t+1, n)``
 exponent matrix.  Codecs are cached in a process-wide registry
 (:func:`get_code`), so the expensive generator / remainder / Chien tables
@@ -117,7 +118,7 @@ class BchCode:
                 f"BCH(m={m}, t={t}) has no data capacity (k={self.k})"
             )
         self._remainder_table = None
-        self._parity_matrix_cache = None
+        self._parity_tables: Dict[int, np.ndarray] = {}
         self._power_table_cache = None
         self._chien_table_cache = None
         #: duplicated exp table for vectorised syndromes/Chien — any sum
@@ -302,7 +303,7 @@ class BchCode:
             # All-zero-syndrome fast path, in one vectorised pass: the
             # syndromes of a received word are all zero iff it is a valid
             # codeword, i.e. iff re-encoding its data bits reproduces it.
-            # Batch re-encode (the GEMM kernel) is far cheaper than
+            # Batch re-encode (the table kernel) is far cheaper than
             # evaluating 2t syndromes per word.
             reencoded = self._encode_batch(stacked[:, : size - self.n_parity])
             diff = stacked ^ reencoded
@@ -414,7 +415,7 @@ class BchCode:
         Words group by length (shortened words batch with their own
         kind), in first-appearance order, and each group splits into
         chunks whose temporaries stay near 4M cells: the ``(rows,
-        word_len)`` bit and float32 arrays, the parity GEMM, and the
+        word_len)`` bit array, the parity table gather, and the
         syndrome gather's ``(2t, set bits)`` int64 array.  A re-encode
         keeps the data bits, so a row of its difference with the
         received word has at most ``n_parity`` set bits.
@@ -467,48 +468,64 @@ class BchCode:
             self._remainder_table = table
         return self._remainder_table
 
-    def _parity_matrix(self) -> np.ndarray:
-        """The GF(2) parity generator as a float32 matrix, lazily built.
+    def _parity_table(self, length: int) -> np.ndarray:
+        """Per-byte parity contributions of a length-`length` word, lazily
+        built: shape ``(words, bytes * 256)`` uint64.
 
-        Shape ``(k, n_parity)``: row ``i`` is the remainder of
-        ``x^(k - 1 - i + n_parity)`` mod g(x), i.e. the parity
-        contribution of data bit ``i`` of a *full-length* word.  A
-        shortened length-L word's matrix is the contiguous tail
-        ``matrix[k - L:]`` (its omitted leading bits are implicit zeros).
-        float32 so the batch kernel can ride BLAS: bit counts never exceed
-        n < 2**24, so the float sums are exact integers.
+        Entry ``[w, 256 * p + v]`` is 64-bit word ``w`` of the packed
+        parity (transmitted order, highest degree first) of a word whose
+        only set bits are data byte ``p`` holding ``v`` (``np.packbits``
+        order, first bit most significant).  A word's parity is the XOR
+        of its bytes' entries: exact GF(2), with no BLAS call.
         """
-        if self._parity_matrix_cache is None:
+        table = self._parity_tables.get(length)
+        if table is None:
+            n_bytes = -(-length // 8)
+            n_words = -(-self.n_parity // 64)
+            # Row i: x^(length - 1 - i + n_parity) mod g(x), data bit i's
+            # parity, highest degree first, packed and padded to words.
             degrees = (
-                np.arange(self.k - 1, -1, -1, dtype=np.intp) + self.n_parity
+                np.arange(length - 1, -1, -1, dtype=np.intp) + self.n_parity
             )
-            self._parity_matrix_cache = (
-                self._position_remainders()[degrees].astype(np.float32)
+            rows = np.zeros((n_bytes * 8, n_words * 8), dtype=np.uint8)
+            rows[:length, : -(-self.n_parity // 8)] = np.packbits(
+                self._position_remainders()[degrees][:, ::-1], axis=1
             )
-        return self._parity_matrix_cache
+            rows = rows.view(np.uint64).reshape(n_bytes, 8, n_words)
+            table = np.zeros((n_words, n_bytes, 256), dtype=np.uint64)
+            for bit in range(8):
+                # Value bit 2**bit is the byte's data bit 7 - bit.
+                table[:, :, 1 << bit: 2 << bit] = (
+                    table[:, :, : 1 << bit] ^ rows[:, 7 - bit].T[:, :, None]
+                )
+            table = table.reshape(n_words, n_bytes * 256)
+            self._parity_tables[length] = table
+        return table
 
     def _encode_batch(self, data: np.ndarray) -> np.ndarray:
-        """Parity for a uniform-length batch: GF(2) matrix encode.
+        """Parity for a uniform-length batch: GF(2) table encode.
 
         `data` is ``(B, L)`` bits; returns ``(B, L + n_parity)``
-        codewords.  Parity bit counts are one (B, L) x (L, n_parity)
-        GEMM — exact in float32 since every count is an integer < 2**24 —
-        and the GF(2) reduction is ``count & 1`` in int32, which holds
-        every count (``np.fmod`` is ~30x slower).
+        codewords.  Each word's parity is the XOR of one
+        :meth:`_parity_table` entry per data byte — one gather and one
+        XOR reduction for the batch, in numpy on the calling thread, so
+        no encode waits on a BLAS thread pool (a float32 GEMM here
+        stalled for milliseconds on a loaded host whenever OpenBLAS
+        handed it to its threads).
         """
         n_words, length = data.shape
         if length:
-            counts = data.astype(np.float32) @ self._parity_matrix()[
-                self.k - length:
-            ]
-            parity = (counts.astype(np.int32) & 1).astype(np.uint8)
+            table = self._parity_table(length)
+            packed = np.packbits(data, axis=1).astype(np.intp)
+            packed += np.arange(0, table.shape[1], 256, dtype=np.intp)
+            words = np.bitwise_xor.reduce(table.take(packed, axis=1), axis=2)
+            parity = np.unpackbits(
+                np.ascontiguousarray(words.T).view(np.uint8),
+                axis=1, count=self.n_parity,
+            )
         else:
             parity = np.zeros((n_words, self.n_parity), dtype=np.uint8)
-        # Parity column j is the coefficient of x^j; transmitted parity
-        # is ordered highest degree first.
-        return np.ascontiguousarray(
-            np.concatenate([data, parity[:, ::-1]], axis=1)
-        )
+        return np.ascontiguousarray(np.concatenate([data, parity], axis=1))
 
     def _power_table(self) -> np.ndarray:
         """``alpha^(j * d)`` for j in 1..2t and d in [0, n), lazily built.

@@ -734,8 +734,11 @@ class FleetService:
                 shard, [(ts, entry[0]) for _, entry in candidates]
             )
             for (lba, entry), blob in zip(candidates, blobs):
-                if blob is None:
-                    # Uncorrectable slot: the data is gone.  Dropping it
+                slot = None if blob is None else unpack_slot(ts.key, blob)
+                if slot is None or slot[0].lba != lba:
+                    # Uncorrectable slot — or one the code miscorrected
+                    # into a word the MAC rejects, which a read would
+                    # reject too: the data is gone.  Dropping it
                     # (subsequent reads see not_found) keeps the fleet
                     # serving; the decode result — and hence the loss —
                     # is identical under both schedulers.

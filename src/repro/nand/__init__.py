@@ -21,11 +21,10 @@ from .mlc import MlcView, bits_to_levels, levels_to_bits
 from .noise import (
     PageLevels,
     erased_tail_exceedance,
+    erased_voltages,
     page_levels,
     programmed_underflow,
-    sample_erased,
-    sample_erased_batch,
-    sample_programmed_batch,
+    programmed_voltages,
 )
 from .params import (
     ChipParams,
@@ -81,12 +80,11 @@ __all__ = [
     "bits_to_levels",
     "levels_to_bits",
     "erased_tail_exceedance",
+    "erased_voltages",
     "histogram_block",
     "page_levels",
     "programmed_underflow",
-    "sample_erased",
-    "sample_erased_batch",
-    "sample_programmed_batch",
+    "programmed_voltages",
     "scaled_geometry",
     "scaled_model",
 ]

@@ -26,7 +26,9 @@ Reads, probes and programs run as ``(block, page)`` location-list kernels
 :meth:`program_locations`); the page and same-block forms are thin
 rewrites in :class:`PageOps`, shared with the wire client.  Reads and
 probes also take one cell-index list per location and then cost in
-proportion to the cells listed, not the page.
+proportion to the cells listed, not the page: a cell's voltage is
+evaluated the first time a command names it (:class:`BlockState`), so
+an erase or a program evaluates none.
 
 Determinism: a chip is fully determined by ``(geometry, params, seed)``.
 Distinct seeds model distinct physical samples of the same chip model — the
@@ -42,11 +44,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..rng import box_muller, counter_uniforms, seed_from_prefix, substream
-from .block import BlockState
+from ..rng import (
+    box_muller, counter_words, seed_from_prefix, substream, word_uniforms,
+)
+from .block import BlockState, PageLabels
 from .errors import AddressError, EraseError, ProgramError, WearOutError
 from .geometry import ChipGeometry, check_integer
-from .noise import kernel_rngs, sample_programmed_batch
+from .noise import word_normals
 from .params import ChipParams
 from .retention import (
     LeakField,
@@ -197,9 +201,8 @@ def _check_cells(
     is an error too.
     """
     cells = cell_array(cells, name)
-    if cells.size and (
-        cells.min() < 0 or cells.max() >= geometry.cells_per_page
-    ):
+    # One reduction for both bounds: a negative index is a huge unsigned.
+    if cells.size and cells.view(np.uint64).max() >= geometry.cells_per_page:
         raise AddressError(out_of_range)
     if distinct and cells.size > 1:
         ordered = np.sort(cells, axis=None)
@@ -271,6 +274,18 @@ class OpCounters:
 #: Per-op metric counters mirroring :class:`OpCounters` into the
 #: observability registry, so cross-worker aggregation and the `repro
 #: obs` summary see chip activity by name.
+#: Pulse normals :meth:`FlashChip.embed_locations` evaluates per item in
+#: one counter call, at most: a batch covers as many of the item's next
+#: pulses as fit at the cells charging when it starts (at least one).
+PULSE_CELLS = 1024
+
+
+def _pulse_keys(labels: PageLabels, pulses: range) -> List[Tuple[int, int]]:
+    """Counter keys of the page's `pulses`: lane 0 of each pulse's
+    ``("pp-pulse", block, page, epoch, n)`` label seed, hashed onto the
+    page's pulse prefix."""
+    return [(seed_from_prefix(labels.pulse, n), 0) for n in pulses]
+
 _OBS_OP_COUNTERS = {
     "read": obs.counter("chip.reads"),
     "program": obs.counter("chip.programs"),
@@ -403,8 +418,9 @@ class FlashChip(PageOps):
     def _block(self, index: int) -> BlockState:
         """The block's state, materialised on first access.
 
-        NAND ships erased: a freshly manufactured block owes every row
-        its epoch-0 erased-state draw (deterministic in seed/block).
+        NAND ships erased: a freshly manufactured block's cells take
+        their epoch-0 erased field (deterministic in seed/block) when
+        they settle.
         """
         self.geometry.check_block(index)
         state = self._blocks.get(index)
@@ -470,12 +486,12 @@ class FlashChip(PageOps):
     def _erase(self, block: int, pec: Optional[int] = None) -> None:
         """Erase `block`, first setting its wear counter to `pec` if given.
 
-        The erase draws nothing: it opens a new epoch in which every row
-        is owed (:attr:`BlockState.owed`), each drawn from the epoch's
-        ``("erase", block, epoch, page)`` stream at the wear the erase
-        left the first time a kernel uses it.  A refused erase (factory-
-        bad block, strict endurance) opens no epoch; the wear it sets
-        does not reach the owed rows of the epoch still open.
+        The erase evaluates nothing: it opens a new epoch in which every
+        cell is unsettled, each taking the epoch's ``("erase", block,
+        epoch, page)`` field at the wear the erase left the first time
+        a kernel names it.  A refused erase (factory-bad block, strict
+        endurance) opens no epoch; the wear it sets does not reach the
+        erased field of the epoch still open.
         """
         state = self._block(block)
         if state.bad:
@@ -527,11 +543,11 @@ class FlashChip(PageOps):
         )
         for i, ((block, page), index) in enumerate(zip(locs, lists)):
             state = self._block(block)
-            voltages = self._effective_voltages(state, page)
+            voltages = self._effective_voltages(state, page, index)
             if index is None:
                 row = np.less(voltages, threshold, out=rows[i])
             else:
-                row = rows[i] = np.less(voltages[index], threshold)
+                row = rows[i] = np.less(voltages, threshold)
             row ^= self._disturb_mask(state, page, index)
             # Read disturb: every read slightly raises its own page's
             # future error exposure — after its own mask, and locations
@@ -557,19 +573,29 @@ class FlashChip(PageOps):
         return rows if cells is not None else np.stack(rows)
 
     def _probe_locations(
-        self, locs: Sequence, cells: Sequence[Optional[np.ndarray]]
+        self,
+        locs: Sequence,
+        cells: Sequence[Optional[np.ndarray]],
+        settled: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
         """The probe kernel over checked locations: one row per location,
-        the whole page's where its `cells` entry is None."""
+        the whole page's where its `cells` entry is None.  `settled`
+        holds each location's store row with its `cells` settled in it,
+        if the caller has them (:meth:`_effective_voltages`)."""
         probe_max = self.params.voltage.probe_max
         rows = []
-        for (block, page), index in zip(locs, cells):
-            voltages = self._effective_voltages(self._block(block), page)
-            if index is not None:
-                voltages = voltages[index]
-            rows.append(
-                np.clip(np.rint(voltages), 0, probe_max).astype(np.uint8)
+        if settled is None:
+            settled = [None] * len(locs)
+        for (block, page), index, row in zip(locs, cells, settled):
+            voltages = self._effective_voltages(
+                self._block(block), page, index, row
             )
+            # Clipped to [0, probe_max]: np.clip's wrapper costs more
+            # than the two ufuncs at these sizes.
+            levels = np.rint(voltages)
+            np.maximum(levels, 0, out=levels)
+            np.minimum(levels, probe_max, out=levels)
+            rows.append(levels.astype(np.uint8))
         self._account("read", len(locs))
         return rows
 
@@ -613,28 +639,19 @@ class FlashChip(PageOps):
     ) -> None:
         """The block program kernel behind :meth:`program_locations`.
 
-        Only the '0' cells of each page draw randomness: bit value 1
-        leaves the cell at the erased-state voltage of the epoch, drawn
-        here first if the row is still owed (the levels match — PEC
-        changes only through erase).  Per-page RNG substreams keep any
-        batch shape, one-row batches included, bit-identical.
+        It evaluates nothing: each page records its '0' cells
+        (:meth:`BlockState.program`), which take the programmed field
+        at the block's current wear when they settle; a '1' cell keeps
+        the epoch's erased value.
         """
         page_list = [int(p) for p in pages]
-        rngs = kernel_rngs(
-            self.seed, ("program", block), page_list, (state.erase_epoch,)
-        )
-        levels = [state.levels(page, state.pec) for page in page_list]
-        state.draw_rows(page_list)
-        rows = [state.row(page) for page in page_list]
-        zero_cells = [np.flatnonzero(all_bits[i] == 0) for i in range(len(rows))]
-        sample_programmed_batch(rngs, levels, zero_cells, rows)
         index = np.asarray(page_list, dtype=np.int64)
         state.page_programmed[index] = True
         state.page_program_time[index] = self.clock
         state.page_pec[index] = state.pec
         state.page_epoch[index] = state.erase_epoch
-        for page in page_list:
-            state.invalidate_page_voltages(page)
+        for i, page in enumerate(page_list):
+            state.program(page, all_bits[i] == 0)
         self._expose_neighbours(
             state, page_list, self.params.disturb.program_flip_prob
         )
@@ -668,38 +685,47 @@ class FlashChip(PageOps):
             "partial_program cell index out of range",
             distinct="partial_program",
         )
-        self._pulse(state, page, cells, fraction, precision)
+        row = state.settle(page, cells)
+        pulse = int(state.page_pp_pulses[page])
+        response, normals = self._pp_draws(
+            state, page, cells, range(pulse, pulse + 1)
+        )
+        self._pulse(
+            state, page, row, cells, fraction,
+            self._pulse_charges(normals[0], fraction, precision) * response,
+        )
+
+    def _pulse_charges(
+        self, normals: np.ndarray, fraction: float, precision: float
+    ) -> np.ndarray:
+        """Pulse charges before the cells' responses: ``mean + std·z``
+        for standard normals `z`, clipped to [0, mean + 2 std] — the
+        charge per pulse is bounded (float32, the shape of `normals`)."""
+        pp = self.params.partial_program
+        mean = pp.pulse_mean * fraction
+        std = pp.pulse_std * fraction * precision
+        charges = normals * np.float32(std)
+        charges += np.float32(mean)
+        np.maximum(charges, 0.0, out=charges)
+        np.minimum(charges, mean + 2.0 * std, out=charges)
+        return charges
 
     def _pulse(
         self,
         state: BlockState,
         page: int,
+        row: np.ndarray,
         cells: np.ndarray,
         fraction: float,
-        precision: float,
-        response: Optional[np.ndarray] = None,
+        charges: np.ndarray,
     ) -> None:
         """The pulse behind :meth:`partial_program`, on checked inputs:
-        distinct in-range `cells` of a good block's page.
-
-        `response` is :meth:`_pp_response` at `cells`, evaluated here
-        if not given.  Pulse ``n`` of a page in an epoch draws from
-        ``substream(seed, "pp-pulse", block, page, epoch, n)``; the
-        label's head is hashed once per page and epoch and kept with the
-        page's latent caches.
+        distinct in-range `cells` of a good block's page, settled in its
+        `row` (:meth:`BlockState.settle`), take `charges` — this
+        pulse's :meth:`_pulse_charges` times the page's PP response at
+        them (:meth:`_pp_draws`).
         """
-        pp = self.params.partial_program
-        if response is None:
-            response = self._pp_response(state, page, cells)
-        pulse_rng = np.random.default_rng(seed_from_prefix(
-            state.labels_for_page(page)[0], int(state.page_pp_pulses[page])
-        ))
-        mean = pp.pulse_mean * fraction
-        std = pp.pulse_std * fraction * precision
-        pulses = pulse_rng.normal(mean, std, size=cells.size)
-        # Charge per pulse is bounded: clip to [0, mean + 2 std].
-        np.clip(pulses, 0.0, mean + 2.0 * std, out=pulses)
-        state.row(page)[cells] += (response * pulses).astype(np.float32)
+        row[cells] += charges.astype(np.float32)
         state.invalidate_page_voltages(page)
         state.page_pp_pulses[page] += 1
         self._expose_neighbours(
@@ -760,15 +786,18 @@ class FlashChip(PageOps):
         active = [i for i, cells in enumerate(lists) if cells.size]
         # Nothing a response depends on changes within the call: each
         # item's is evaluated once, at its cells, and indexed per step.
-        responses = {
-            i: self._pp_response(states[i], locs[i][1], lists[i])
-            for i in active
-        }
+        # Its cells settle first; the probes read them in that row.
+        rows, responses, batches = {}, {}, {}
+        for i in active:
+            page = locs[i][1]
+            rows[i] = states[i].settle(page, lists[i])
+            responses[i] = self._pp_draws(states[i], page, lists[i])[0]
         for _ in range(steps):
             if not active:
                 break
             probed = self._probe_locations(
-                [locs[i] for i in active], [lists[i] for i in active]
+                [locs[i] for i in active], [lists[i] for i in active],
+                [rows[i] for i in active],
             )
             still_active = []
             for row, i in zip(probed, active):
@@ -776,9 +805,28 @@ class FlashChip(PageOps):
                 below[i] = lists[i][charging]
                 if below[i].size == 0:
                     continue
+                state, page = states[i], locs[i][1]
+                pulse = int(state.page_pp_pulses[page])
+                # Pulse normals come in batches evaluated at the cells
+                # charging when the batch starts.  A cell's voltage never
+                # falls within the call (a pulse adds charge >= 0), so
+                # the cells a later step charges are among them.
+                first, within, charges = batches.get(i, (pulse, None, ()))
+                if pulse - first >= len(charges):
+                    count = min(steps - used[i], PULSE_CELLS // below[i].size)
+                    first, within = pulse, charging
+                    charges = self._pulse_charges(
+                        self._pulse_normals(
+                            state, page, below[i],
+                            range(pulse, pulse + max(count, 1)),
+                        ),
+                        fraction, precision,
+                    )
+                    batches[i] = (first, within, charges)
                 self._pulse(
-                    states[i], locs[i][1], below[i], fraction, precision,
-                    responses[i][charging],
+                    state, page, rows[i], below[i], fraction,
+                    charges[pulse - first][charging[within]]
+                    * responses[i][charging],
                 )
                 used[i] += 1
                 still_active.append(i)
@@ -828,31 +876,43 @@ class FlashChip(PageOps):
     # ------------------------------------------------------------------
     # internals
 
-    def _effective_voltages(self, state: BlockState, page: int) -> np.ndarray:
-        """Stored voltages minus retention leakage at the current clock.
+    def _effective_voltages(
+        self,
+        state: BlockState,
+        page: int,
+        cells: Optional[np.ndarray] = None,
+        row: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Stored voltages minus retention leakage at the current clock,
+        at `cells` (None: the whole row).
 
-        Rows that need a leakage adjustment are cached per (page, clock):
-        repeated reads of an unchanged page at the same time cost a dict
-        lookup, not a leakage evaluation.  Callers must treat the returned
-        array as read-only (it may alias the store or the cache).
+        Without leakage only `cells` settle, unless the caller passes
+        the `row` in which it settled them (:meth:`BlockState.settle`):
+        then nothing is looked up.  Leakage is a whole-row evaluation,
+        cached per (page, clock): repeated reads of an unchanged page at
+        the same time cost a dict lookup, not a leakage evaluation.
+        Callers must treat the returned array as read-only (it may alias
+        the store or the cache).
         """
-        voltages = state.row(page)
-        if not state.page_programmed[page]:
-            return voltages
         elapsed = self.clock - state.page_program_time[page]
-        if elapsed <= 0:
-            return voltages
+        if not state.page_programmed[page] or elapsed <= 0:
+            if cells is None:
+                return state.row(page)
+            if row is None:
+                row = state.settle(page, cells)
+            return row[cells]
         cached = state.effective_rows.get(page)
         if cached is not None and cached[0] == self.clock:
-            return cached[1]
-        leak = leakage_from_field(
-            self.params.retention,
-            self._leak_field(state, page),
-            elapsed_s=elapsed,
-        )
-        row = voltages - leak
-        state.effective_rows[page] = (self.clock, row)
-        return row
+            row = cached[1]
+        else:
+            leak = leakage_from_field(
+                self.params.retention,
+                self._leak_field(state, page),
+                elapsed_s=elapsed,
+            )
+            row = state.row(page) - leak
+            state.effective_rows[page] = (self.clock, row)
+        return row if cells is None else row[cells]
 
     def _leak_field(self, state: BlockState, page: int) -> LeakField:
         """The page's cached leak latents (fixed for its program epoch)."""
@@ -909,12 +969,19 @@ class FlashChip(PageOps):
             field if cells is None else field[cells], probability
         )
 
-    def _pp_response(
-        self, state: BlockState, page: int, cells: np.ndarray
-    ) -> np.ndarray:
-        """Per-cell programming-speed factors of the page, at `cells`.
+    def _pp_draws(
+        self,
+        state: BlockState,
+        page: int,
+        cells: np.ndarray,
+        pulses: range = range(0),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The page's PP response at `cells`, and the float32 standard
+        normals of its `pulses` there (``(len(pulses), cells.size)``,
+        :meth:`_pulse_normals`), from one counter evaluation.
 
-        Three components multiply:
+        The response — per-cell programming-speed factors — has three
+        components that multiply:
 
         * a fixed manufacturing lognormal (plus rare hard cells);
         * a per-erase-epoch wear jitter that grows with PEC;
@@ -922,27 +989,29 @@ class FlashChip(PageOps):
           as general wear accumulates (worn cells all carry trapped charge,
           masking the deliberate signal — why PT-HI degrades with PEC).
 
-        Each cell's value is a pure function of the chip seed, block,
-        page, cell and — for the wear part — epoch
-        (:func:`repro.rng.counter_uniforms` over the page's label seeds,
+        Each cell's response is a pure function of the chip seed, block,
+        page, cell and — for the wear part — epoch (uniforms of
+        :func:`repro.rng.counter_words` over the page's label seeds,
         :meth:`BlockState.labels_for_page`), given the block's PEC and the
         page's trap: so it costs in proportion to the cells asked for,
         and no page-size array is drawn or kept.
         """
         pp = self.params.partial_program
-        _, mfg, wear = state.labels_for_page(page)
+        labels = state.labels_for_page(page)
+        mfg, wear = labels.response, labels.wear
         wear_sigma = pp.wear_response_sigma_per_kpec * state.pec / 1000.0
         # One (seed, lane) row per uniform: the radial rows of the
         # lognormals (manufacturing, then wear if any), their angular
-        # rows, then the hard-cell draw.
+        # rows, then the hard-cell draw; then one row per pulse.
         if wear_sigma > 0:
             sigmas = [pp.response_sigma, wear_sigma]
             keys = [(mfg, 0), (wear, 0), (mfg, 1), (wear, 1), (mfg, 2)]
         else:
             sigmas = [pp.response_sigma]
             keys = [(mfg, 0), (mfg, 1), (mfg, 2)]
-        parts = len(sigmas)
-        uniforms = counter_uniforms(cells, keys)
+        parts, rows = len(sigmas), len(keys)
+        words = counter_words(cells, keys + _pulse_keys(labels, pulses))
+        uniforms = word_uniforms(words[:rows])
         factors = box_muller(uniforms[:parts], uniforms[parts:-1])
         factors *= np.array(sigmas, dtype=np.float64)[:, None]
         np.exp(factors, out=factors)
@@ -960,7 +1029,22 @@ class FlashChip(PageOps):
             )
             gain = pp.trap_gain / (1.0 + pec_since / pp.trap_decay_pec)
             response = response * (1.0 + gain * trap[cells])
-        return response
+        return response, word_normals(words[rows:])
+
+    def _pulse_normals(
+        self, state: BlockState, page: int, cells: np.ndarray, pulses: range
+    ) -> np.ndarray:
+        """Float32 standard normals of the page's `pulses` at `cells`:
+        ``(len(pulses), cells.size)``.
+
+        Pulse ``n``'s normal at a cell is
+        :func:`~repro.nand.noise.word_normals` of the cell's lane-0
+        counter word under the ``("pp-pulse", block, page, epoch, n)``
+        label seed: a pure function of the pulse count and the cell, so
+        pulses evaluated together or one by one, at any cells, agree.
+        """
+        labels = state.labels_for_page(page)
+        return word_normals(counter_words(cells, _pulse_keys(labels, pulses)))
 
     # ------------------------------------------------------------------
     # deliberate stress (PT-HI's encoding mechanism)

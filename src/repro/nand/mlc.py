@@ -22,10 +22,10 @@ from typing import Tuple
 
 import numpy as np
 
-from ..rng import substream
+from ..rng import counter_words, derive_seed
 from .chip import FlashChip
 from .errors import ProgramError
-from .noise import sample_erased
+from .noise import word_normals
 
 #: Gray code: (lower, upper) per level L0..L3.
 LEVEL_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
@@ -84,29 +84,28 @@ class MlcView:
             )
         page_levels = state.levels(page, state.pec)
         mlc = chip.params.mlc
-        rng = substream(
+        # Level-0 cells keep the epoch's erased values, as SLC '1' cells
+        # do; each programmed cell takes the word_normals normal of its
+        # lane-0 word under the page's "program-mlc" label seed, as a
+        # programmed SLC cell does under "program".
+        row = state.row(page)
+        cells = np.flatnonzero(levels)
+        seed = derive_seed(
             chip.seed, "program-mlc", block, page, state.erase_epoch
         )
-        n = chip.geometry.cells_per_page
-        voltages = np.empty(n, dtype=np.float32)
-        erased_mask = levels == 0
-        n_erased = int(erased_mask.sum())
-        if n_erased:
-            voltages[erased_mask] = sample_erased(rng, n_erased, page_levels)
+        normals = word_normals(counter_words(cells, ((seed, 0),))[0])
         # Programmed levels reuse the SLC mean offset (manufacturing +
         # wear) with the narrower MLC spreads.
         offset = page_levels.programmed_mean - chip.params.voltage.programmed_mean
-        for level in (1, 2, 3):
-            mask = levels == level
-            count = int(mask.sum())
-            if not count:
-                continue
-            voltages[mask] = rng.normal(
-                mlc.level_means[level - 1] + offset,
-                mlc.level_stds[level - 1] * state.std_mult,
-                count,
-            ).astype(np.float32)
-        state.write_row(page, voltages)
+        level = levels[cells] - 1
+        voltages = normals * np.asarray(
+            mlc.level_stds, dtype=np.float64
+        )[level]
+        voltages *= state.std_mult
+        voltages += np.asarray(mlc.level_means, dtype=np.float64)[level]
+        voltages += offset
+        row[cells] = voltages.astype(np.float32)
+        state.invalidate_page_voltages(page)
         state.page_programmed[page] = True
         state.page_program_time[page] = chip.clock
         state.page_pec[page] = state.pec

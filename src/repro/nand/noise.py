@@ -2,20 +2,19 @@
 
 This module turns the static :class:`~repro.nand.params.ChipParams` plus the
 dynamic state of a page (its manufacturing offsets and wear) into concrete
-per-cell voltages.  It is the statistical heart of the substitution for the
-paper's real chips: everything VT-HI and the §7 attacker observe flows
-through these samplers.
+per-cell voltages: counter-based fields, one 64-bit counter word per cell
+split into narrow uniforms (DESIGN §11).  It is the statistical heart of
+the substitution for the paper's real chips: everything VT-HI and the §7
+attacker observe flows through these fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from ..rng import SeedPart, derive_seeds
 from .params import ChipParams
 
 
@@ -48,10 +47,9 @@ def page_levels(
 ) -> PageLevels:
     """Effective voltage levels for a page.
 
-    Memoized: the derivation is pure in its arguments, and experiments
-    hammer the same handful of ``(params, pec, offsets)`` combinations —
-    every trial on a same-wear block re-derives identical levels.  The
-    returned :class:`PageLevels` is frozen, so sharing is safe.
+    Pure in its arguments; a block keeps each page's levels per wear
+    (:meth:`~repro.nand.block.BlockState.levels`), so nothing here is
+    memoised.
 
     Args:
         params: the chip model.
@@ -61,20 +59,6 @@ def page_levels(
         tail_mult: per-block x per-page charged-tail-mass multiplier.
         tail_scale_mult: per-block x per-page charged-tail-depth multiplier.
     """
-    return _page_levels_cached(
-        params, pec, mean_offset, std_mult, tail_mult, tail_scale_mult
-    )
-
-
-@lru_cache(maxsize=8192)
-def _page_levels_cached(
-    params: ChipParams,
-    pec: int,
-    mean_offset: float,
-    std_mult: float,
-    tail_mult: float,
-    tail_scale_mult: float,
-) -> PageLevels:
     voltage = params.voltage
     wear = params.wear
     kpec = pec / 1000.0
@@ -98,125 +82,106 @@ def _page_levels_cached(
     )
 
 
-def kernel_rngs(
-    seed: int,
-    prefix: Sequence[SeedPart],
-    pages: Sequence[int],
-    suffix: Sequence[SeedPart] = (),
-) -> list:
-    """Independent per-page generators for a block-level kernel.
 
-    Seeds come from one batched SHA-256 pass (:func:`derive_seeds`,
-    same label scheme as :func:`repro.rng.substream`); the streams use
-    SFC64, whose float32 normal fill is the fastest this workload has
-    measured.  The generator family is part of the documented stream
-    layout (DESIGN §11): changing it changes drawn voltages.
-    """
-    return [
-        np.random.Generator(np.random.SFC64(int(s)))
-        for s in derive_seeds(seed, prefix, pages, suffix)
-    ]
+#: Bit fields of an erased cell's counter word (DESIGN §11): the core
+#: normal's radial and angular uniforms and the tail uniform.
+ERASED_RADIAL_BITS = 24
+ERASED_TAIL_BITS = 24
+ERASED_ANGULAR_BITS = 16
+#: A :func:`word_normals` word's radial and angular bit fields.
+WORD_RADIAL_BITS = 32
+WORD_ANGULAR_BITS = 32
 
 
-def sample_erased_batch(
-    rngs: Sequence[np.random.Generator],
-    levels: Sequence[PageLevels],
-    rows: Sequence[np.ndarray],
-) -> None:
-    """Fill float32 voltage rows with the erased-state mixture, in place.
-
-    Row ``i`` is drawn entirely from ``rngs[i]`` with a fixed recipe
-    (the batched-RNG stream layout, DESIGN §11):
-
-    1. ``standard_normal(cells, float32)`` — the near-zero bulk, drawn
-       straight into the row and scaled in place;
-    2. ``random(cells, float32)`` — one uniform per cell driving the
-       charged-tail mixture: ``u < tail_frac`` selects tail membership,
-       and ``u / tail_frac`` (uniform conditional on selection) drives
-       the truncated-exponential magnitude through its inverse CDF.
-
-    The mixture matches :func:`sample_erased` exactly in distribution;
-    reusing the selection uniform for the magnitude saves a second
-    full-page draw without correlating surviving bulk cells.
-    """
-    for rng, lv, row in zip(rngs, levels, rows):
-        rng.standard_normal(dtype=np.float32, out=row)
-        row *= np.float32(lv.erased_core_std)
-        row += np.float32(lv.erased_core_mean)
-        frac = lv.erased_tail_frac
-        u = rng.random(row.size, dtype=np.float32)
-        if frac <= 0.0:
-            continue
-        tail = np.flatnonzero(u < np.float32(frac))
-        if not tail.size:
-            continue
-        scale = lv.erased_tail_scale
-        norm = np.float32(1.0 - np.exp(-lv.erased_tail_span / scale))
-        conditional = u[tail] * np.float32(1.0 / frac)
-        row[tail] = np.float32(lv.erased_tail_start) + np.float32(
-            -scale
-        ) * np.log1p(-conditional * norm)
-
-
-def sample_programmed_batch(
-    rngs: Sequence[np.random.Generator],
-    levels: Sequence[PageLevels],
-    cell_indices: Sequence[np.ndarray],
-    rows: Sequence[np.ndarray],
-) -> None:
-    """Charge the selected cells of each row to the programmed level.
-
-    Row ``i`` draws ``standard_normal(len(cell_indices[i]), float32)``
-    from ``rngs[i]`` — nothing else — and scatters the affine-transformed
-    result into ``rows[i][cell_indices[i]]``.  Unselected cells are left
-    untouched: they keep the erased-state voltages established by the
-    erase that opened the epoch, which is how physical NAND programming
-    works (only '0' cells receive charge).
-    """
-    for rng, lv, idx, row in zip(rngs, levels, cell_indices, rows):
-        z = rng.standard_normal(idx.size, dtype=np.float32)
-        z *= np.float32(lv.programmed_std)
-        z += np.float32(lv.programmed_mean)
-        row[idx] = z
-
-
-def sample_truncated_exponential(
-    rng: np.random.Generator, size: int, scale: float, span: float
+def _normals(
+    radial: np.ndarray,
+    radial_bits: int,
+    angular: np.ndarray,
+    angular_bits: int,
+    std: float = 1.0,
 ) -> np.ndarray:
-    """Exponential(scale) draws truncated to [0, span], via inverse CDF."""
-    if scale <= 0 or span <= 0:
-        raise ValueError("scale and span must be positive")
-    u = rng.random(size)
-    # CDF of the truncated exponential: (1 - exp(-x/scale)) / norm.
-    norm = 1.0 - np.exp(-span / scale)
-    return -scale * np.log1p(-u * norm)
+    """Float32 normals of standard deviation `std` from integer uniforms
+    (Box–Muller, cosine branch, as :func:`repro.rng.box_muller`).
 
-
-def sample_erased(
-    rng: np.random.Generator, size: int, levels: PageLevels
-) -> np.ndarray:
-    """Voltages for `size` erased ('1') cells after a full block program.
-
-    Mixture of the near-zero bulk and the interference-charged truncated-
-    exponential tail (the positive hump of Fig. 2a).  Values may be
-    negative; the probe command clips them at zero (§4 footnote 1).
+    ``radial`` and ``angular`` hold ``k`` in ``[0, 2**bits)`` for the
+    uniforms ``k / 2**bits`` (``radial`` is overwritten: callers pass a
+    fresh shift of their words).  The radius is taken from ``1 - u =
+    (2**bits - k) / 2**bits``, in (0, 1], so it is finite and reaches
+    ``sqrt(2 * bits * ln 2)`` (5.77 at 24 bits, 6.66 at 32).
     """
-    voltages = rng.normal(levels.erased_core_mean, levels.erased_core_std, size)
-    tail_mask = rng.random(size) < levels.erased_tail_frac
-    n_tail = int(tail_mask.sum())
-    if n_tail:
-        voltages[tail_mask] = levels.erased_tail_start + (
-            sample_truncated_exponential(
-                rng, n_tail, levels.erased_tail_scale, levels.erased_tail_span
-            )
-        )
-    return voltages.astype(np.float32)
+    radius = np.subtract(1 << radial_bits, radial, out=radial)
+    radius = radius.astype(np.float32)
+    radius *= np.float32(2.0**-radial_bits)
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0 * std * std)
+    np.sqrt(radius, out=radius)
+    angle = angular.astype(np.float32)
+    angle *= np.float32(2.0 * np.pi * 2.0**-angular_bits)
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
+
+
+def erased_voltages(levels: PageLevels, words: np.ndarray) -> np.ndarray:
+    """Erased-state voltages (float32), one per counter word.
+
+    The erased mixture: a core normal, plus one uniform ``u`` that both
+    picks the charged tail (``u < tail_frac``) and sizes it — ``u /
+    tail_frac`` is uniform given the pick and drives the truncated
+    exponential through its inverse CDF.  A word's bits 63–40 and 15–0
+    are the normal's radial and angular uniforms, bits 39–16 are ``u``.
+    """
+    voltages = _normals(
+        words >> (64 - ERASED_RADIAL_BITS), ERASED_RADIAL_BITS,
+        words.astype(np.uint16), ERASED_ANGULAR_BITS,
+        levels.erased_core_std,
+    )
+    voltages += np.float32(levels.erased_core_mean)
+    frac = levels.erased_tail_frac
+    if frac <= 0.0:
+        return voltages
+    # u < frac exactly: compare the integer k of u = k / 2**24, at the
+    # top of the word once the radial bits are shifted out (the angular
+    # bits below it cannot carry k past a bound on it).
+    shifted = words << ERASED_RADIAL_BITS
+    bound = math.ceil(frac * 2.0**ERASED_TAIL_BITS) << (64 - ERASED_TAIL_BITS)
+    tail = np.flatnonzero(shifted < np.uint64(bound))
+    if tail.size:
+        scale = levels.erased_tail_scale
+        norm = 1.0 - math.exp(-levels.erased_tail_span / scale)
+        # -(u / frac) * norm, then the inverse CDF.
+        x = (shifted[tail] >> (64 - ERASED_TAIL_BITS)).astype(np.float32)
+        x *= np.float32(-norm * 2.0**-ERASED_TAIL_BITS / frac)
+        np.log1p(x, out=x)
+        x *= np.float32(-scale)
+        x += np.float32(levels.erased_tail_start)
+        voltages[tail] = x
+    return voltages
+
+
+def word_normals(words: np.ndarray, std: float = 1.0) -> np.ndarray:
+    """Float32 normals of standard deviation `std`, one per counter
+    word: the radial uniform is a word's top 32 bits and the angular
+    uniform its low 32 (the programmed field's layout, and a PP
+    pulse's)."""
+    return _normals(
+        words >> WORD_ANGULAR_BITS, WORD_RADIAL_BITS,
+        words.astype(np.uint32), WORD_ANGULAR_BITS, std,
+    )
+
+
+def programmed_voltages(levels: PageLevels, words: np.ndarray) -> np.ndarray:
+    """Programmed-state voltages (float32), one per counter word: a
+    :func:`word_normals` normal at the page's programmed level."""
+    voltages = word_normals(words, levels.programmed_std)
+    voltages += np.float32(levels.programmed_mean)
+    return voltages
 
 
 def erased_tail_exceedance(levels: PageLevels, threshold: float) -> float:
     """Expected fraction of erased cells with voltage above `threshold`.
 
-    Analytic counterpart of :func:`sample_erased`; used by the capacity
+    Analytic counterpart of :func:`erased_voltages`; used by the capacity
     planner (§6.3) to predict how many naturally charged cells exist per
     page without Monte Carlo.
     """

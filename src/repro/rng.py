@@ -12,8 +12,8 @@ guarantees substreams never collide and never correlate, and that the mapping
 is stable across numpy versions.
 
 A per-cell field that is read a few cells at a time draws from
-:func:`counter_uniforms` instead of a stream: each value is a keyed hash
-of its label seed, cell and lane, so any subset of cells costs in
+:func:`counter_words` instead of a stream: each value is a keyed hash of
+its label seed, cell and lane, so any subset of cells costs in
 proportion to its size.
 """
 
@@ -107,35 +107,42 @@ LANES = 4
 _MASK = (1 << 64) - 1
 
 
-def counter_uniforms(
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """U[0, 1) float64 draws, one per 64-bit word: its top 53 bits,
+    scaled.  A caller evaluating several fields in one
+    :func:`counter_words` call takes the uniforms of its own rows."""
+    uniforms = np.right_shift(words, 11).astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
+def counter_words(
     cells: np.ndarray, keys: Sequence[Tuple[int, int]]
 ) -> np.ndarray:
-    """Counter-based U[0, 1) draws: ``(len(keys), cells.size)`` float64.
+    """Counter-based 64-bit words: ``(len(keys), cells.size)`` uint64.
 
     Entry ``[k, i]`` is a pure function of ``(seed, cells[i], lane)``
     for ``(seed, lane) = keys[k]``: the SplitMix64 finalizer of ``seed +
-    (LANES * cell + lane) * gamma`` (mod 2**64), its top 53 bits scaled
-    to [0, 1).  So a per-cell field is evaluated at any subset of cells,
-    in any order, with the values a whole-page evaluation gives there.
-    `seed` is a label seed (:func:`derive_seed`); ``0 <= lane < LANES``.
+    (LANES * cell + lane) * gamma`` (mod 2**64).  A field that needs
+    several narrow uniforms per cell splits one word into bit fields
+    instead of hashing a lane for each.  `seed` is a label seed
+    (:func:`derive_seed`); ``0 <= lane < LANES``.
     """
+    offsets = np.array(
+        [(seed + lane * _GAMMA) & _MASK for seed, lane in keys],
+        dtype=np.uint64,
+    )
     steps = cells.astype(np.uint64)
     steps *= np.uint64(LANES * _GAMMA & _MASK)
-    # Row by row: a broadcast add would buffer, and at a few hundred
-    # cells the buffer outweighs the rows.
-    x = np.empty((len(keys), steps.size), dtype=np.uint64)
-    for row, (seed, lane) in zip(x, keys):
-        np.add(steps, np.uint64((seed + lane * _GAMMA) & _MASK), out=row)
+    x = np.add(offsets[:, None], steps)
+    del steps
     shifted = np.empty_like(x)
     for shift, multiplier in ((30, _MIX1), (27, _MIX2), (31, None)):
         x ^= np.right_shift(x, shift, out=shifted)
         if multiplier is not None:
             x *= multiplier
     del shifted  # at most two (keys, cells) arrays are ever alive
-    x >>= 11
-    uniforms = x.astype(np.float64)
-    uniforms *= 2.0**-53
-    return uniforms
+    return x
 
 
 def box_muller(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:

@@ -110,19 +110,30 @@ class TestFig9:
 
 
 class TestFig10:
+    #: Chip samples the test pools.  One sample's accuracy is over 16
+    #: test pages, so a page moves it by 0.0625: over these seeds the
+    #: wear-mismatched accuracy reads 0.75-1.0, and a change to any chip
+    #: stream can carry one seed across a bar.
+    SEEDS = range(8)
+
     def test_wear_matched_near_chance_mismatched_high(self):
         scale = DatasetScale(
             page_divisor=8, pages_per_block=6, blocks_per_class=8
         )
-        result = fig10.run(
-            hidden_pecs=(0,), normal_pecs=(0, 2000), scale=scale, seed=2
-        )
-        matched = result.accuracy(0, 0)
-        mismatched = result.accuracy(0, 2000)
+        matched, mismatched = [], []
+        for seed in self.SEEDS:
+            result = fig10.run(
+                hidden_pecs=(0,), normal_pecs=(0, 2000), scale=scale,
+                seed=seed,
+            )
+            matched.append(result.accuracy(0, 0))
+            mismatched.append(result.accuracy(0, 2000))
         # wear, not hiding, is what the classifier sees
-        assert matched < mismatched
-        assert matched <= 0.85
-        assert mismatched >= 0.85
+        for near, far in zip(matched, mismatched):
+            assert near < far
+            assert near <= 0.85
+        assert sum(mismatched) / len(mismatched) >= 0.85
+        assert sum(far >= 0.85 for far in mismatched) >= 6
 
 
 class TestFig11:

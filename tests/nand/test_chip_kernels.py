@@ -29,6 +29,11 @@ PAGES_PER_BLOCK = GEOMETRY.pages_per_block
 CELLS = GEOMETRY.cells_per_page
 
 
+def pp_response(chip, state, page, cells):
+    """The page's PP response at `cells` (no pulse normals)."""
+    return chip._pp_draws(state, page, cells)[0]
+
+
 def fresh_chip(seed=1234):
     return FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
 
@@ -120,12 +125,12 @@ def test_erase_drops_every_latent_cache():
     chip.read_page(0, 0)  # warms leak/disturb/effective caches
     state = chip._block(0)
     assert state.leak_fields and state.effective_rows
-    assert state.pulse_labels
+    assert state.page_labels
     chip.erase_block(0)
     assert not state.leak_fields
     assert not state.disturb_fields
     assert not state.effective_rows
-    assert not state.pulse_labels
+    assert not state.page_labels
 
 
 def test_warm_caches_do_not_leak_across_erase():
@@ -155,11 +160,11 @@ def test_cache_hit_equals_cold_recompute():
     leak = chip._leak_field(state, 0)
     disturb = chip._disturb_field(state, 0).copy()
     everywhere = np.arange(chip.geometry.cells_per_page)
-    response = chip._pp_response(state, 2, everywhere)
+    response = pp_response(chip, state, 2, everywhere)
     state.leak_fields.clear()
     state.disturb_fields.clear()
     state.effective_rows.clear()
-    state.pulse_labels.clear()
+    state.page_labels.clear()
     np.testing.assert_array_equal(chip._effective_voltages(state, 0), row)
     refreshed = chip._leak_field(state, 0)
     np.testing.assert_array_equal(refreshed.leaky_idx, leak.leaky_idx)
@@ -171,7 +176,7 @@ def test_cache_hit_equals_cold_recompute():
     # one at those cells.
     subset = np.array([everywhere.size - 1, 5, 0, 77])
     np.testing.assert_array_equal(
-        chip._pp_response(state, 2, subset), response[subset]
+        pp_response(chip, state, 2, subset), response[subset]
     )
 
 
@@ -276,13 +281,14 @@ ERASES = {
 
 @pytest.mark.parametrize("how", list(ERASES))
 def test_erase_of_untouched_block_equals_touch_then_erase(how):
-    """An erase draws no row, and the block ends exactly as touching it
-    first (and drawing its epoch-0 rows) and then erasing leaves it."""
+    """An erase settles no cell, and the block ends exactly as touching
+    it first (and settling its epoch-0 cells) and then erasing leaves it."""
     fresh, touched = chip_pair(61)
-    touched._block(0).voltages  # materialises block 0, epoch-0 rows drawn
+    touched._block(0).voltages  # materialises block 0, epoch-0 cells settled
     for chip in (fresh, touched):
         ERASES[how](chip)
-        assert chip._block(0).owed.all()
+        state = chip._block(0)
+        assert not state.row_settled.any() and not state.settle_codes
     assert_same_block(block_snapshot(fresh, 0), block_snapshot(touched, 0))
     np.testing.assert_array_equal(
         fresh.probe_voltages_batch(0, range(PAGES_PER_BLOCK)),

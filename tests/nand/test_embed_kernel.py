@@ -83,7 +83,8 @@ def cover(seed, block, page):
 
 
 def scenario(data, seed):
-    """Programmed items across blocks, some already pulsed."""
+    """Programmed items across blocks, some already pulsed, probed with
+    or without retention leakage (time passed since the program)."""
     n_items = data.draw(st.integers(1, 6), label="n_items")
     flat = data.draw(
         st.lists(
@@ -104,14 +105,16 @@ def scenario(data, seed):
     pulsed = data.draw(
         st.lists(st.sampled_from(range(n_items)), max_size=3), label="pulsed"
     )
+    elapsed = data.draw(st.sampled_from([0.0, 86400.0 * 30]), label="elapsed")
     steps = data.draw(st.integers(1, 12), label="steps")
     target, fraction, precision = data.draw(
         st.sampled_from(SHIPPED), label="point"
     )
-    return items, pulsed, steps, target, fraction, precision
+    return items, (pulsed, elapsed), steps, target, fraction, precision
 
 
-def prepare(chip, seed, items, pulsed):
+def prepare(chip, seed, items, setup=((), 0.0)):
+    pulsed, elapsed = setup
     chip.program_locations(
         [(block, page) for block, page, _ in items],
         [cover(seed, block, page) for block, page, _ in items],
@@ -119,6 +122,8 @@ def prepare(chip, seed, items, pulsed):
     for i in pulsed:
         block, page, _ = items[i]
         chip.partial_program(block, page, np.arange(0, CELLS, 9), fraction=0.5)
+    if elapsed:
+        chip.advance_time(elapsed)
 
 
 def block_state(chip, blocks):
@@ -150,11 +155,11 @@ def counters_of(chip):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**16))
 def test_kernel_equals_host_loop(data, seed):
-    items, pulsed, steps, target, fraction, precision = scenario(data, seed)
+    items, setup, steps, target, fraction, precision = scenario(data, seed)
     loop_chip = FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
     kernel_chip = FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
     for chip in (loop_chip, kernel_chip):
-        prepare(chip, seed, items, pulsed)
+        prepare(chip, seed, items, setup)
     with obs.collect(absorb=False) as by_loop:
         expected = reference_embed(
             loop_chip, items, target, steps, fraction, precision
@@ -173,10 +178,38 @@ def test_kernel_equals_host_loop(data, seed):
     assert by_kernel.snapshot.counters == by_loop.snapshot.counters
 
 
+@pytest.mark.parametrize("size", [60, 700, CELLS // 2])
+def test_kernel_equals_host_loop_across_pulse_batches(size):
+    """Many steps on large items: the kernel evaluates pulse normals in
+    batches sized to the cells still charging, and re-evaluates when a
+    batch runs out; the host loop draws each pulse alone."""
+    seed = 97
+    items = [(1, 2, 3, size), (4, 0, 1, size // 3 + 1)]
+    prepared = []
+    for block, page, start, count in items:
+        ones = np.flatnonzero(cover(seed, block, page) == 1)
+        prepared.append((block, page, ones[start:start + count]))
+    target, fraction, precision = SHIPPED[1]
+    loop_chip = FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
+    kernel_chip = FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
+    for chip in (loop_chip, kernel_chip):
+        prepare(chip, seed, prepared)
+    expected = reference_embed(
+        loop_chip, prepared, target + 40, 40, fraction / 4, precision
+    )
+    got = kernel_chip.embed_locations(
+        prepared, target + 40, 40, fraction=fraction / 4, precision=precision
+    )
+    assert got == expected and max(used for used, _ in got) > 16
+    assert_same_state(
+        block_state(kernel_chip, [1, 4]), block_state(loop_chip, [1, 4])
+    )
+
+
 @settings(max_examples=10, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**16))
 def test_remote_kernel_equals_local_host_loop(data, seed):
-    items, pulsed, steps, target, fraction, precision = scenario(data, seed)
+    items, setup, steps, target, fraction, precision = scenario(data, seed)
     local = FlashChip(GEOMETRY, TEST_MODEL.params, seed=seed)
     sock, handle = spawn_chip_server(
         GEOMETRY, TEST_MODEL.params, seed=seed, backend="thread"
@@ -184,7 +217,7 @@ def test_remote_kernel_equals_local_host_loop(data, seed):
     remote = RemoteChip(sock, GEOMETRY, TEST_MODEL.params)
     try:
         for chip in (local, remote):
-            prepare(chip, seed, items, pulsed)
+            prepare(chip, seed, items, setup)
         remote.obs_collect(reset=True)
         with obs.collect(absorb=False) as by_loop:
             expected = reference_embed(

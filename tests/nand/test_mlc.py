@@ -77,6 +77,29 @@ class TestMlcIo:
         slc_std = slc_voltages[slc_bits == 0].std()
         assert mlc_std < slc_std
 
+    def test_level_voltages_are_normal_at_each_level(self, chip):
+        """A programmed MLC cell sits at its level's mean plus the page's
+        programmed mean offset, with its level's spread widened by the
+        block's: a normal of one counter word per cell."""
+        mlc = MlcView(chip)
+        lower, upper = pages(chip, seed=6)
+        mlc.program_page(0, 0, lower, upper)
+        state = chip._block(0)
+        params = chip.params
+        offset = (
+            state.levels(0, state.pec).programmed_mean
+            - params.voltage.programmed_mean
+        )
+        voltages = state.voltages[0].astype(np.float64)
+        levels = bits_to_levels(lower, upper)
+        for level in (1, 2, 3):
+            values = voltages[levels == level]
+            mean = params.mlc.level_means[level - 1] + offset
+            std = params.mlc.level_stds[level - 1] * state.std_mult
+            # Five standard errors of the mean and of the deviation.
+            assert abs(values.mean() - mean) < 5 * std / np.sqrt(values.size)
+            assert abs(values.std() / std - 1) < 5 / np.sqrt(2 * values.size)
+
     def test_reprogram_rejected(self, chip):
         mlc = MlcView(chip)
         lower, upper = pages(chip, seed=3)

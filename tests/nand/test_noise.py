@@ -1,8 +1,13 @@
-"""Distribution samplers and their analytic counterparts.
+"""Voltage fields and their analytic counterparts.
 
-The batch samplers are the chip's erase and program kernels; MLC mode
-draws its erased cells from the scalar :func:`sample_erased`.
+A cell's erased and programmed voltages are counter-based fields
+(DESIGN §11): one 64-bit counter word per cell, split into narrow
+uniforms.  The statistical tests hold each field to the analytic
+exceedance and underflow the capacity planner uses, at several
+thresholds and wear levels, within a binomial tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +16,12 @@ from hypothesis import given, settings, strategies as st
 from repro.nand import ChipParams
 from repro.nand.noise import (
     erased_tail_exceedance,
+    erased_voltages,
     page_levels,
     programmed_underflow,
-    sample_erased,
-    sample_erased_batch,
-    sample_programmed_batch,
-    sample_truncated_exponential,
+    programmed_voltages,
 )
+from repro.rng import counter_words, derive_seed
 
 
 def levels(pec=0, mean_offset=0.0, std_mult=1.0, tail_mult=1.0,
@@ -32,49 +36,120 @@ def levels(pec=0, mean_offset=0.0, std_mult=1.0, tail_mult=1.0,
     )
 
 
-def test_truncated_exponential_respects_bounds():
-    rng = np.random.default_rng(0)
-    draws = sample_truncated_exponential(rng, 10_000, scale=20.0, span=58.0)
-    assert draws.min() >= 0
-    assert draws.max() <= 58.0
+def words(label, size):
+    """`size` cells' counter words under a test label seed."""
+    seed = derive_seed(0, "test-noise", label)
+    return counter_words(np.arange(size, dtype=np.int64), ((seed, 0),))[0]
 
 
-def test_truncated_exponential_rejects_bad_params():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_truncated_exponential(rng, 10, scale=0, span=5)
-    with pytest.raises(ValueError):
-        sample_truncated_exponential(rng, 10, scale=5, span=0)
+def assert_binomial(empirical, p, n):
+    """`empirical` is a frequency over `n` draws of a probability `p`:
+    within five standard errors, plus 1e-5 for the narrow uniforms'
+    quantisation (steps of 2**-24 in probability)."""
+    sigma = math.sqrt(p * (1.0 - p) / n)
+    assert abs(empirical - p) <= 5.0 * sigma + 1e-5, (empirical, p, sigma)
 
 
-def kernel_rng(seed):
-    """A generator of the family the chip's kernels draw from."""
-    return np.random.Generator(np.random.SFC64(seed))
+ERASED_CELLS = 2_000_000
+PROGRAMMED_CELLS = 4_000_000
 
 
-def test_erased_sampler_matches_analytic_exceedance():
-    lv = levels()
-    batch = np.empty(400_000, dtype=np.float32)
-    sample_erased_batch([kernel_rng(1)], [lv], [batch])
-    scalar = sample_erased(np.random.default_rng(1), 400_000, lv)
-    for draws in (batch, scalar):
-        for threshold in (15.0, 34.0):
-            empirical = (draws > threshold).mean()
-            analytic = erased_tail_exceedance(lv, threshold)
-            assert empirical == pytest.approx(analytic, rel=0.15, abs=5e-4)
+@pytest.mark.parametrize("pec", [0, 1500, 3000])
+def test_erased_field_matches_analytic_exceedance(pec):
+    lv = levels(pec=pec, mean_offset=-1.3, tail_mult=1.4, tail_scale_mult=0.8)
+    draws = erased_voltages(lv, words(f"erased-{pec}", ERASED_CELLS))
+    assert draws.dtype == np.float32
+    for threshold in (-3.0, 0.0, 5.0, 10.0, 15.0, 25.0, 34.0, 50.0, 65.0):
+        assert_binomial(
+            (draws > threshold).mean(),
+            erased_tail_exceedance(lv, threshold),
+            draws.size,
+        )
+    # The charged tail is truncated at start + span; the core normal's
+    # 24-bit radius reaches 5.77 standard deviations.
+    assert draws.max() <= lv.erased_tail_start + lv.erased_tail_span + 1e-3
+    core_reach = math.sqrt(2 * 24 * math.log(2))
+    assert draws.min() >= lv.erased_core_mean - core_reach * lv.erased_core_std - 1e-3
 
 
-def test_programmed_sampler_matches_analytic_underflow():
-    lv = levels()
-    draws = np.full(2_000_000, np.nan, dtype=np.float32)
-    sample_programmed_batch(
-        [kernel_rng(2)], [lv], [np.arange(draws.size)], [draws]
+@pytest.mark.parametrize("pec", [0, 1500, 3000])
+def test_programmed_field_matches_analytic_underflow(pec):
+    lv = levels(pec=pec, mean_offset=0.7, std_mult=1.05)
+    draws = programmed_voltages(lv, words(f"programmed-{pec}", PROGRAMMED_CELLS))
+    assert draws.dtype == np.float32
+    assert draws.mean() == pytest.approx(lv.programmed_mean, abs=0.03)
+    assert draws.std() == pytest.approx(lv.programmed_std, rel=0.005)
+    for sigmas in (-4.0, -3.0, -2.0, -1.0, 0.0, 2.0, 4.0):
+        threshold = lv.programmed_mean + sigmas * lv.programmed_std
+        assert_binomial(
+            (draws < threshold).mean(),
+            programmed_underflow(lv, threshold),
+            draws.size,
+        )
+    assert_binomial(
+        (draws < 127.0).mean(), programmed_underflow(lv, 127.0), draws.size
     )
-    assert draws.mean() == pytest.approx(lv.programmed_mean, abs=0.05)
-    assert draws.std() == pytest.approx(lv.programmed_std, rel=0.01)
-    empirical = (draws < 127.0).mean()
-    analytic = programmed_underflow(lv, 127.0)
-    assert empirical == pytest.approx(analytic, rel=0.6, abs=3e-5)
+
+
+def splitmix64(seed, counter):
+    """The scalar SplitMix64 output at a counter (the counter layout)."""
+    mask = (1 << 64) - 1
+    x = (seed + counter * 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+def test_fields_follow_the_documented_word_layout():
+    """A scalar re-derivation of both fields from the documented layout:
+    lane 0 of cell c is counter 4c; the erased word's bits 63-40 and
+    15-0 are the normal's radial and angular uniforms and bits 39-16
+    the tail uniform; the programmed word's top and low 32 bits are its
+    radial and angular uniforms."""
+    lv = levels(pec=700, tail_mult=3.0)
+    seed = derive_seed(5, "layout")
+    cells = np.array([0, 1, 17, 4095, 36_095, 144_383], dtype=np.int64)
+    erased = erased_voltages(lv, counter_words(cells, ((seed, 0),))[0])
+    programmed = programmed_voltages(lv, counter_words(cells, ((seed, 0),))[0])
+    for i, cell in enumerate(cells.tolist()):
+        word = splitmix64(seed, 4 * cell)
+        radial, tail, angular = word >> 40, (word >> 16) & 0xFFFFFF, word & 0xFFFF
+        z = math.sqrt(-2.0 * math.log((2**24 - radial) / 2**24)) * math.cos(
+            2.0 * math.pi * angular / 2**16
+        )
+        u = tail / 2**24
+        if u < lv.erased_tail_frac:
+            norm = 1.0 - math.exp(-lv.erased_tail_span / lv.erased_tail_scale)
+            value = lv.erased_tail_start - lv.erased_tail_scale * math.log1p(
+                -u / lv.erased_tail_frac * norm
+            )
+        else:
+            value = lv.erased_core_mean + lv.erased_core_std * z
+        assert erased[i] == pytest.approx(value, abs=1e-3)
+        z = math.sqrt(-2.0 * math.log((2**32 - (word >> 32)) / 2**32)) * math.cos(
+            2.0 * math.pi * (word & 0xFFFFFFFF) / 2**32
+        )
+        value = lv.programmed_mean + lv.programmed_std * z
+        assert programmed[i] == pytest.approx(value, abs=1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.lists(st.integers(0, 36_095), min_size=1, max_size=300),
+    pec=st.sampled_from([0, 2000]),
+)
+def test_fields_at_any_cells_equal_the_whole_row(cells, pec):
+    """Both fields are pure in (seed, cell): any subset, in any order,
+    with repeats and odd lengths (numpy's SIMD tails), gives the whole
+    row's values there."""
+    lv = levels(pec=pec)
+    seed = derive_seed(9, "subset")
+    index = np.array(cells, dtype=np.int64)
+    everywhere = np.arange(36_096, dtype=np.int64)
+    for field in (erased_voltages, programmed_voltages):
+        whole = field(lv, counter_words(everywhere, ((seed, 0),))[0])
+        some = field(lv, counter_words(index, ((seed, 0),))[0])
+        np.testing.assert_array_equal(some, whole[index])
 
 
 def test_wear_grows_levels_monotonically():

@@ -1,12 +1,13 @@
-"""The partial-programming response as a per-cell field.
+"""The partial-programming response and pulse noise as per-cell fields.
 
-``FlashChip._pp_response(state, page, cells)`` evaluates each cell's
-programming-speed factor from counter-based draws
-(:func:`repro.rng.counter_uniforms`): a cell's value depends on the chip
-seed, block, page, cell and (for the wear part) erase epoch, never on
-which other cells are asked for.  These tests pin that contract, the
-field's distribution against the stream recipe it replaced, and that a
-pulse keeps no page-size array.
+``FlashChip._pp_draws(state, page, cells, pulses)`` evaluates each
+cell's programming-speed factor, and the normals of the page's `pulses`,
+from counter-based draws
+(:func:`repro.rng.counter_words`): a cell's value depends on the chip
+seed, block, page, cell and (for the wear part and the pulses) erase
+epoch, never on which other cells or pulses are asked for.  These tests
+pin that contract, the fields' distributions against the stream recipes
+they replaced, and that a pulse keeps no page-size array.
 """
 
 import math
@@ -20,16 +21,21 @@ from hypothesis import strategies as st
 
 from repro.hiding import STANDARD_CONFIG
 from repro.nand import BENCH_MODEL, TEST_MODEL, FlashChip
-from repro.rng import box_muller, counter_uniforms, substream
+from repro.rng import box_muller, counter_words, substream, word_uniforms
 
 PP = TEST_MODEL.params.partial_program
 CELLS = TEST_MODEL.geometry.cells_per_page
 PAGES = TEST_MODEL.geometry.pages_per_block
 
 
+def pp_response(chip, state, page, cells):
+    """The page's PP response at `cells` (no pulse normals)."""
+    return chip._pp_draws(state, page, cells)[0]
+
+
 def full_page(chip, block, page):
     """The field at every cell of a page."""
-    return chip._pp_response(chip._block(block), page, np.arange(CELLS))
+    return pp_response(chip, chip._block(block), page, np.arange(CELLS))
 
 
 def aged_chip(pec, seed=7, params=TEST_MODEL.params):
@@ -132,7 +138,7 @@ def test_neighbouring_cells_pages_and_blocks_are_uncorrelated():
     everywhere = np.arange(BENCH_MODEL.geometry.cells_per_page)
 
     def field(block, page):
-        return chip._pp_response(chip._block(block), page, everywhere)
+        return pp_response(chip, chip._block(block), page, everywhere)
 
     pairs = {
         "cells": [(f[:-1], f[1:]) for f in (field(0, 0), field(0, 2))],
@@ -172,7 +178,7 @@ def test_any_subset_in_any_order_equals_the_whole_page(states, data):
     cells = np.array(cells, dtype=np.int64)
     whole = full_page(chip, block, page)
     np.testing.assert_array_equal(
-        chip._pp_response(chip._block(block), page, cells), whole[cells]
+        pp_response(chip, chip._block(block), page, cells), whole[cells]
     )
 
 
@@ -185,19 +191,23 @@ def test_odd_lengths_equal_the_whole_page(states, size):
         whole = full_page(chip, block, page)
         for offset in range(3):
             cells = rng.choice(CELLS, size=size, replace=False)
-            got = chip._pp_response(chip._block(block), page, cells[offset:])
+            got = pp_response(chip, chip._block(block), page, cells[offset:])
             np.testing.assert_array_equal(got, whole[cells[offset:]])
 
 
 def test_counter_uniforms_depend_only_on_seed_cell_and_lane():
+    """The uniforms of counter words, as the PP response takes them."""
+    def uniforms(cells, keys):
+        return word_uniforms(counter_words(cells, keys))
+
     cells = np.arange(5000)
     keys = [(11, 0), (11, 1), (12, 0), (11, 3)]
-    table = counter_uniforms(cells, keys)
+    table = uniforms(cells, keys)
     assert table.shape == (4, 5000) and table.dtype == np.float64
     assert table.min() >= 0.0 and table.max() < 1.0
     picked = np.array([4999, 0, 17, 4998, 17 * 3])
     np.testing.assert_array_equal(
-        counter_uniforms(picked, keys[::-1]), table[::-1][:, picked]
+        uniforms(picked, keys[::-1]), table[::-1][:, picked]
     )
     assert len({row.tobytes() for row in table}) == 4
     normals = box_muller(table[0], table[1])
@@ -223,3 +233,44 @@ def test_embed_on_a_paper_size_page_keeps_no_page_size_array():
         tracemalloc.stop()
     assert outcome[0][0] >= 1
     assert peak < 64 * 1024
+
+
+def test_pulse_normals_depend_only_on_pulse_and_cell(states):
+    """A pulse's normals are pure in (pulse count, cell): pulses
+    evaluated together or one by one, at any cells in any order, and
+    with or without the response, agree; the response does not move."""
+    chip, pages = states
+    rng = np.random.default_rng(5)
+    everywhere = np.arange(CELLS)
+    for block, page in pages:
+        state = chip._block(block)
+        whole = chip._pulse_normals(state, page, everywhere, range(3, 9))
+        assert whole.shape == (6, CELLS) and whole.dtype == np.float32
+        cells = rng.choice(CELLS, size=301, replace=False)
+        one_by_one = np.stack([
+            chip._pulse_normals(state, page, cells, range(n, n + 1))[0]
+            for n in range(3, 9)
+        ])
+        np.testing.assert_array_equal(one_by_one, whole[:, cells])
+        response, normals = chip._pp_draws(state, page, cells, range(5, 7))
+        np.testing.assert_array_equal(normals, whole[2:4, cells])
+        np.testing.assert_array_equal(
+            response, pp_response(chip, state, page, cells)
+        )
+
+
+def test_pulse_normals_are_independent_standard_normals():
+    chip = aged_chip(0, seed=41)
+    everywhere = np.arange(CELLS)
+    normals = np.concatenate([
+        chip._pulse_normals(chip._block(block), page, everywhere, range(8))
+        for block in range(2) for page in range(PAGES)
+    ], axis=1).astype(np.float64)
+    n = normals.size
+    assert n >= 500_000
+    reference = substream(41, "pulse-reference").standard_normal(n)
+    critical = math.sqrt(-math.log(0.0005) / 2.0) * math.sqrt(2.0 / n)
+    assert ks_statistic(normals.ravel(), reference) < critical
+    # Successive pulses, and neighbouring cells, are uncorrelated.
+    assert abs(np.corrcoef(normals[:-1].ravel(), normals[1:].ravel())[0, 1]) < 0.01
+    assert abs(np.corrcoef(normals[:, :-1].ravel(), normals[:, 1:].ravel())[0, 1]) < 0.01

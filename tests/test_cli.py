@@ -150,6 +150,42 @@ def test_load_rejects_non_device(tmp_path):
         main(["stats", str(bogus)])
 
 
+@pytest.mark.parametrize("stamp", ["missing", "older"])
+def test_load_refuses_a_device_file_from_another_chip_layout(
+    device, stamp, capsys
+):
+    """A file written before the layout stamp (or under another layout)
+    holds chip state this code cannot drive: the first command refuses
+    it cleanly, naming the fix, instead of crashing inside the chip."""
+    import pickle
+
+    from repro.cli import DEVICE_LAYOUT, Device
+
+    assert main(["public-write", device, "0", "old cover"]) == 0
+    stale = Device.load(device)
+    if stamp == "missing":
+        del stale.layout
+    else:
+        stale.layout = DEVICE_LAYOUT - 1
+    with open(device, "wb") as handle:
+        pickle.dump(stale, handle)
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match="re-create the device") as refused:
+        main(["public-read", device, "0"])
+    found = "no chip-state layout stamp" if stamp == "missing" else (
+        f"chip-state layout {DEVICE_LAYOUT - 1}"
+    )
+    assert f"{device} holds {found}" in str(refused.value)
+    assert capsys.readouterr().out == ""
+
+
+def test_load_refuses_an_unreadable_device_file(tmp_path):
+    broken = tmp_path / "broken.stash"
+    broken.write_bytes(b"not a pickle at all")
+    with pytest.raises(SystemExit, match="not a repro-stash device file"):
+        main(["stats", str(broken)])
+
+
 def test_persistence_across_invocations(device, capsys):
     """The hidden volume is rebuilt from the passphrase each time —
     nothing about it is stored in the device file."""
