@@ -18,7 +18,9 @@ the stream after it:
   VT-HI embedded into on the hidden block against the cells the same
   key selects on the normal block;
 - fig11: hidden BER one month after embedding, at PEC 0 and PEC 2000;
-- §6.2: public bits the coarse MLC attempt flips;
+- §6.2: public bits the coarse MLC attempt flips, and the mean and
+  standard deviation of each programmed MLC level (L1-L3) over the
+  probed cells of randomly programmed MLC pages;
 - PT-HI: the raw decode BER after 400 PEC of churn (its stress-trap gain
   rides on the PP response);
 - fig2: the mean and standard deviation of a randomly programmed
@@ -43,7 +45,10 @@ draws (``repro.rng.counter_words``), sized so that each of
 ``wear_response_sigma_per_kpec`` × 2 fails at least one row; the fig2,
 fig3 and §6.3 rows came with the voltage fields, sized so that each of
 ``erased_core_std`` × 1.1, ``erased_tail_frac`` × 1.25 and
-``programmed_std`` × 1.1 fails at least one of them.
+``programmed_std`` × 1.1 fails at least one of them.  The MLC level
+rows came after the migration, sized so that ``mlc.level_stds`` × 1.1
+fails at least one of them; their "before" was measured on the same
+commit as the others'.
 
 Usage::
 
@@ -92,6 +97,7 @@ from repro.experiments.common import (
 from repro.hiding import PtHi, PtHiConfig, VtHi, select_cells
 from repro.hiding.config import STANDARD_CONFIG
 from repro.nand import NandTester
+from repro.nand.mlc import MlcView, bits_to_levels
 from repro.parallel import ParallelRunner
 from repro.units import MONTH
 
@@ -143,6 +149,11 @@ ROWS: Dict[str, Optional[str]] = {
     "fig11.hidden_ber_1_month_pec_0": None,
     "fig11.hidden_ber_1_month_pec_2000": None,
     "sec62.coarse_public_flips": "coarse PP disrupts public bits",
+    **{
+        f"sec62.mlc_level_{level}_{stat}": None
+        for level in (1, 2, 3)
+        for stat in ("mean", "std")
+    },
     "pthi.raw_ber_after_churn": None,
     "fig2.erased_mean": "erased cells in [0, 70]",
     "fig2.erased_std": None,
@@ -300,6 +311,32 @@ def _fig2_sample(seed: int) -> Dict[str, float]:
     }
 
 
+def _mlc_sample(seed: int) -> Dict[str, float]:
+    """§6.2's MLC levels on `mlc_extension`'s chip sample: every page of
+    a block programmed in MLC mode with random lower and upper pages and
+    probed; the mean and standard deviation of each programmed level's
+    cells (level 0 is the erased field the fig2 rows read)."""
+    model = default_model(pages_per_block=4)
+    chip = make_samples(model, 1, base_seed=35_000 + seed)[0]
+    mlc = MlcView(chip)
+    n_cells = chip.geometry.cells_per_page
+    levels, voltages = [], []
+    for page in range(chip.geometry.pages_per_block):
+        index = seed * 100 + page
+        lower = random_bits(n_cells, "mlc-calibration-lower", index)
+        upper = random_bits(n_cells, "mlc-calibration-upper", index)
+        mlc.program_page(0, page, lower, upper)
+        levels.append(bits_to_levels(lower, upper))
+        voltages.append(chip.probe_voltages(0, page).astype(np.float64))
+    level, voltage = np.concatenate(levels), np.concatenate(voltages)
+    values: Dict[str, float] = {}
+    for index in (1, 2, 3):
+        cells = voltage[level == index]
+        values[f"sec62.mlc_level_{index}_mean"] = float(cells.mean())
+        values[f"sec62.mlc_level_{index}_std"] = float(cells.std())
+    return values
+
+
 def _fig3_sample(seed: int) -> Dict[str, float]:
     """Fig. 3's drift on one chip sample: the least-squares slope of the
     erased and programmed means over the wear levels, per 1,000 PEC."""
@@ -336,6 +373,7 @@ def measure_sample(seed: int) -> Dict[str, float]:
     values["sec62.coarse_public_flips"] = float(
         mlc_extension.run(bits=256, seed=seed).coarse_public_flips
     )
+    values.update(_mlc_sample(seed))
     values["pthi.raw_ber_after_churn"] = _pthi_sample(seed)
     values.update(_fig2_sample(seed))
     values.update(_fig3_sample(seed))

@@ -1,14 +1,15 @@
-"""Whole-project AST model: modules, imports, call graph, reachability.
+"""Whole-project AST model: modules, imports, call sites, reachability.
 
 The determinism rules need more than one file at a time: DET001/DET002
 apply to *any* function a :class:`repro.parallel.ParallelRunner` work
 unit can reach, wherever it lives.  :class:`Project` parses every target
 file once, indexes functions by bare name, records every call site's
-AST node, finds the parallel dispatch sites
-(``ParallelRunner.map``/``map_with_obs``/``run_units``), and exposes
-the transitive *parallel-reachable* set.
+AST node (top-level code counts as one more function, the module
+body), finds the dispatch sites (``ParallelRunner.map``/
+``map_with_obs``/``run_units``, fleet rounds, the ONFI wire), and
+exposes the transitive *parallel-reachable* set.
 
-Call resolution lives in :mod:`repro.lint.dataflow`: it follows
+Call resolution lives in :mod:`repro.lint.callgraph`: it follows
 assignments (``x = Codec()``), instance attributes
 (``self.codec = Codec()``) and module aliases to the one method a call
 actually targets, falling back to the historical name-based
@@ -35,7 +36,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .dataflow import DataflowAnalysis
+    from .callgraph import CallGraph
 
 #: Bound at module level to one of these constructors => a module-level
 #: mutable container (DET002 watches writes to them).
@@ -80,11 +81,8 @@ class FunctionInfo:
     node: ast.AST
     lineno: int
     end_lineno: int
-    #: Bare names of everything this function calls (``f()`` and ``x.f()``
-    #: both contribute ``f``).
-    calls: Set[str] = field(default_factory=set)
     #: Every call expression in the body, in source order, for the
-    #: alias-aware resolution in :mod:`repro.lint.dataflow`.
+    #: alias-aware resolution in :mod:`repro.lint.callgraph`.
     call_nodes: List[ast.Call] = field(default_factory=list)
     #: Parameter and locally-bound names (shadowing module state).
     local_names: Set[str] = field(default_factory=set)
@@ -101,6 +99,10 @@ class ModuleInfo:
     modname: str  #: dotted module name, e.g. ``repro.ecc.bch``
     tree: ast.Module
     lines: List[str]
+    #: The code outside every def (module and class bodies), which runs
+    #: at import time, as one function named ``<module>``: its calls are
+    #: call-graph edges like any function's.
+    body: FunctionInfo
     #: ``import numpy as np`` => ``{"np": "numpy"}``; relative imports
     #: are resolved against the package (``from . import obs`` in
     #: ``repro.cli`` => ``{"obs": "repro.obs"}``).
@@ -115,7 +117,7 @@ class ModuleInfo:
     str_set_names: Set[str] = field(default_factory=set)
     #: Module-level names bound to ``threading.Lock()`` / ``RLock()``,
     #: mapped to ``"lock"`` or ``"rlock"`` (the CONC rules and the
-    #: flow-sensitive DET002 exemption key off these).
+    #: DET002 lock exemption key off these).
     module_locks: Dict[str, str] = field(default_factory=dict)
 
     def dotted_source(self, node: ast.AST) -> Optional[str]:
@@ -142,7 +144,7 @@ class ModuleInfo:
 
     def enclosing_function(self, lineno: int) -> str:
         """The qualname of the innermost def containing `lineno`."""
-        best = "<module>"
+        best = self.body.qualname
         best_span = float("inf")
         for info in self.functions.values():
             if info.lineno <= lineno <= info.end_lineno:
@@ -269,12 +271,9 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         if self._fn_stack:
-            fn = self._fn_stack[-1]
-            fn.call_nodes.append(node)
-            if isinstance(node.func, ast.Name):
-                fn.calls.add(node.func.id)
-            elif isinstance(node.func, ast.Attribute):
-                fn.calls.add(node.func.attr)
+            self._fn_stack[-1].call_nodes.append(node)
+        else:
+            self.module.body.call_nodes.append(node)
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -344,8 +343,8 @@ class Project:
         self.root = root
         self.modules = modules
         #: scratch space for expensive cross-module analyses (the lock
-        #: graph) computed lazily by the rules that need them and shared
-        #: across the rule set for one run
+        #: graph, the row-producing set) computed lazily by the rules
+        #: that need them and shared across the rule set for one run
         self.analysis_cache: Dict[str, object] = {}
         #: bare function name -> [(module, function info)]
         self.functions_by_name: Dict[
@@ -369,7 +368,7 @@ class Project:
         for module in modules.values():
             self.dispatch_sites.extend(self._find_dispatch_sites(module))
         self._reachable: Optional[Set[Tuple[str, str]]] = None
-        self._dataflow: Optional["DataflowAnalysis"] = None
+        self._call_graph: Optional["CallGraph"] = None
 
     # -- construction ---------------------------------------------------
 
@@ -450,33 +449,41 @@ class Project:
                 name = entry.attr
             yield DispatchSite(module.modname, node.lineno, name)
 
-    # -- reachability and dataflow --------------------------------------
+    # -- call graph and reachability ------------------------------------
 
-    def dataflow(self) -> "DataflowAnalysis":
-        """The project-wide :class:`repro.lint.dataflow.DataflowAnalysis`.
+    def call_graph(self) -> "CallGraph":
+        """The project-wide :class:`repro.lint.callgraph.CallGraph`.
 
-        Built once on first use (the taint fixpoint walks every function)
-        and cached; imported lazily to keep the module graph acyclic.
+        Built once on first use and cached; imported lazily to keep the
+        module graph acyclic.
         """
-        if self._dataflow is None:
-            from .dataflow import DataflowAnalysis
+        if self._call_graph is None:
+            from .callgraph import CallGraph
 
-            self._dataflow = DataflowAnalysis(self)
-        return self._dataflow
+            self._call_graph = CallGraph(self)
+        return self._call_graph
+
+    def dispatch_entries(self) -> List[Tuple[ModuleInfo, FunctionInfo]]:
+        """Every function a dispatch site hands work to, by bare name."""
+        return [
+            target
+            for site in self.dispatch_sites
+            if site.entry_name
+            for target in self.functions_by_name.get(site.entry_name, ())
+        ]
 
     def parallel_reachable(self) -> Set[Tuple[str, str]]:
         """``(modname, qualname)`` of every function a work unit may reach.
 
         BFS over the alias-aware call graph (see
-        :mod:`repro.lint.dataflow`), seeded with the functions dispatched
+        :mod:`repro.lint.callgraph`), seeded with the functions dispatched
         through :mod:`repro.parallel`, the fleet schedulers and the ONFI
         wire boundary.  Unresolvable calls fall back to name matching.
         """
-        if self._reachable is not None:
-            return self._reachable
-        from .dataflow import compute_reachable
-
-        self._reachable = compute_reachable(self)
+        if self._reachable is None:
+            self._reachable = self.call_graph().reachable(
+                self.dispatch_entries()
+            )
         return self._reachable
 
 
@@ -510,12 +517,20 @@ def parse_module(root: Path, path: Path) -> Optional[ModuleInfo]:
     except (OSError, SyntaxError):
         return None
     rel = path.resolve().relative_to(root.resolve()).as_posix()
+    lines = source.splitlines()
     module = ModuleInfo(
         path=path,
         relpath=rel,
         modname=modname,
         tree=tree,
-        lines=source.splitlines(),
+        lines=lines,
+        body=FunctionInfo(
+            qualname="<module>",
+            name="<module>",
+            node=tree,
+            lineno=1,
+            end_lineno=len(lines) or 1,
+        ),
     )
     is_package = path.name == "__init__.py"
     visitor = _ModuleVisitor(module, _package_of(modname, is_package))

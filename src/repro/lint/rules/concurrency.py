@@ -20,7 +20,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Set, Tuple
 
-from ..dataflow import LockId, lock_guarded_lines, resolve_lock
+from ..callgraph import LockId, lock_guarded_lines, resolve_lock
 from ..engine import Rule, register
 from ..findings import Finding, Severity
 from ..project import FunctionInfo, ModuleInfo, Project
@@ -105,7 +105,7 @@ def lock_graph(project: Project) -> LockGraph:
 
 
 def _build_lock_graph(project: Project) -> LockGraph:
-    call_graph = project.dataflow().graph
+    call_graph = project.call_graph()
     out = LockGraph()
     direct: Dict[FnKey, Set[LockId]] = {}
     callees: Dict[FnKey, List[FnKey]] = {}

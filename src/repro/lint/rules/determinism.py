@@ -8,24 +8,26 @@ a pure function of its arguments — randomness derived through
 state, no hash-randomized iteration order.  These rules flag the
 constructs that break each leg statically.
 
-DET001 and DET002 are *flow-sensitive*: they consume the
-interprocedural taint analysis in :mod:`repro.lint.dataflow`.  A
-nondeterministic source is only a finding if its value reaches a
-work-unit return, module or instance state, or a wire frame; a
-lock-guarded module-state write whose value carries no taint (the
-double-checked memo-cache idiom) is exempt from DET002.
+DET001 and DET002 are flow-insensitive rules over the call graph in
+:mod:`repro.lint.callgraph`.  Every nondeterministic call in
+row-producing code is a DET001 finding, whether or not its value is
+used; a lock-guarded module-state write (the double-checked memo-cache
+idiom) is exempt from DET002 only in a function that makes no
+nondeterministic call.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
-from ..dataflow import (
+from ..callgraph import (
     EXEMPT_PACKAGES,
-    MUTATOR_METHODS as _MUTATOR_METHODS,
     SCOPE_PACKAGES,
+    FnKey,
+    classify_nondeterministic,
     exempt as _exempt,
+    in_scope_package,
     lock_guarded_lines,
 )
 from ..engine import Rule, register
@@ -41,44 +43,101 @@ __all__ = [
 ]
 
 
+def _nondeterministic_calls(
+    module: ModuleInfo, calls: Iterable[ast.Call]
+) -> Iterator[Tuple[ast.Call, str, str]]:
+    """``(call, dotted origin, why)`` of each nondeterministic call in
+    `calls`; none in an exempt module."""
+    if _exempt(module.modname):
+        return
+    for call in calls:
+        dotted = module.dotted_source(call.func)
+        if dotted is None:
+            continue
+        why = classify_nondeterministic(dotted)
+        if why is not None:
+            yield call, dotted, why
+
+
+def row_producing(project: Project) -> Set[FnKey]:
+    """Every function (or module body) whose values may end up in a
+    produced row.
+
+    One BFS over the call graph, seeded with the dispatched functions
+    (parallel work units, fleet rounds, the ONFI wire) and with every
+    function and the module body of each scope-package module, so a
+    helper that computes a scope package's module constant at import
+    time is covered too.  Built once per run and cached.
+    """
+    cached = project.analysis_cache.get("row_producing")
+    if isinstance(cached, set):
+        return cached
+    seeds = project.dispatch_entries() + [
+        (module, fn)
+        for module in project.modules.values()
+        if in_scope_package(module.modname)
+        for fn in [module.body, *module.functions.values()]
+    ]
+    producing = project.call_graph().reachable(seeds)
+    project.analysis_cache["row_producing"] = producing
+    return producing
+
+
 @register
 class NondeterministicSourceRule(Rule):
-    """DET001: nondeterministic input whose value reaches produced rows."""
+    """DET001: nondeterministic call in row-producing code."""
 
     code = "DET001"
     name = "nondeterministic-source"
     severity = Severity.ERROR
     description = (
-        "random.*, global np.random.*, wall-clock time or OS entropy "
-        "whose value flows (interprocedurally) into a work-unit return, "
-        "module or instance state, or a wire frame, from experiments/, "
-        "fleet/, hiding/, nand/, onfi/ or any function reachable from a "
-        "repro.parallel work unit, a fleet scheduler dispatch "
-        "(run_round/execute_round) or an ONFI wire dispatch "
-        "(handle_frame/serve/_call/_post); derive randomness via "
-        "repro.rng substreams"
+        "a call to random.*, global np.random.*, wall-clock time or OS "
+        "entropy anywhere in experiments/, fleet/, hiding/, nand/ or "
+        "onfi/ (module bodies included), or in any function reachable "
+        "from that code, a repro.parallel work unit, a fleet scheduler "
+        "dispatch (run_round/execute_round) or an ONFI wire dispatch "
+        "(handle_frame/serve/_call/_post), whether or not its value is "
+        "used; derive randomness via repro.rng substreams"
     )
 
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
-        if _exempt(module.modname):
-            return
-        hits = project.dataflow().det_hits()
-        for source in sorted(hits, key=lambda s: (s.line, s.col)):
-            if source.module != module.modname:
+        producing = row_producing(project)
+        functions = [fn for _, fn in sorted(module.functions.items())]
+        for fn in [module.body, *functions]:
+            if (module.modname, fn.qualname) not in producing:
                 continue
-            sinks = hits[source]
-            kinds = sorted({sink.kind for sink in sinks})
-            reached = " and ".join(kinds)
-            details = sorted({sink.detail for sink in sinks})[:2]
-            yield self.finding(
-                module,
-                source.line,
-                source.col,
-                f"call to {source.dotted}() draws from {source.why} and "
-                f"its value reaches {reached} ({'; '.join(details)}); "
-                f"row-producing code must derive randomness from "
-                f"repro.rng substreams (seed + structured label)",
+            where = (
+                "the module body" if fn is module.body else f"{fn.qualname}()"
             )
+            calls = fn.call_nodes
+            for call, dotted, why in _nondeterministic_calls(module, calls):
+                yield self.finding(
+                    module,
+                    call.lineno,
+                    call.col_offset,
+                    f"call to {dotted}() draws from {why} in {where}, "
+                    f"which is row-producing code; derive randomness "
+                    f"from repro.rng substreams (seed + structured label)",
+                )
+
+
+#: Container methods that mutate their receiver in place.
+_MUTATOR_METHODS = frozenset(
+    {
+        "append",
+        "appendleft",
+        "add",
+        "update",
+        "setdefault",
+        "extend",
+        "extendleft",
+        "insert",
+        "remove",
+        "discard",
+        "clear",
+        "popitem",
+    }
+)
 
 
 def _module_state_writes(
@@ -162,12 +221,11 @@ def _module_state_writes(
 class ParallelSharedStateRule(Rule):
     """DET002: module-state mutation inside a parallel work unit.
 
-    Flow-sensitive exemption: a write that sits inside a ``with <lock>``
-    block *and* whose value carries no nondeterministic taint is the
-    double-checked memo-cache idiom — every worker that races to fill
-    the slot computes the same deterministic value, so rows cannot
-    diverge.  Those writes are CONC territory (lock discipline), not a
-    determinism bug.
+    Exemption: a write that sits inside a ``with <lock>`` block, in a
+    function that makes no nondeterministic call, is the double-checked
+    memo-cache idiom — every worker that races to fill the slot computes
+    the same deterministic value, so rows cannot diverge.  Those writes
+    are CONC territory (lock discipline), not a determinism bug.
     """
 
     code = "DET002"
@@ -178,22 +236,19 @@ class ParallelSharedStateRule(Rule):
         "ParallelRunner work unit, a fleet scheduler dispatch or an ONFI "
         "wire dispatch — a cross-backend race; results would depend on "
         "worker scheduling (thread) or silently diverge from the parent "
-        "(process); lock-guarded writes of deterministic (untainted) "
-        "values are exempt"
+        "(process); writes inside 'with <lock>' are exempt in functions "
+        "that make no nondeterministic call"
     )
 
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
         reachable = project.parallel_reachable()
         guarded = lock_guarded_lines(module)
-        tainted = project.dataflow().tainted_state_writes()
         for qualname, fn in sorted(module.functions.items()):
             if (module.modname, qualname) not in reachable:
                 continue
+            draws = any(_nondeterministic_calls(module, fn.call_nodes))
             for line, col, what in _module_state_writes(module, fn):
-                if (
-                    line in guarded
-                    and (module.modname, line) not in tainted
-                ):
+                if line in guarded and not draws:
                     continue  # guarded deterministic memo-cache write
                 yield self.finding(
                     module,

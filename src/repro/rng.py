@@ -20,7 +20,7 @@ proportion to its size.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,31 +71,6 @@ def seed_from_prefix(prefix: bytes, *parts: SeedPart) -> int:
     for part in parts:
         prefix += _encode_part(part)
     return int.from_bytes(hashlib.sha256(prefix).digest()[:8], "little")
-
-
-def derive_seeds(
-    root: int,
-    prefix: Sequence[SeedPart],
-    varying: Iterable[SeedPart],
-    suffix: Sequence[SeedPart] = (),
-) -> np.ndarray:
-    """Derive many substream seeds that differ in one label position.
-
-    Returns a uint64 array where entry ``i`` equals
-    ``derive_seed(root, *prefix, varying[i], *suffix)``.  The shared
-    ``(root, *prefix)`` portion is hashed once and forked per element
-    (``hasher.copy()``), so deriving a block's worth of per-page seeds is
-    one pass instead of a SHA-256 from scratch per page.
-    """
-    base = hashlib.sha256(label_prefix(root, *prefix))
-    tail = b"".join(_encode_part(part) for part in suffix)
-    seeds: list = []
-    for part in varying:
-        hasher = base.copy()
-        hasher.update(_encode_part(part))
-        hasher.update(tail)
-        seeds.append(int.from_bytes(hasher.digest()[:8], "little"))
-    return np.asarray(seeds, dtype=np.uint64)
 
 
 #: SplitMix64's Weyl increment (odd), its finalizer's multipliers, and

@@ -1,20 +1,20 @@
-"""Property tests for the interprocedural dataflow engine.
+"""Property tests for the call graph and the DET rules built on it.
 
-Two soundness obligations that fixture tests can't establish: the
-summary fixpoint terminates on arbitrary (including cyclic) call
-graphs, and the analysis result is independent of module iteration
-order — shuffling the project's module dict must not change a single
-source/sink pair.
+Two obligations that fixture tests can't establish: the lint verdict is
+independent of module iteration order (shuffling the project's module
+dict must not change a single finding or reachable function), and on
+arbitrary call graphs, self-loops and cycles included, DET001 and
+DET002 fire at exactly the sites that reachability predicts.
 """
 
 import textwrap
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lint.engine import iter_python_files, run_lint
+from repro.lint.engine import all_rules, iter_python_files, run_lint
 from repro.lint.project import Project
 
 
@@ -22,9 +22,9 @@ def src(text: str) -> str:
     return textwrap.dedent(text).lstrip("\n")
 
 
-#: A fixture project with cross-module taint: the source lives two
-#: modules away from both the work unit that returns it and the module
-#: state it leaks into, so resolution order genuinely matters.
+#: A fixture project with a cross-module leak: the source lives two
+#: modules away from the work unit that reaches it, so resolution order
+#: genuinely matters.
 FILES = {
     "src/repro/experiments/seeds.py": src(
         """
@@ -79,28 +79,25 @@ def write_files(root: Path) -> None:
         target.write_text(source, encoding="utf-8")
 
 
-def snapshot(project: Project) -> Tuple[object, object, object]:
-    """Order-insensitive digest of everything the analysis decides."""
-    analysis = project.dataflow()
-    hits = analysis.det_hits()
-    return (
-        sorted(
-            (source.module, source.line, source.col, sink.kind, sink.line)
-            for source, sinks in hits.items()
-            for sink in sinks
-        ),
-        sorted(analysis.tainted_state_writes()),
-        sorted(project.parallel_reachable()),
+def snapshot(project: Project) -> Tuple[object, object]:
+    """Order-insensitive digest of everything the lint decides."""
+    rules = all_rules()
+    findings = sorted(
+        (f.rule, f.path, f.line, f.col, f.message)
+        for code in sorted(rules)
+        for module in project.modules.values()
+        for f in rules[code].check(module, project)
     )
+    return findings, sorted(project.parallel_reachable())
 
 
 def test_fixture_project_reports_the_leak(tmp_path):
     write_files(tmp_path)
     result = run_lint([tmp_path / "src"], root=tmp_path, select=["DET001"])
-    messages = [f.message for f in result.findings]
-    assert any("time.time" in m for m in messages)
-    # the clean chain contributes nothing
-    assert all("clean" not in m for m in messages)
+    assert [(f.path, f.line, f.symbol) for f in result.findings] == [
+        ("src/repro/experiments/seeds.py", 4, "stamp")
+    ]
+    assert "time.time" in result.findings[0].message
 
 
 MODNAMES = (
@@ -124,16 +121,30 @@ def test_module_order_independence(tmp_path, order: List[str]) -> None:
     baseline = Project.load(root, iter_python_files([root / "src"]))
     assert sorted(baseline.modules) == sorted(MODNAMES)
     # Rebuild the project with modules inserted in the permuted order;
-    # dict iteration order follows insertion, so a sweep that depended
-    # on it would converge to different summaries.
+    # dict iteration order follows insertion, so an analysis that
+    # depended on it would reach different functions.
     shuffled = Project(
         root, {name: baseline.modules[name] for name in order}
     )
-    assert snapshot(shuffled) == snapshot(baseline)
+    digest = snapshot(shuffled)
+    assert digest == snapshot(baseline)
+    assert [row[0] for row in digest[0]] == ["DET001", "DET002"]
+
+
+def closure(calls: Dict[int, List[int]], start: int) -> Set[int]:
+    """Every function `start` calls, transitively, and `start` itself."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for callee in calls[frontier.pop()]:
+            if callee not in seen:
+                seen.add(callee)
+                frontier.append(callee)
+    return seen
 
 
 @settings(
-    max_examples=15,
+    max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
@@ -144,23 +155,28 @@ def test_module_order_independence(tmp_path, order: List[str]) -> None:
     ),
     source_at=st.integers(0, 5),
 )
-def test_fixpoint_terminates_on_cyclic_call_graphs(
+def test_det_findings_on_cyclic_call_graphs(
     tmp_path, edges: List[Tuple[int, int]], source_at: int
 ) -> None:
-    """Arbitrary call graphs — self-loops and cycles included — converge."""
+    """DET001 fires once, at the one source; DET002 at the `_STATE`
+    write of every function the dispatched ``f0`` reaches."""
     lines = ["import time", "", "_STATE = {}", ""]
-    calls: dict = {i: [] for i in range(6)}
+    calls: Dict[int, List[int]] = {i: [] for i in range(6)}
     for caller, callee in edges:
         calls[caller].append(callee)
+    state_line: Dict[int, int] = {}
+    source_line = 0
     for i in range(6):
         lines.append(f"def f{i}(x):")
         if i == source_at:
             lines.append("    value = time.time()")
+            source_line = len(lines)
         else:
             lines.append("    value = x")
         for callee in calls[i]:
             lines.append(f"    value = value + f{callee}(x)")
         lines.append("    _STATE[x] = value")
+        state_line[i] = len(lines)
         lines.append("    return value")
         lines.append("")
     lines.extend([
@@ -174,6 +190,10 @@ def test_fixpoint_terminates_on_cyclic_call_graphs(
     target = root / "src" / "repro" / "experiments" / "graph.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text("\n".join(lines), encoding="utf-8")
-    # Termination is the property; the result just has to be well-formed.
     result = run_lint([root / "src"], root=root, select=["DET001", "DET002"])
-    assert result.modules_checked == 1
+    det001 = [
+        (f.line, f.symbol) for f in result.findings if f.rule == "DET001"
+    ]
+    assert det001 == [(source_line, f"f{source_at}")]
+    det002 = [f.line for f in result.findings if f.rule == "DET002"]
+    assert det002 == sorted(state_line[i] for i in closure(calls, 0))

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from .conftest import codes, lint
 
 
@@ -111,6 +113,72 @@ class TestDet001:
         })
         assert lint(root) == []
 
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            """
+            def row(name):
+                return {"name": name, "at": now()}
+            """,
+            """
+            STAMP = now()
+            """,
+        ],
+        ids=["function", "module-body"],
+    )
+    def test_helper_reached_from_scope_package(self, project, caller):
+        # No dispatch reaches the caller, but a scope package's functions
+        # and module bodies seed the row-producing set, so the helper
+        # outside every scope package that feeds a row is covered.
+        root = project({
+            "src/repro/util.py": src(
+                """
+                import time
+
+                def now():
+                    return time.time()
+                """
+            ),
+            "src/repro/experiments/report.py": (
+                "from repro.util import now\n\n" + src(caller)
+            ),
+        })
+        findings = lint(root)
+        assert codes(findings) == ["DET001"]
+        assert (findings[0].path, findings[0].line) == ("src/repro/util.py", 4)
+
+    def test_module_level_draw_in_scope_package(self, project):
+        root = project({
+            "src/repro/nand/seeding.py": src(
+                """
+                import random
+
+                SEED = random.random()
+                """
+            ),
+        })
+        findings = lint(root)
+        assert codes(findings) == ["DET001"]
+        assert (findings[0].line, findings[0].symbol) == (3, "<module>")
+
+    def test_discarded_draw_is_flagged(self, project):
+        # The rule is flow-insensitive: entropy drawn in row-producing
+        # code is a finding even when the value is never used.
+        root = project({
+            "src/repro/experiments/timing.py": src(
+                """
+                import time
+
+                def run(rows):
+                    started = time.time()
+                    return sorted(rows)
+                """
+            ),
+        })
+        findings = lint(root)
+        assert codes(findings) == ["DET001"]
+        assert findings[0].symbol == "run"
+
 
 # ----------------------------------------------------------------------
 # DET002 — shared state mutated from parallel work units
@@ -209,6 +277,56 @@ class TestDet002:
             ),
         })
         assert lint(root) == []
+
+    def test_lock_guarded_memo_write_is_exempt(self, project):
+        root = project({
+            "src/repro/experiments/driver.py": src(
+                """
+                import threading
+
+                from repro.parallel import run_units
+
+                _LOCK = threading.Lock()
+                _CACHE = {}
+
+                def _unit(x):
+                    with _LOCK:
+                        _CACHE[x] = x * 2
+                    return x
+
+                def run():
+                    return run_units(_unit, [(1,), (2,)])
+                """
+            ),
+        })
+        assert lint(root) == []
+
+    def test_lock_guarded_write_of_entropy_is_flagged(self, project):
+        # The lock exemption needs a function that draws no entropy.
+        root = project({
+            "src/repro/experiments/driver.py": src(
+                """
+                import threading
+                import time
+
+                from repro.parallel import run_units
+
+                _LOCK = threading.Lock()
+                _CACHE = {}
+
+                def _unit(x):
+                    with _LOCK:
+                        _CACHE[x] = time.time()
+                    return x
+
+                def run():
+                    return run_units(_unit, [(1,), (2,)])
+                """
+            ),
+        })
+        findings = lint(root)
+        assert sorted(codes(findings)) == ["DET001", "DET002"]
+        assert {f.line for f in findings} == {11}
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rng import derive_seed, derive_seeds, substream, uniform_field
+from repro.rng import derive_seed, substream, uniform_field
 
 
 def test_derive_seed_is_deterministic():
@@ -49,31 +49,3 @@ def test_uniform_field_stable_and_in_range():
 def test_derive_seed_is_64bit(root, label):
     seed = derive_seed(root, label)
     assert 0 <= seed < 2**64
-
-
-def test_derive_seeds_matches_scalar_derivation():
-    # The batched form shares the scalar encoding: element i must equal
-    # derive_seed(root, *prefix, varying[i], *suffix), bit for bit.
-    seeds = derive_seeds(7, ("erase", 3), range(4), (9,))
-    assert seeds.dtype == np.uint64
-    assert seeds.shape == (4,)
-    for i in range(4):
-        assert int(seeds[i]) == derive_seed(7, "erase", 3, i, 9)
-
-
-def test_derive_seeds_without_suffix():
-    pages = [2, 4, 11]
-    seeds = derive_seeds(5, ("program", 1), pages)
-    for seed, page in zip(seeds, pages):
-        assert int(seed) == derive_seed(5, "program", 1, page)
-
-
-@given(
-    root=st.integers(0, 2**32),
-    count=st.integers(1, 8),
-    suffix=st.integers(0, 100),
-)
-def test_derive_seeds_property(root, count, suffix):
-    seeds = derive_seeds(root, ("lbl",), range(count), (suffix,))
-    for i in range(count):
-        assert int(seeds[i]) == derive_seed(root, "lbl", i, suffix)
