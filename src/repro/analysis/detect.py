@@ -43,6 +43,37 @@ class DetectionOutcome:
     best_params: Dict
 
 
+def fit_cross_chip(
+    features: np.ndarray,
+    labels: np.ndarray,
+    chip_ids: np.ndarray,
+    held_out_chip: int,
+    grid: Optional[Dict] = None,
+    seed: int = 0,
+) -> tuple:
+    """Fit the §7 attacker on every chip but `held_out_chip`.
+
+    Grid search, scaler and SVC see only the training chips.  Returns
+    (grid search result, fitted SVC, scaled held-out features, held-out
+    labels).
+    """
+    train_mask = chip_ids != held_out_chip
+    if train_mask.all() or not train_mask.any():
+        raise ValueError(
+            f"held-out chip {held_out_chip} not present (or is everything)"
+        )
+    x_train, y_train = features[train_mask], labels[train_mask]
+    search = grid_search_svm(
+        x_train, y_train, grid=grid or SMALL_GRID, seed=seed
+    )
+    scaler = StandardScaler().fit(x_train)
+    model = SVC(seed=seed, **search.best_params).fit(
+        scaler.transform(x_train), y_train
+    )
+    x_test = scaler.transform(features[~train_mask])
+    return search, model, x_test, labels[~train_mask]
+
+
 def train_on_two_classify_third(
     features: np.ndarray,
     labels: np.ndarray,
@@ -52,23 +83,10 @@ def train_on_two_classify_third(
     seed: int = 0,
 ) -> tuple:
     """The paper's cross-chip protocol.  Returns (accuracy, cv, params)."""
-    train_mask = chip_ids != held_out_chip
-    if train_mask.all() or not train_mask.any():
-        raise ValueError(
-            f"held-out chip {held_out_chip} not present (or is everything)"
-        )
-    x_train, y_train = features[train_mask], labels[train_mask]
-    x_test, y_test = features[~train_mask], labels[~train_mask]
-    search = grid_search_svm(
-        x_train, y_train, grid=grid or SMALL_GRID, seed=seed
+    search, model, x_test, y_test = fit_cross_chip(
+        features, labels, chip_ids, held_out_chip, grid=grid, seed=seed
     )
-    scaler = StandardScaler().fit(x_train)
-    model = SVC(seed=seed, **search.best_params).fit(
-        scaler.transform(x_train), y_train
-    )
-    accuracy = accuracy_score(
-        y_test, model.predict(scaler.transform(x_test))
-    )
+    accuracy = accuracy_score(y_test, model.predict(x_test))
     return accuracy, search.best_score, search.best_params
 
 

@@ -14,6 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .detect import fit_cross_chip
+
 
 @dataclass(frozen=True)
 class RocCurve:
@@ -54,23 +56,8 @@ def detector_auc(
     grid: Optional[dict] = None,
 ) -> Tuple[float, RocCurve]:
     """AUC of the §7 cross-chip attacker on a held-out chip."""
-    from ..ml.model_selection import grid_search_svm
-    from ..ml.scaler import StandardScaler
-    from ..ml.svm import SVC
-    from .detect import SMALL_GRID
-
-    train_mask = chip_ids != held_out_chip
-    if train_mask.all() or not train_mask.any():
-        raise ValueError("held-out chip must exist and not be everything")
-    x_train, y_train = features[train_mask], labels[train_mask]
-    x_test, y_test = features[~train_mask], labels[~train_mask]
-    search = grid_search_svm(
-        x_train, y_train, grid=grid or SMALL_GRID, seed=seed
+    _, model, x_test, y_test = fit_cross_chip(
+        features, labels, chip_ids, held_out_chip, grid=grid, seed=seed
     )
-    scaler = StandardScaler().fit(x_train)
-    model = SVC(seed=seed, **search.best_params).fit(
-        scaler.transform(x_train), y_train
-    )
-    scores = model.decision_function(scaler.transform(x_test))
-    curve = roc_curve(scores, y_test)
+    curve = roc_curve(model.decision_function(x_test), y_test)
     return curve.auc, curve

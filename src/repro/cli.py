@@ -44,8 +44,9 @@ MODELS = {"test": TEST_MODEL, "bench": BENCH_MODEL}
 #: pickles the whole chip, block states included, so code whose chip
 #: state has another shape cannot drive it; bump this with every such
 #: change.  2: per-cell settle state (``BlockState.settle_codes``,
-#: ``page_labels``).
-DEVICE_LAYOUT = 2
+#: ``page_labels``).  3: the FTL's ``PagePipeline`` keeps its codewords
+#: as a ``WordLayout`` (``pipeline.layout``), not ``words``/``code``.
+DEVICE_LAYOUT = 3
 
 
 @dataclass
@@ -71,7 +72,14 @@ class Device:
                 f"no device file at {path} (create one with "
                 f"`repro-stash init {path}`)"
             ) from None
-        except (pickle.UnpicklingError, AttributeError, ImportError, EOFError):
+        except (AttributeError, ImportError):
+            # The file names a class this version lacks (layout 2 files
+            # name ``ecc.page._PageWord``): another chip-state layout.
+            raise SystemExit(
+                _stale(path, "a chip-state layout naming code this "
+                       "version lacks")
+            ) from None
+        except (pickle.UnpicklingError, EOFError):
             device = None
         if not isinstance(device, cls):
             raise SystemExit(f"{path} is not a repro-stash device file")
@@ -79,15 +87,10 @@ class Device:
         # (the class default is not what the file holds).
         layout = vars(device).get("layout")
         if layout != DEVICE_LAYOUT:
-            found = (
+            raise SystemExit(_stale(path, (
                 "no chip-state layout stamp" if layout is None
                 else f"chip-state layout {layout}"
-            )
-            raise SystemExit(
-                f"{path} holds {found}, and this version reads layout "
-                f"{DEVICE_LAYOUT}; re-create the device with "
-                f"`repro-stash init {path}`"
-            )
+            )))
         return device
 
     def volume(self, passphrase: str) -> HiddenVolume:
@@ -96,6 +99,14 @@ class Device:
         volume = HiddenVolume(self.ftl, vthi, key)
         volume.mount()
         return volume
+
+
+def _stale(path: str, found: str) -> str:
+    return (
+        f"{path} holds {found}, and this version reads layout "
+        f"{DEVICE_LAYOUT}; re-create the device with "
+        f"`repro-stash init {path}`"
+    )
 
 
 def _cmd_init(args) -> int:

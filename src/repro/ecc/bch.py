@@ -59,10 +59,13 @@ class EccError(Exception):
     """Raised when a codeword is uncorrectable.
 
     When raised by a batch decode, :attr:`batch_index` names the failing
-    word's position in the input sequence.
+    word's position in the input sequence; when returned for a page by
+    :meth:`~repro.ecc.words.WordLayout.decode`, :attr:`word_start` names
+    the bit the failing word starts at.
     """
 
     batch_index: Optional[int] = None
+    word_start: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,9 +11,10 @@ erased"; the hidden volume registers this hook to do exactly that.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, List, Optional
+
+import numpy as np
 
 from .. import obs
 from ..ecc.page import PagePipeline
@@ -29,41 +30,13 @@ _OBS_GC_RESCUED = obs.counter("ftl.gc.pages_rescued")
 _OBS_GC_ERASES = obs.counter("ftl.gc.erases")
 _OBS_GC_RETIRED = obs.counter("ftl.gc.retired_blocks")
 
-#: Hook signature: (lpa, old_location, new_location, new_page_bits).
+#: Relocation hook: (lpa, old_location, new_location, new_page_bits).
 #: ``new_page_bits`` are the exact bits the FTL just programmed at the new
 #: location (post-ECC-encode), so hidden-data owners can re-embed without
-#: re-reading the public page.  Legacy three-argument hooks still work.
-RelocationHook = Callable[[int, PhysicalPage, PhysicalPage], None]
-
-
-def _adapt_hook(hook: Callable, max_args: int) -> Callable:
-    """Wrap a hook so callbacks written for the older, shorter signature
-    keep working: extra trailing arguments are dropped if the hook cannot
-    accept them."""
-    try:
-        parameters = inspect.signature(hook).parameters.values()
-    except (TypeError, ValueError):  # builtins, odd callables: pass all
-        return hook
-    if any(
-        p.kind is inspect.Parameter.VAR_POSITIONAL for p in parameters
-    ):
-        return hook
-    accepted = sum(
-        1
-        for p in parameters
-        if p.kind
-        in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        )
-    )
-    if accepted >= max_args:
-        return hook
-
-    def adapted(*args):
-        return hook(*args[:accepted])
-
-    return adapted
+#: re-reading the public page.
+RelocationHook = Callable[[int, PhysicalPage, PhysicalPage, np.ndarray], None]
+#: Write hook: (lpa, new_location, programmed_page_bits).
+WriteHook = Callable[[int, PhysicalPage, np.ndarray], None]
 
 
 class FtlError(Exception):
@@ -133,7 +106,7 @@ class Ftl:
         self._relocation_hooks: List[RelocationHook] = []
         self._invalidation_hooks: List[Callable[[int, PhysicalPage], None]] = []
         self._erase_hooks: List[Callable[[int], None]] = []
-        self._write_hooks: List[Callable[[int, PhysicalPage], None]] = []
+        self._write_hooks: List[WriteHook] = []
         self._gc_low_water = max(1, overprovision_blocks - 1)
         self._collecting = False
 
@@ -164,10 +137,9 @@ class Ftl:
         new_page_bits) *before* the old block is erased, giving
         hidden-data owners their §5.1 window to re-embed —
         ``new_page_bits`` spares them re-reading public data they are
-        about to embed into.  Hooks taking only the first three arguments
-        are still supported.
+        about to embed into.
         """
-        self._relocation_hooks.append(_adapt_hook(hook, 4))
+        self._relocation_hooks.append(hook)
 
     def add_invalidation_hook(
         self, hook: Callable[[int, PhysicalPage], None]
@@ -189,18 +161,16 @@ class Ftl:
         """
         self._erase_hooks.append(hook)
 
-    def add_write_hook(
-        self, hook: Callable[[int, PhysicalPage], None]
-    ) -> None:
+    def add_write_hook(self, hook: WriteHook) -> None:
         """Register a callback fired after each *host* write lands.
 
         Receives (lpa, new physical location, programmed page bits).
         This is the cover-traffic signal of §9.2: a freshly-programmed
         page whose voltage changes are fully explained by visible public
         activity.  The bits let a piggybacking embedder skip the public
-        read.  Hooks taking only (lpa, location) are still supported.
+        read.
         """
-        self._write_hooks.append(_adapt_hook(hook, 3))
+        self._write_hooks.append(hook)
 
     def write(self, lpa: int, data: bytes) -> PhysicalPage:
         """Write a logical page; returns its new physical location."""

@@ -103,49 +103,6 @@ def classify_nondeterministic(dotted: str) -> Optional[str]:
 # lock-guard facts (shared with rules/concurrency and DET002)
 
 
-def _lock_expr_name(module: ModuleInfo, node: ast.AST) -> Optional[str]:
-    """The lock a ``with`` context expression acquires, if it looks like one.
-
-    ``Name`` references to a module-level ``threading.Lock()`` binding
-    (local or ``from``-imported) are identified precisely; otherwise any
-    terminal identifier containing ``lock`` is accepted heuristically so
-    ``with self._lock:`` still counts as a guard.
-    """
-    if isinstance(node, ast.Call) and not node.args and not node.keywords:
-        # ``with lock:`` vs ``with lock.acquire_timeout():`` — unwrap
-        # zero-argument calls so ``with _LOCK:`` and context-manager
-        # helpers named like locks both register.
-        node = node.func
-    if isinstance(node, ast.Name):
-        if node.id in module.module_locks:
-            return node.id
-        if node.id in module.from_imports:
-            return node.id
-        if "lock" in node.id.lower():
-            return node.id
-        return None
-    if isinstance(node, ast.Attribute):
-        if "lock" in node.attr.lower():
-            return node.attr
-        return None
-    return None
-
-
-def lock_guarded_lines(module: ModuleInfo) -> Set[int]:
-    """Line numbers covered by a ``with <lock>`` statement in `module`."""
-    lines: Set[int] = set()
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        if any(
-            _lock_expr_name(module, item.context_expr) is not None
-            for item in node.items
-        ):
-            end = node.end_lineno or node.lineno
-            lines.update(range(node.lineno, end + 1))
-    return lines
-
-
 @dataclass(frozen=True)
 class LockId:
     """A module-level lock, identified across modules."""
@@ -172,6 +129,34 @@ def resolve_lock(
             if owner is not None and orig in owner.module_locks:
                 return LockId(src, orig, owner.module_locks[orig])
     return None
+
+
+def _is_lock(project: Project, module: ModuleInfo, node: ast.AST) -> bool:
+    """Whether a ``with`` context expression acquires a lock: one
+    :func:`resolve_lock` names, or a name or attribute spelled ``lock``
+    or ``*_lock`` (``with self._lock:``)."""
+    if resolve_lock(project, module, node) is not None:
+        return True
+    if isinstance(node, ast.Name):
+        name = node.id.lower()
+    elif isinstance(node, ast.Attribute):
+        name = node.attr.lower()
+    else:
+        return False
+    return name == "lock" or name.endswith("_lock")
+
+
+def lock_guarded_lines(project: Project, module: ModuleInfo) -> Set[int]:
+    """Line numbers covered by a ``with <lock>`` statement in `module`."""
+    lines: Set[int] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, (ast.With, ast.AsyncWith)) and any(
+            _is_lock(project, module, item.context_expr)
+            for item in node.items
+        ):
+            end = node.end_lineno or node.lineno
+            lines.update(range(node.lineno, end + 1))
+    return lines
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ class UnguardedSharedWriteRule(Rule):
         if not module.module_locks:
             return
         reachable = project.parallel_reachable()
-        guarded = lock_guarded_lines(module)
+        guarded = lock_guarded_lines(project, module)
         for qualname in sorted(module.functions):
             fn = module.functions[qualname]
             if (module.modname, qualname) not in reachable:

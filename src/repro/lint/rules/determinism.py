@@ -242,7 +242,7 @@ class ParallelSharedStateRule(Rule):
 
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
         reachable = project.parallel_reachable()
-        guarded = lock_guarded_lines(module)
+        guarded = lock_guarded_lines(project, module)
         for qualname, fn in sorted(module.functions.items()):
             if (module.modname, qualname) not in reachable:
                 continue

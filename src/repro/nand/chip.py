@@ -271,9 +271,6 @@ class OpCounters:
         )
 
 
-#: Per-op metric counters mirroring :class:`OpCounters` into the
-#: observability registry, so cross-worker aggregation and the `repro
-#: obs` summary see chip activity by name.
 #: Pulse normals :meth:`FlashChip.embed_locations` evaluates per item in
 #: one counter call, at most: a batch covers as many of the item's next
 #: pulses as fit at the cells charging when it starts (at least one).
@@ -286,6 +283,10 @@ def _pulse_keys(labels: PageLabels, pulses: range) -> List[Tuple[int, int]]:
     page's pulse prefix."""
     return [(seed_from_prefix(labels.pulse, n), 0) for n in pulses]
 
+
+#: Per-op metric counters mirroring :class:`OpCounters` into the
+#: observability registry, so cross-worker aggregation and the `repro
+#: obs` summary see chip activity by name.
 _OBS_OP_COUNTERS = {
     "read": obs.counter("chip.reads"),
     "program": obs.counter("chip.programs"),

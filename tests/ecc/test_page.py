@@ -74,7 +74,7 @@ def test_uncorrectable_page_raises(pipeline):
     bits = pipeline.encode(b"x", page_address=0)
     rng = np.random.default_rng(1)
     # saturate one codeword with errors
-    positions = rng.choice(pipeline.words[0].coded_bits, size=60,
+    positions = rng.choice(pipeline.layout.sizes[0], size=60,
                            replace=False)
     bits[positions] ^= 1
     with pytest.raises(EccError):
@@ -108,7 +108,7 @@ def test_decode_pages_reports_failing_page(pipeline):
     good = pipeline.encode(b"ok", page_address=0)
     bad = pipeline.encode(b"bad", page_address=1)
     rng = np.random.default_rng(4)
-    positions = rng.choice(pipeline.words[0].coded_bits, size=60,
+    positions = rng.choice(pipeline.layout.sizes[0], size=60,
                            replace=False)
     bad[positions] ^= 1
     with pytest.raises(EccError, match="page 1 of batch"):
@@ -126,10 +126,10 @@ def test_correct_pages_matches_scalar_correct(pipeline):
 
 
 def test_word_layout_covers_page_exactly(pipeline):
-    total = sum(w.coded_bits for w in pipeline.words)
-    assert total == CELLS
-    starts = [w.start for w in pipeline.words]
-    assert starts == sorted(starts)
+    sizes = pipeline.layout.sizes
+    assert sum(sizes) == CELLS
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[0] - sizes[-1] <= 1
 
 
 def test_construction_validation():

@@ -103,7 +103,9 @@ class TestGarbageCollection:
 class TestHooks:
     def test_relocation_hook_sees_moves(self, ftl):
         events = []
-        ftl.add_relocation_hook(lambda lpa, old, new: events.append((lpa, old, new)))
+        ftl.add_relocation_hook(
+            lambda lpa, old, new, new_bits: events.append((lpa, old, new))
+        )
         rng = np.random.default_rng(2)
         # a wide LPA space leaves valid pages inside GC victims
         for i in range(600):

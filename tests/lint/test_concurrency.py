@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from .conftest import codes, lint
 
 
@@ -93,6 +95,38 @@ class TestConc001:
             ),
         })
         assert codes(lint(root, select=["CONC001"])) == []
+
+    @pytest.mark.parametrize(
+        "guard",
+        ["nullcontext()", "_unblocked"],
+        ids=["nullcontext", "lock-in-name"],
+    )
+    def test_non_lock_context_does_not_guard(self, project, guard):
+        root = project({
+            "src/repro/experiments/driver.py": src(
+                f"""
+                import threading
+                from contextlib import nullcontext
+
+                from repro.parallel import run_units
+
+                _LOCK = threading.Lock()
+                _unblocked = nullcontext()
+                _CACHE = {{}}
+
+                def _unit(x):
+                    with {guard}:
+                        _CACHE[x] = x
+                    return x
+
+                def run():
+                    return run_units(_unit, [(1,)])
+                """
+            ),
+        })
+        findings = lint(root, select=["CONC001"])
+        assert codes(findings) == ["CONC001"]
+        assert findings[0].line == 12
 
 
 class TestConc002:

@@ -328,6 +328,72 @@ class TestDet002:
         assert sorted(codes(findings)) == ["DET001", "DET002"]
         assert {f.line for f in findings} == {11}
 
+    @pytest.mark.parametrize(
+        "guard",
+        ["nullcontext()", "_unblocked"],
+        ids=["nullcontext", "lock-in-name"],
+    )
+    def test_non_lock_context_is_not_a_guard(self, project, guard):
+        # Neither a from-imported name nor an identifier merely
+        # containing "lock" (unblocked) makes a with-block a lock.
+        root = project({
+            "src/repro/experiments/driver.py": src(
+                f"""
+                from contextlib import nullcontext
+
+                from repro.parallel import run_units
+
+                _unblocked = nullcontext()
+                _CACHE = {{}}
+
+                def _unit(x):
+                    with {guard}:
+                        _CACHE[x] = x * 2
+                    return x
+
+                def run():
+                    return run_units(_unit, [(1,), (2,)])
+                """
+            ),
+        })
+        findings = lint(root)
+        assert codes(findings) == ["DET002"]
+        assert findings[0].line == 10
+
+    def test_imported_and_attribute_locks_are_guards(self, project):
+        root = project({
+            "src/repro/locks.py": src(
+                """
+                import threading
+
+                SHARED = threading.RLock()
+                """
+            ),
+            "src/repro/experiments/driver.py": src(
+                """
+                from repro.locks import SHARED
+                from repro.parallel import run_units
+
+                _CACHE = {}
+
+                class Memo:
+                    def put(self, x):
+                        with self._cache_lock:
+                            _CACHE[x] = x
+
+                def _unit(x):
+                    with SHARED:
+                        _CACHE[x] = x * 2
+                    Memo().put(x)
+                    return x
+
+                def run():
+                    return run_units(_unit, [(1,), (2,)])
+                """
+            ),
+        })
+        assert lint(root) == []
+
 
 # ----------------------------------------------------------------------
 # Fleet scheduler dispatch sites seed DET001/DET002 reachability

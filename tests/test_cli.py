@@ -150,14 +150,19 @@ def test_load_rejects_non_device(tmp_path):
         main(["stats", str(bogus)])
 
 
-@pytest.mark.parametrize("stamp", ["missing", "older"])
+class _RemovedClass:
+    """Stands in for a class an older layout pickled and this one lacks."""
+
+
+@pytest.mark.parametrize("stamp", ["missing", "older", "removed-class"])
 def test_load_refuses_a_device_file_from_another_chip_layout(
-    device, stamp, capsys
+    device, stamp, capsys, monkeypatch
 ):
     """A file written before the layout stamp (or under another layout)
     holds chip state this code cannot drive: the first command refuses
     it cleanly, naming the fix, instead of crashing inside the chip."""
     import pickle
+    import sys
 
     from repro.cli import DEVICE_LAYOUT, Device
 
@@ -165,16 +170,21 @@ def test_load_refuses_a_device_file_from_another_chip_layout(
     stale = Device.load(device)
     if stamp == "missing":
         del stale.layout
-    else:
+    elif stamp == "older":
         stale.layout = DEVICE_LAYOUT - 1
+    else:
+        stale.ftl.pipeline.words = [_RemovedClass()]
     with open(device, "wb") as handle:
         pickle.dump(stale, handle)
+    monkeypatch.delattr(sys.modules[_RemovedClass.__module__], "_RemovedClass")
     capsys.readouterr()
     with pytest.raises(SystemExit, match="re-create the device") as refused:
         main(["public-read", device, "0"])
-    found = "no chip-state layout stamp" if stamp == "missing" else (
-        f"chip-state layout {DEVICE_LAYOUT - 1}"
-    )
+    found = {
+        "missing": "no chip-state layout stamp",
+        "older": f"chip-state layout {DEVICE_LAYOUT - 1}",
+        "removed-class": "a chip-state layout naming code this version lacks",
+    }[stamp]
     assert f"{device} holds {found}" in str(refused.value)
     assert capsys.readouterr().out == ""
 
