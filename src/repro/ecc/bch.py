@@ -68,6 +68,13 @@ class EccError(Exception):
     word_start: Optional[int] = None
 
 
+def check_on_error(on_error: str) -> None:
+    """Refuse a batch-decode failure mode other than ``"raise"`` or
+    ``"return"``, before any work is done."""
+    if on_error not in ("raise", "return"):
+        raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class DecodeResult:
     """Decoded data plus correction statistics.
@@ -269,8 +276,7 @@ class BchCode:
         volume's mount scan — keep the batch amortisation when failures
         are expected.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
+        check_on_error(on_error)
         words = [np.asarray(w, dtype=np.uint8) for w in codeword_words]
         for i, received in enumerate(words):
             if received.ndim != 1 or received.size <= self.n_parity:

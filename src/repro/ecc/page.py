@@ -32,8 +32,9 @@ from .words import WordLayout
 
 
 @lru_cache(maxsize=1024)
-def _scrambler_bytes(page_address: int, n: int) -> bytes:
-    """Unkeyed, publicly-known scrambler stream for a page.
+def _scrambler(page_address: int, n: int) -> np.ndarray:
+    """Unkeyed, publicly-known scrambler stream for a page, as a
+    read-only byte array.
 
     Cached: the stream is a pure function of (address, length), and hot
     paths (FTL writes plus the decode of every read) would otherwise pay
@@ -48,7 +49,7 @@ def _scrambler_bytes(page_address: int, n: int) -> bytes:
         hasher.update(counter.to_bytes(8, "little"))
         out.extend(hasher.digest())
         counter += 1
-    return bytes(out[:n])
+    return np.frombuffer(bytes(out[:n]), dtype=np.uint8)
 
 
 class PagePipeline:
@@ -104,9 +105,10 @@ class PagePipeline:
                     f"capacity {self.data_bytes} bytes"
                 )
             padded = data + b"\x00" * (self.data_bytes - len(data))
-            scrambler = _scrambler_bytes(page_address, self.data_bytes)
-            scrambled = bytes(a ^ b for a, b in zip(padded, scrambler))
-            bits = np.unpackbits(np.frombuffer(scrambled, dtype=np.uint8))
+            scrambled = np.frombuffer(padded, dtype=np.uint8) ^ _scrambler(
+                page_address, self.data_bytes
+            )
+            bits = np.unpackbits(scrambled)
             pages.append(np.concatenate(
                 [bits, np.zeros(self._slack_bits, dtype=np.uint8)]
             ))
@@ -140,12 +142,9 @@ class PagePipeline:
             )
         out: List[Tuple[bytes, int]] = []
         for result, address in zip(self._corrected(pages_bits), page_addresses):
-            scrambled = np.packbits(
-                result.data[: self.data_bytes * 8]
-            ).tobytes()
-            scrambler = _scrambler_bytes(address, self.data_bytes)
+            scrambled = np.packbits(result.data[: self.data_bytes * 8])
             out.append((
-                bytes(a ^ b for a, b in zip(scrambled, scrambler)),
+                (scrambled ^ _scrambler(address, self.data_bytes)).tobytes(),
                 result.corrected_errors,
             ))
         return out

@@ -28,6 +28,7 @@ from ..hiding.config import STANDARD_CONFIG
 from ..hiding.selection import select_cells
 from ..hiding.vthi import VtHi
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -38,15 +39,8 @@ from .common import (
 
 
 @dataclass
-class AblationResult:
+class AblationResult(Result):
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def pulse_size(

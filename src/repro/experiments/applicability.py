@@ -17,21 +17,14 @@ from ..hiding.config import STANDARD_CONFIG
 from ..hiding.vthi import VtHi
 from ..nand.chip import FlashChip
 from ..nand.vendor import VENDOR_A, VENDOR_B, scaled_model
-from .common import Table, experiment_key, random_bits, random_page_bits
+from .common import Result, Table, experiment_key, random_bits, random_page_bits
 
 
 @dataclass
-class ApplicabilityResult:
+class ApplicabilityResult(Result):
     vendor_a_ber: float
     vendor_b_ber: float
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(pages: int = 6, payload_bits: int = 256, seed: int = 0) -> ApplicabilityResult:

@@ -18,7 +18,7 @@ from ..hiding.payload import PayloadCodec
 from ..nand.vendor import VENDOR_A
 from ..parallel import ParallelRunner
 from ..perf.model import PAPER_PTHI_HIDDEN_BITS_PER_BLOCK
-from .common import Table
+from .common import Result, Table
 
 #: Raw hidden BERs measured for each configuration (see reliability /
 #: fig6 experiments; the paper quotes 0.5% and 2%).
@@ -27,17 +27,10 @@ ENHANCED_RAW_BER = 0.045
 
 
 @dataclass
-class CapacityResult:
+class CapacityResult(Result):
     summary: Table
     standard_data_bits_per_page: int
     enhanced_data_bits_per_page: int
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
     @property
     def capacity_gain(self) -> float:

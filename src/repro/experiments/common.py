@@ -1,10 +1,11 @@
 """Shared scaffolding for the per-figure experiment drivers.
 
-Every experiment module exposes ``run(...)`` returning a result object with
-a ``rows()`` method (list of printable rows) and a ``headers`` attribute,
-so the benchmark harness can regenerate and print the paper's tables and
-series uniformly.  Default parameters are scaled for seconds-level runtime;
-pass larger values (or ``PAPER_*`` constants) for fidelity runs.
+Every experiment module exposes ``run(...)`` returning a :class:`Result`
+(a ``rows()`` method, the list of printable rows, and a ``headers``
+attribute), so the benchmark harness can regenerate and print the paper's
+tables and series uniformly.  Default parameters are scaled for
+seconds-level runtime; pass larger values (or ``PAPER_*`` constants) for
+fidelity runs.
 """
 
 from __future__ import annotations
@@ -86,6 +87,22 @@ class Table:
             [str(h) for h in self.headers],
             [[_fmt(cell) for cell in row] for row in self.rows],
         )
+
+
+class Result:
+    """The contract every driver's result keeps: a ``summary`` table
+    whose rows and headers the CLI and the benchmark harness print.
+
+    Not a dataclass, so a subclass's fields keep their own order."""
+
+    summary: Table
+
+    def rows(self) -> List[Sequence]:
+        return self.summary.rows
+
+    @property
+    def headers(self) -> Sequence[str]:
+        return self.summary.headers
 
 
 def _fmt(cell) -> str:

@@ -12,22 +12,15 @@ from dataclasses import dataclass
 
 from ..nand.params import OpCosts
 from ..perf.model import paper_comparison
-from .common import Table
+from .common import Result, Table
 
 
 @dataclass
-class EnergyResult:
+class EnergyResult(Result):
     summary: Table
     vthi_mj_per_page: float
     pthi_mj_per_page: float
     efficiency_ratio: float
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(costs: OpCosts = OpCosts()) -> EnergyResult:

@@ -15,23 +15,16 @@ from typing import Optional, Sequence
 from ..analysis.datasets import DatasetScale
 from ..analysis.detect import sweep_normal_pec
 from ..hiding.config import STANDARD_CONFIG, HidingConfig
-from .common import Table
+from .common import Result, Table
 
 DEFAULT_HIDDEN_PECS = (0, 1000, 2000)
 DEFAULT_NORMAL_PECS = (0, 1000, 2000, 3000)
 
 
 @dataclass
-class Fig10Result:
+class Fig10Result(Result):
     outcomes: list
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
     def accuracy(self, hidden_pec: int, normal_pec: int) -> float:
         for outcome in self.outcomes:

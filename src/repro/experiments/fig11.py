@@ -22,6 +22,7 @@ from ..nand.chip import FlashChip
 from ..parallel import ParallelRunner
 from ..units import DAY, MONTH
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -34,19 +35,12 @@ DEFAULT_PERIODS = (("1 day", DAY), ("1 month", MONTH), ("4 month", 4 * MONTH))
 
 
 @dataclass
-class Fig11Result:
+class Fig11Result(Result):
     #: (pec, period label) -> (hidden normalized BER, normal normalized BER)
     normalized: Dict[Tuple[int, str], Tuple[float, float]]
     #: (pec,) -> zero-time (hidden BER, normal BER)
     zero_time: Dict[int, Tuple[float, float]]
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def _pec_unit(

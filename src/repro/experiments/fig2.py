@@ -18,11 +18,11 @@ import numpy as np
 
 from ..analysis.distributions import Histogram, voltage_histogram
 from ..nand.tester import NandTester
-from .common import Table, default_model, make_samples
+from .common import Result, Table, default_model, make_samples
 
 
 @dataclass
-class Fig2Result:
+class Fig2Result(Result):
     """Distribution curves plus the summary statistics the text quotes."""
 
     block_erased: List[Histogram]
@@ -30,13 +30,6 @@ class Fig2Result:
     page_erased: List[Histogram]
     page_programmed: List[Histogram]
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(n_samples: int = 4, pages_per_block: int = 8, seed: int = 0) -> Fig2Result:

@@ -15,23 +15,16 @@ import numpy as np
 
 from ..analysis.distributions import Histogram, voltage_histogram
 from ..nand.tester import NandTester
-from .common import Table, default_model, make_samples
+from .common import Result, Table, default_model, make_samples
 
 DEFAULT_PEC_LEVELS = (0, 1000, 2000, 3000)
 
 
 @dataclass
-class Fig3Result:
+class Fig3Result(Result):
     erased: Dict[int, Histogram]
     programmed: Dict[int, Histogram]
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
     def erased_means(self) -> List[float]:
         return [row[1] for row in self.summary.rows]

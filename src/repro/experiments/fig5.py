@@ -18,6 +18,7 @@ from ..hiding.config import STANDARD_CONFIG, HidingConfig
 from ..hiding.selection import select_cells
 from ..hiding.vthi import VtHi
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -28,18 +29,11 @@ from .common import (
 
 
 @dataclass
-class Fig5Result:
+class Fig5Result(Result):
     normal_ones: Histogram
     hidden_ones: Histogram
     hidden_zeros: Histogram
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(

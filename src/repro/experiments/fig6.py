@@ -32,6 +32,7 @@ from ..hiding.selection import select_cells
 from ..nand.chip import FlashChip
 from ..parallel import ParallelRunner
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -48,18 +49,11 @@ ConfigKey = Tuple[int, int]  # (page_interval, bits_per_page)
 
 
 @dataclass
-class Fig6Result:
+class Fig6Result(Result):
     #: (interval, bits) -> BER per step (list of length max_steps).
     curves: Dict[ConfigKey, List[float]]
     max_steps: int
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def measure_ber_curves(

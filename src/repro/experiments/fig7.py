@@ -10,22 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .common import Table
+from .common import Result, Table
 from . import fig6
 
 
 @dataclass
-class Fig7Result:
+class Fig7Result(Result):
     summary: Table
     #: (interval, bits) -> BER at 10 steps.
     points: dict
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(

@@ -24,6 +24,7 @@ from ..hiding.config import STANDARD_CONFIG
 from ..hiding.vthi import VtHi
 from ..parallel import ParallelRunner
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -36,16 +37,9 @@ DEFAULT_DENSITIES = (0, 32, 64, 128, 256)
 
 
 @dataclass
-class Fig8Result:
+class Fig8Result(Result):
     histograms: Dict[int, Histogram]
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def _density_unit(

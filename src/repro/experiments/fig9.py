@@ -23,6 +23,7 @@ from ..hiding.config import STANDARD_CONFIG
 from ..hiding.vthi import VtHi
 from ..parallel import ParallelRunner
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -33,17 +34,10 @@ from .common import (
 
 
 @dataclass
-class Fig9Result:
+class Fig9Result(Result):
     #: per-chip (normal erased sample, hidden erased sample).
     samples: List
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
     @property
     def hidden_vs_normal_ks(self) -> List[float]:

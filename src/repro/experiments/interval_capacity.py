@@ -14,22 +14,22 @@ from dataclasses import dataclass
 from ..hiding.interval import IntervalHider, IntervalHidingConfig
 from ..nand.mlc import MlcView
 from ..units import MONTH
-from .common import Table, default_model, experiment_key, make_samples, random_bits
+from .common import (
+    Result,
+    Table,
+    default_model,
+    experiment_key,
+    make_samples,
+    random_bits,
+)
 
 
 @dataclass
-class IntervalCapacityResult:
+class IntervalCapacityResult(Result):
     summary: Table
     fresh_ber: float
     aged_ber: float
     capacity_ratio: float
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(

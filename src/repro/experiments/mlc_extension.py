@@ -26,6 +26,7 @@ from ..hiding.selection import select_cells
 from ..hiding.vthi import VtHi
 from ..nand.mlc import MlcView
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -44,19 +45,12 @@ PRECISE_MLC_CONFIG = COARSE_MLC_CONFIG.replace(
 
 
 @dataclass
-class MlcExtensionResult:
+class MlcExtensionResult(Result):
     summary: Table
     coarse_hidden_ber: float
     coarse_public_flips: int
     precise_hidden_ber: float
     precise_public_flips: int
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def _attempt(chip, mlc, block, config, key, bits, label):

@@ -20,6 +20,7 @@ from typing import Dict, Sequence
 from ..hiding.config import STANDARD_CONFIG
 from ..hiding.vthi import VtHi
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -32,18 +33,11 @@ DEFAULT_INTERVALS = (0, 1)
 
 
 @dataclass
-class InterferenceResult:
+class InterferenceResult(Result):
     baseline_ber: float
     ber_by_interval: Dict[int, float]
     paired_baselines: Dict[int, float]
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
     def penalty(self, interval: int) -> float:
         """Relative public-BER increase caused by hiding at this interval,

@@ -24,6 +24,7 @@ from ..hiding.vthi import VtHi
 from ..nand.chip import FlashChip
 from ..parallel import ParallelRunner
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -35,16 +36,9 @@ DEFAULT_PECS = (0, 1000, 2000, 3000)
 
 
 @dataclass
-class ReliabilityResult:
+class ReliabilityResult(Result):
     ber_by_pec: Dict[int, float]
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def _chip_unit(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..perf.model import paper_comparison
-from .common import Table
+from .common import Result, Table
 
 #: The published ratings (±/-/+ per Table 1), for comparison.
 PAPER_RATINGS = {
@@ -25,15 +25,8 @@ PAPER_RATINGS = {
 
 
 @dataclass
-class Table1Result:
+class Table1Result(Result):
     summary: Table
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run() -> Table1Result:

@@ -18,6 +18,7 @@ from ..parallel import ParallelRunner
 from ..perf.model import paper_comparison
 from ..units import format_throughput
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -28,19 +29,12 @@ from .common import (
 
 
 @dataclass
-class ThroughputResult:
+class ThroughputResult(Result):
     summary: Table
     encode_speedup: float
     decode_speedup: float
     measured_vthi_encode_s_per_page: float
     measured_pthi_decode_s_per_page: float
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def _vthi_unit(seed: int) -> float:

@@ -15,6 +15,7 @@ from ..hiding.pthi import PtHi, PtHiConfig
 from ..hiding.vthi import VtHi
 from ..perf.model import paper_comparison
 from .common import (
+    Result,
     Table,
     default_model,
     experiment_key,
@@ -25,17 +26,10 @@ from .common import (
 
 
 @dataclass
-class WearResult:
+class WearResult(Result):
     summary: Table
     vthi_program_ops_per_page: int
     pthi_block_pec_after_encode: int
-
-    def rows(self):
-        return self.summary.rows
-
-    @property
-    def headers(self):
-        return self.summary.headers
 
 
 def run(seed: int = 0) -> WearResult:

@@ -403,7 +403,7 @@ class FleetService:
             round_no = self.queue.stats.rounds - 1
             # Written before any shard dispatch (threaded or not) and
             # only read inside the round: the deterministic stamps the
-            # responses and SLO histograms are built from.
+            # responses are built from.
             self._round_stamp = {
                 entry.request.tenant: (round_no, entry.submitted_round)
                 for entry in round_entries
@@ -452,24 +452,7 @@ class FleetService:
             _OBS_SHARD_ROUNDS.inc()
             _OBS_REQUESTS.inc(len(shard_requests))
             _OBS_ROUND_SIZE.observe(len(shard_requests))
-            if obs.is_enabled():
-                # SLO attribution: deterministic round latencies per op
-                # kind and per tenant, plus the round's queue depth.
-                # Recorded client-side from the round stamps, so the
-                # values — integers, hence exact under any merge order —
-                # are identical across schedulers and remote modes.
-                _OBS_QUEUE_DEPTH.set(self._round_queue_depth)
-                for request in shard_requests:
-                    stamp = self._round_stamp.get(request.tenant)
-                    if stamp is None:
-                        continue
-                    latency = stamp[0] - stamp[1] + 1
-                    obs.histogram(
-                        f"fleet.latency_rounds.kind.{request.kind}"
-                    ).observe(latency)
-                    obs.histogram(
-                        f"fleet.latency_rounds.tenant.{request.tenant}"
-                    ).observe(latency)
+            _OBS_QUEUE_DEPTH.set(self._round_queue_depth)
             shard_responses = scheduler.run_round(
                 self, shard_id, shard_requests
             )

@@ -11,7 +11,6 @@ from .config import ENHANCED_CONFIG, STANDARD_CONFIG, HidingConfig
 from .payload import PayloadCodec, PayloadError
 from .pthi import PtHi, PtHiConfig
 from .interval import IntervalHider, IntervalHidingConfig
-from .raid import ProtectedGroup, StripeLayout
 from .selection import SelectionError, select_cells
 from .vthi import EmbedStats, VtHi
 
@@ -24,10 +23,8 @@ __all__ = [
     "IntervalHidingConfig",
     "PayloadCodec",
     "PayloadError",
-    "ProtectedGroup",
     "PtHi",
     "PtHiConfig",
-    "StripeLayout",
     "STANDARD_CONFIG",
     "SelectionError",
     "VtHi",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import obs
 from ..crypto.keys import HidingKey
-from ..ecc.bch import DecodeResult, EccError, get_code
+from ..ecc.bch import DecodeResult, EccError, check_on_error, get_code
 from ..ecc.words import WordLayout
 from .config import HidingConfig
 
@@ -147,6 +147,7 @@ class PayloadCodec:
         ``None`` instead of raising — the mount scan probes every
         eligible page and expects most to fail.
         """
+        check_on_error(on_error)
         if len(coded_pages) != len(page_addresses):
             raise ValueError(
                 f"got {len(page_addresses)} page addresses for "

@@ -36,6 +36,7 @@ import numpy as np
 
 from .. import obs
 from ..crypto.keys import HidingKey
+from ..ecc.bch import check_on_error
 from ..nand.chip import FlashChip
 from .config import STANDARD_CONFIG, HidingConfig
 from .payload import PayloadCodec
@@ -156,8 +157,10 @@ class VtHi:
         caller derived under that item's key.  One threshold-shifted
         ``read_locations`` of those cells and one ``decode_pages_keyed``
         pass recover the same-length payloads; with ``on_error="return"``
-        an uncorrectable one yields ``None`` instead of raising.
+        an uncorrectable one yields ``None`` instead of raising.  A mode
+        other than those two is refused before the chip is read.
         """
+        check_on_error(on_error)
         if not items:
             return []
         _OBS_RECOVER_PAGES.inc(len(items))
@@ -335,6 +338,7 @@ class VtHi:
         (a supplied ``public_bits`` entry skips that read); with
         ``on_error="return"`` an uncorrectable payload yields ``None``.
         """
+        check_on_error(on_error)
         locations = [(block, page) for block, page in locations]
         publics = self._public_bits_list(public_bits, len(locations))
         coded_len = self.codec.coded_length(n_bytes)
@@ -374,25 +378,6 @@ class VtHi:
         advertises ("erasing hidden data ... is almost instantaneous").
         """
         self.chip.erase_block(block)
-
-    def reembed(
-        self,
-        src: tuple,
-        dst: tuple,
-        key: HidingKey,
-        n_bytes: int,
-        new_public_data,
-    ) -> EmbedStats:
-        """Migrate a hidden payload to a new public page (§5.1).
-
-        When the public page containing hidden data is about to be
-        invalidated, the HU "must re-embed the hidden data in a new
-        location (e.g., a page containing newly written NU data)".  Reads
-        the payload from `src`, then hides it inside `new_public_data`
-        programmed at `dst`.
-        """
-        payload = self.recover(src[0], src[1], key, n_bytes)
-        return self.hide(dst[0], dst[1], new_public_data, payload, key)
 
     # ------------------------------------------------------------------
 

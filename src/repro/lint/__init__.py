@@ -17,13 +17,11 @@ only check dynamically (DESIGN.md §10):
 DET001, DET002 and the CONC rules are judged over one alias-aware call
 graph and its reachability sets (:mod:`repro.lint.callgraph`).  Run it
 as ``repro-stash lint`` or ``python -m repro.lint``.  Intentional
-violations carry ``# repro: noqa[RULE]`` plus a justification; known
-backlog lives in the checked-in ``.repro-lint-baseline.json``.
+violations carry ``# repro: noqa[RULE]`` plus a justification; every
+other finding is active.
 """
 
 from .engine import (
-    BASELINE_NAME,
-    Baseline,
     LintResult,
     Rule,
     all_rules,
@@ -35,8 +33,6 @@ from .findings import Finding, Severity
 from .project import Project
 
 __all__ = [
-    "BASELINE_NAME",
-    "Baseline",
     "Finding",
     "LintResult",
     "Project",

@@ -13,13 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .engine import (
-    BASELINE_NAME,
-    Baseline,
-    LintResult,
-    all_rules,
-    run_lint,
-)
+from .engine import LintResult, all_rules, run_lint
 from .findings import Severity
 
 
@@ -71,17 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip these rule codes (repeatable)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: <root>/{BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
-    )
-    parser.add_argument(
         "--error-on-findings",
         action="store_true",
         help="exit 1 on ANY active finding, warnings included (CI mode)",
@@ -115,8 +98,6 @@ def _report_text(result: LintResult) -> None:
     ]
     if result.suppressed:
         bits.append(f"{len(result.suppressed)} suppressed by noqa")
-    if result.baselined:
-        bits.append(f"{len(result.baselined)} baselined")
     print(f"repro-lint: {', '.join(bits)}")
 
 
@@ -126,7 +107,6 @@ def _report_json(result: LintResult) -> None:
             {
                 "findings": [f.to_json() for f in result.findings],
                 "suppressed": [f.to_json() for f in result.suppressed],
-                "baselined": [f.to_json() for f in result.baselined],
                 "modules_checked": result.modules_checked,
             },
             indent=2,
@@ -155,36 +135,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro-lint: no such path: {path}", file=sys.stderr)
             return 2
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / BASELINE_NAME
-    )
-    baseline = (
-        Baseline.load(baseline_path)
-        if (baseline_path.exists() or args.update_baseline or args.baseline)
-        else None
-    )
-
     try:
         result = run_lint(
             paths,
             root=root,
             select=args.select,
             ignore=args.ignore,
-            baseline=baseline,
         )
     except ValueError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        assert baseline is not None
-        baseline.save(result.findings + result.baselined)
-        print(
-            f"repro-lint: baseline updated with "
-            f"{len(result.findings) + len(result.baselined)} finding(s) "
-            f"-> {baseline_path}"
-        )
-        return 0
 
     if args.format == "json":
         _report_json(result)

@@ -1,24 +1,18 @@
-"""Rule registry, suppression, baseline, and the lint runner.
+"""Rule registry, suppression, and the lint runner.
 
 Rules register themselves (via :func:`register`) with a code, severity
 and description; the runner parses the target tree once into a
 :class:`~repro.lint.project.Project`, applies every selected rule to
-every module, then filters the findings through two layers:
-
-* ``# repro: noqa[RULE]`` / ``# repro: noqa[RULE1,RULE2]`` on the
-  offending line suppresses it explicitly (intentional violations carry
-  a justification in the same comment);
-* a checked-in JSON baseline (:data:`BASELINE_NAME`) grandfathers known
-  findings by line-independent fingerprint, so the gate can be enabled
-  before the backlog reaches zero without letting *new* findings in.
+every module, then sets aside as suppressed each finding whose line
+carries a matching ``# repro: noqa[RULE]`` / ``# repro: noqa[RULE1,RULE2]``
+(intentional violations carry a justification in the same comment).
 """
 
 from __future__ import annotations
 
-import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,
@@ -33,9 +27,6 @@ from typing import (
 
 from .findings import Finding, Severity
 from .project import ModuleInfo, Project
-
-#: Default baseline file name, looked up at the project root.
-BASELINE_NAME = ".repro-lint-baseline.json"
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s]+)\]")
 
@@ -91,7 +82,7 @@ def all_rules() -> Dict[str, Rule]:
 
 
 # ----------------------------------------------------------------------
-# suppression and baseline
+# suppression
 
 
 def line_suppressions(line_text: str) -> Set[str]:
@@ -118,58 +109,6 @@ def apply_suppressions(
     return out
 
 
-@dataclass(slots=True)
-class Baseline:
-    """The checked-in set of grandfathered finding fingerprints."""
-
-    path: Optional[Path] = None
-    fingerprints: Set[str] = field(default_factory=set)
-    entries: List[Dict[str, object]] = field(default_factory=list)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        if not path.exists():
-            return cls(path=path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        entries = list(data.get("findings", []))
-        fingerprints = {
-            str(entry["fingerprint"])
-            for entry in entries
-            if "fingerprint" in entry
-        }
-        return cls(path=path, fingerprints=fingerprints, entries=entries)
-
-    def save(self, findings: Sequence[Finding]) -> None:
-        """Rewrite the baseline to exactly the given findings."""
-        if self.path is None:
-            raise ValueError("baseline has no path")
-        entries = [
-            {
-                "rule": f.rule,
-                "path": f.path,
-                "symbol": f.symbol,
-                "message": f.message,
-                "fingerprint": f.fingerprint,
-            }
-            for f in findings
-        ]
-        payload = {"version": 1, "findings": entries}
-        self.path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        self.fingerprints = {str(e["fingerprint"]) for e in entries}
-        self.entries = entries
-
-    def apply(self, findings: Iterable[Finding]) -> List[Finding]:
-        out: List[Finding] = []
-        for finding in findings:
-            if finding.fingerprint in self.fingerprints:
-                finding.baselined = True
-            out.append(finding)
-        return out
-
-
 # ----------------------------------------------------------------------
 # the runner
 
@@ -178,9 +117,8 @@ class Baseline:
 class LintResult:
     """Everything one lint run produced."""
 
-    findings: List[Finding]  #: active (not suppressed, not baselined)
+    findings: List[Finding]  #: active (not suppressed)
     suppressed: List[Finding]
-    baselined: List[Finding]
     modules_checked: int
     wall_s: float = 0.0  #: wall-clock spent parsing + checking
 
@@ -209,13 +147,11 @@ def run_lint(
     root: Path,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint `paths` (files or directories) against the rule catalogue.
 
     `root` anchors repo-relative paths and module names (``src/`` under
-    it is stripped).  `select`/`ignore` filter rules by code; `baseline`
-    grandfathers known findings.
+    it is stripped).  `select`/`ignore` filter rules by code.
     """
     started = time.perf_counter()
     rules = all_rules()
@@ -234,18 +170,10 @@ def run_lint(
             collected.extend(rules[code].check(module, project))
 
     collected = apply_suppressions(collected, project.modules)
-    if baseline is not None:
-        collected = baseline.apply(
-            [f for f in collected if not f.suppressed]
-        ) + [f for f in collected if f.suppressed]
-
     collected.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return LintResult(
-        findings=[
-            f for f in collected if not f.suppressed and not f.baselined
-        ],
+        findings=[f for f in collected if not f.suppressed],
         suppressed=[f for f in collected if f.suppressed],
-        baselined=[f for f in collected if f.baselined],
         modules_checked=len(project.modules),
         wall_s=time.perf_counter() - started,
     )

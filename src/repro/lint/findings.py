@@ -1,16 +1,11 @@
 """Finding and severity types for the ``repro.lint`` engine.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:attr:`~Finding.fingerprint` deliberately excludes the line number, so a
-baselined finding survives unrelated edits above it (the baseline matches
-on *what* is wrong and *where logically* — rule, file, enclosing symbol,
-message — not on the physical line).
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -40,13 +35,6 @@ class Finding:
     severity: Severity = Severity.ERROR
     symbol: str = "<module>"  #: enclosing function qualname
     suppressed: bool = field(default=False, compare=False)
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """A line-number-independent identity for baseline matching."""
-        key = f"{self.rule}:{self.path}:{self.symbol}:{self.message}"
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         """The one-line human report format."""
@@ -64,5 +52,4 @@ class Finding:
             "severity": str(self.severity),
             "symbol": self.symbol,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }

@@ -170,6 +170,15 @@ class TestDecodeMany:
         assert batch[1].batch_index == 1
         assert not isinstance(batch[2], EccError)
 
+    def test_unknown_mode_refused_before_any_word(self):
+        """A misspelt mode is refused even for a batch whose words would
+        fail their own checks."""
+        with pytest.raises(
+            ValueError,
+            match="on_error must be 'raise' or 'return', got 'retrun'",
+        ):
+            CODE.decode_many([np.zeros(3, dtype=np.uint8)], on_error="retrun")
+
     @pytest.mark.parametrize("m,t", SMALL_PARAMS)
     def test_weight_up_to_t_always_corrected(self, m, t):
         """Every pattern of weight <= t is corrected exactly — data

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ecc import EccError
-from repro.ecc.page import PagePipeline
+from repro.ecc.page import PagePipeline, _scrambler
 
 CELLS = 1128 * 8  # the TEST_MODEL page
 
@@ -138,3 +138,33 @@ def test_construction_validation():
         PagePipeline(100, ecc_m=13, ecc_t=8)
     with pytest.raises(ValueError):
         PagePipeline(0, ecc_m=13, ecc_t=8)
+
+
+def test_scrambler_stream_is_read_only():
+    """The stream is cached and shared by every encode and decode of its
+    page, so an in-place XOR by a caller must fail, not corrupt it."""
+    stream = _scrambler(11, 64)
+    assert stream.dtype == np.uint8 and stream.size == 64
+    with pytest.raises(ValueError):
+        stream[0] ^= 1
+    assert np.array_equal(stream, _scrambler.__wrapped__(11, 64))
+
+
+def test_scrambler_prefixes_agree_across_digest_blocks():
+    """A shorter page's stream is a prefix of a longer one's, across the
+    32-byte digest boundaries the stream is built from."""
+    long = _scrambler(5, 100)
+    for n in (1, 31, 32, 33, 64, 65):
+        assert np.array_equal(_scrambler(5, n), long[:n])
+    assert not np.array_equal(_scrambler(6, 100), long)
+
+
+def test_data_equal_to_the_scrambler_programs_all_zero_bits(pipeline):
+    """BCH is linear: data XOR the page's stream being zero makes the
+    whole page — data, parity and slack — zero.  Binds the array XOR to
+    the stream, byte for byte."""
+    stream = _scrambler(4, pipeline.data_bytes).tobytes()
+    bits = pipeline.encode(stream, page_address=4)
+    assert not bits.any()
+    out, corrected = pipeline.decode(bits, page_address=4)
+    assert out == stream and corrected == 0

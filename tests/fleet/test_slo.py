@@ -175,14 +175,34 @@ class TestSloMetrics:
                     assert service.submit(request)
             responses = service.drain(CoalescingScheduler())
             totals = service.fleet_snapshot()
-            by_kind = latency_samples(responses)
-            for kind, samples in by_kind.items():
-                hist = totals.histograms[f"fleet.latency_rounds.kind.{kind}"]
-                assert hist.count == len(samples)
-                assert hist.total == float(sum(samples))
-                assert hist.min == min(samples)
-                assert hist.max == max(samples)
             assert sub.snapshot.counters["fleet.admitted"] == len(responses)
             assert "fleet.queue_depth" in totals.gauges
+        finally:
+            obs.set_enabled(obs_was)
+
+    def test_wider_fleet_caches_no_new_metric_handles(self):
+        """Fleet metrics are per fleet, not per tenant: after a 4-tenant
+        drain, a 12-tenant one adds no handle to the process-wide cache,
+        where a per-tenant handle would live as long as the process."""
+        from repro.obs import metrics
+
+        def drain(tenants):
+            service = FleetService(FleetConfig(
+                tenants=tenants, n_shards=2, seed=5
+            ))
+            workload = WorkloadConfig(
+                tenants=tenants, ops_per_tenant=3, seed=5
+            )
+            for request in generate_requests(workload):
+                assert service.submit(request)
+            service.drain(CoalescingScheduler())
+
+        obs_was = obs.is_enabled()
+        obs.set_enabled(True)
+        try:
+            drain(4)
+            cached = set(metrics._HANDLES)
+            drain(12)
+            assert set(metrics._HANDLES) == cached
         finally:
             obs.set_enabled(obs_was)

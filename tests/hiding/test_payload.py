@@ -50,6 +50,20 @@ def test_uncorrectable_raises(codec):
         codec.decode(KEY, 3, corrupted, len(data))
 
 
+@pytest.mark.parametrize("ecc_t", [18, 0])
+def test_unknown_on_error_rejected_before_decode(ecc_t):
+    """A misspelt mode is refused on a clean page and a corrupt one
+    alike, with the text ``BchCode.decode_many`` uses."""
+    codec = PayloadCodec(CONFIG.replace(ecc_t=ecc_t))
+    coded = codec.encode(KEY, 3, b"clean")
+    for page in (coded, coded ^ 1):
+        with pytest.raises(
+            ValueError,
+            match="on_error must be 'raise' or 'return', got 'retrun'",
+        ):
+            codec.decode_pages_keyed([KEY], [3], [page], 5, on_error="retrun")
+
+
 def test_page_address_separates_ciphertexts(codec):
     data = b"same plaintext"
     a = codec.encode(KEY, 0, data)

@@ -141,14 +141,6 @@ class TestHideRecover:
         with pytest.raises((PayloadError, SelectionError)):
             vthi.recover(0, 0, key, len(secret), public_bits=public)
 
-    def test_reembed_moves_payload(self, chip, key, random_page):
-        vthi = VtHi(chip, CFG)
-        public_a, public_b = random_page(4), random_page(5)
-        secret = b"migrant data"[: vthi.max_data_bytes_per_page]
-        vthi.hide(0, 0, public_a, secret, key)
-        vthi.reembed((0, 0), (1, 0), key, len(secret), public_b)
-        assert vthi.recover(1, 0, key, len(secret), public_bits=public_b) == secret
-
 
 class TestLocationForms:
     """Location lists spanning blocks, out of block order."""
@@ -191,6 +183,35 @@ class TestLocationForms:
         assert found == self.SECRETS[:2] + [None] + self.SECRETS[3:]
         with pytest.raises(PayloadError):
             vthi.recover_locations(self.LOCATIONS, key, 9)
+
+    @pytest.mark.parametrize("form", ["locations", "prepared"])
+    def test_unknown_on_error_refused_before_any_read(self, chip, key, form):
+        """A misspelt mode costs the chip nothing: no read is accounted
+        and no page gains read-disturb exposure."""
+        vthi = self.hidden_on(chip, key)
+        coded_len = vthi.codec.coded_length(9)
+        items = [
+            loc + (key, select_cells(
+                key, chip.geometry.page_address(*loc),
+                vthi.public_view(*loc), coded_len,
+            ))
+            for loc in self.LOCATIONS
+        ]
+        ops = chip.counters.total_ops
+        exposure = {b: chip._block(b).page_exposure.copy() for b in range(3)}
+        with pytest.raises(
+            ValueError,
+            match="on_error must be 'raise' or 'return', got 'retrun'",
+        ):
+            if form == "locations":
+                vthi.recover_locations(
+                    self.LOCATIONS, key, 9, on_error="retrun"
+                )
+            else:
+                vthi.recover_prepared(items, 9, on_error="retrun")
+        assert chip.counters.total_ops == ops
+        for block, before in exposure.items():
+            assert np.array_equal(chip._block(block).page_exposure, before)
 
 
 class TestLayout:

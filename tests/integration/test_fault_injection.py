@@ -105,16 +105,13 @@ class TestStripeUnderFaults:
     ):
         """A stripe interrupted before its parity chunk was embedded
         still yields every completed chunk."""
-        from repro.hiding import ProtectedGroup
-
         vthi = VtHi(chip, CFG)
         publics = []
         for page in range(4):
             bits = random_page(page)
             chip.program_page(0, page, bits)
             publics.append(bits)
-        group = ProtectedGroup(vthi, key)
-        chunk = group.chunk_bytes
+        chunk = vthi.max_data_bytes_per_page
         payload = bytes(range(256))[:chunk] * 3
         payload = payload[: 3 * chunk]
         # embed only the three data chunks; "power loss" before parity

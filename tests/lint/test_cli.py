@@ -61,15 +61,44 @@ class TestExitCodes:
         assert payload["modules_checked"] == 1
 
 
-class TestUpdateBaseline:
-    def test_update_then_pass(self, project, capsys):
-        root = seed_violation(project)
-        argv = [str(root / "src"), "--root", str(root)]
-        assert lint_main(argv + ["--update-baseline"]) == 0
-        assert (root / ".repro-lint-baseline.json").exists()
-        # Grandfathered now — even the strict CI mode passes.
-        assert lint_main(argv + ["--error-on-findings"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
+class TestSuppressed:
+    """A finding is active or noqa-suppressed: a suppressed one is
+    reported and counted, and never gates."""
+
+    NOQA_ECC = (
+        "import numpy as np\n\ndef scratch(n):\n"
+        "    return np.zeros(n)  # repro: noqa[NUM001] cast downstream\n"
+    )
+
+    def test_suppressed_finding_does_not_gate(self, project, capsys):
+        root = project({"src/repro/ecc/kernel.py": self.NOQA_ECC})
+        code = lint_main(
+            [str(root / "src"), "--root", str(root), "--error-on-findings"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "0 finding(s)" in out
+        assert "1 suppressed by noqa" in out
+        assert "NUM001" not in out
+
+    def test_json_lists_suppressed_findings(self, project, capsys):
+        import json
+
+        root = project({"src/repro/ecc/kernel.py": self.NOQA_ECC})
+        code = lint_main(
+            [str(root / "src"), "--root", str(root), "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"] == []
+        [record] = payload["suppressed"]
+        assert set(record) == {
+            "rule", "path", "line", "col", "severity", "symbol", "message",
+        }
+        assert (record["rule"], record["path"], record["line"]) == (
+            "NUM001", "src/repro/ecc/kernel.py", 4,
+        )
+        assert record["symbol"] == "scratch"
 
 
 class TestSubcommandForwarding:

@@ -1,9 +1,9 @@
-"""Suppression, baseline round-trip, fingerprints, rule selection."""
+"""Suppression and rule selection."""
 
 import textwrap
 
 from repro.lint import run_lint
-from repro.lint.engine import Baseline, line_suppressions
+from repro.lint.engine import line_suppressions
 
 from .conftest import codes, lint
 
@@ -46,54 +46,6 @@ class TestNoqa:
         assert result.findings[0].line == 7
         assert [f.line for f in result.suppressed] == [4]
         assert result.suppressed[0].suppressed is True
-
-
-class TestBaseline:
-    def test_round_trip_grandfathers_findings(self, project, tmp_path):
-        root = project({"src/repro/ecc/kernel.py": BAD_ECC})
-        found = lint(root)
-        assert codes(found) == ["NUM001"]
-
-        baseline_path = tmp_path / "baseline.json"
-        baseline = Baseline(path=baseline_path)
-        baseline.save(found)
-
-        reloaded = Baseline.load(baseline_path)
-        assert reloaded.fingerprints == {found[0].fingerprint}
-        result = run_lint([root / "src"], root=root, baseline=reloaded)
-        assert result.findings == []
-        assert codes(result.baselined) == ["NUM001"]
-
-    def test_fingerprint_survives_line_moves(self, project, tmp_path):
-        root = project({"src/repro/ecc/kernel.py": BAD_ECC})
-        before = lint(root)
-
-        # Prepend unrelated code: the finding moves down three lines.
-        shifted = '"""Docstring added later."""\nHELP = "x"\n\n' + BAD_ECC
-        (root / "src/repro/ecc/kernel.py").write_text(shifted, encoding="utf-8")
-        after = lint(root)
-
-        assert after[0].line == before[0].line + 3
-        assert after[0].fingerprint == before[0].fingerprint
-
-    def test_new_findings_not_grandfathered(self, project, tmp_path):
-        root = project({"src/repro/ecc/kernel.py": BAD_ECC})
-        baseline = Baseline(path=tmp_path / "baseline.json")
-        baseline.save(lint(root))
-
-        grown = BAD_ECC + "\ndef more(n):\n    return np.ones(n)\n"
-        (root / "src/repro/ecc/kernel.py").write_text(grown, encoding="utf-8")
-        result = run_lint([root / "src"], root=root, baseline=baseline)
-        assert codes(result.findings) == ["NUM001"]
-        assert result.findings[0].symbol == "more"
-        assert codes(result.baselined) == ["NUM001"]
-
-    def test_empty_baseline_changes_nothing(self, project, tmp_path):
-        root = project({"src/repro/ecc/kernel.py": BAD_ECC})
-        missing = Baseline.load(tmp_path / "absent.json")
-        result = run_lint([root / "src"], root=root, baseline=missing)
-        assert codes(result.findings) == ["NUM001"]
-        assert result.baselined == []
 
 
 class TestSelection:

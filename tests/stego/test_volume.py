@@ -6,7 +6,7 @@ import pytest
 from repro.crypto import HidingKey
 from repro.ecc.page import PagePipeline
 from repro.ftl import Ftl
-from repro.hiding import STANDARD_CONFIG, VtHi
+from repro.hiding import STANDARD_CONFIG, PayloadError, VtHi
 from repro.stego import HiddenVolume, HiddenVolumeError
 
 VOLUME_CFG = STANDARD_CONFIG.replace(bits_per_page=512, ecc_m=10, ecc_t=18)
@@ -165,3 +165,96 @@ def test_panic_erase_clears_the_map(stack):
     # the data is still physically recoverable until blocks churn — a
     # remount with the key finds it again (the map was never persisted)
     assert volume.mount() == 1
+
+
+def lpa_at(ftl, location):
+    return next(lpa for lpa in range(60) if ftl.locate(lpa) == location)
+
+
+class TestRescue:
+    """§5.1's re-embedding, the volume's one durability path: a slot
+    leaves its host before the host's public data goes, onto the FTL's
+    offered target when that page can take it."""
+
+    def test_invalidated_host_moves_payload(self, stack):
+        ftl, volume = stack
+        data = secret(volume, 20)
+        volume.write(0, data)
+        host = volume._slots[0][0]
+        ftl.trim(lpa_at(ftl, host))
+        moved = volume._slots[0][0]
+        assert moved != host
+        assert volume._hosts == {moved}
+        assert volume.read(0) == data
+
+    def test_remount_after_rescue_finds_the_moved_slot(self, stack):
+        ftl, volume = stack
+        data = secret(volume, 21)
+        volume.write(0, data)
+        ftl.write(lpa_at(ftl, volume._slots[0][0]), b"public overwrite")
+        moved = volume._slots[0][0]
+        volume.panic_erase()
+        assert volume.mount() == 1
+        assert volume._slots[0][0] == moved
+        assert volume.read(0) == data
+
+    def test_relocation_takes_the_offered_target(self, stack):
+        _, volume = stack
+        volume.write(0, b"follow the public data")
+        host = volume._slots[0][0]
+        free = volume._eligible_hosts() - volume._hosts - volume._burned
+        # Not the page a fresh placement would pick.
+        target = max(free)
+        assert target != volume._find_host()
+        volume._on_relocation(0, host, target)
+        assert volume._slots[0][0] == target
+        assert volume.read(0) == b"follow the public data"
+
+    @pytest.mark.parametrize("offer", ["off_stride", "burned", "hosting"])
+    def test_unfit_target_falls_back_to_a_free_host(self, stack, offer):
+        ftl, volume = stack
+        volume.write(0, b"stale")
+        burned = volume._slots[0][0]
+        volume.write(0, b"keep me")
+        volume.write(1, b"neighbour")
+        host, hosting = volume._slots[0][0], volume._slots[1][0]
+        target = {
+            "off_stride": next(
+                loc for loc, _ in ftl.page_map.valid_locations()
+                if loc[1] % volume.vthi.config.page_stride
+            ),
+            "burned": burned,
+            "hosting": hosting,
+        }[offer]
+        volume._on_relocation(0, host, target)
+        moved = volume._slots[0][0]
+        assert moved not in (host, target, burned, hosting)
+        assert volume.read(0) == b"keep me"
+        assert volume.read(1) == b"neighbour"
+
+    def test_page_without_a_slot_is_left_alone(self, stack):
+        ftl, volume = stack
+        volume.write(0, b"untouched")
+        slots, burned = dict(volume._slots), set(volume._burned)
+        bystander = next(
+            loc for loc, _ in ftl.page_map.valid_locations()
+            if loc not in volume._hosts
+        )
+        ftl.trim(lpa_at(ftl, bystander))
+        assert volume._slots == slots
+        assert volume._burned == burned
+
+    def test_lost_hidden_charge_fails_loudly(self, stack):
+        """A slot the rescue cannot read raises instead of vanishing
+        from the map."""
+        ftl, volume = stack
+        volume.write(0, b"gone")
+        host = volume._slots[0][0]
+        public = volume.vthi.public_view(*host)
+        # The hidden charge is lost behind the FTL's back; the public
+        # page is programmed again as it was.
+        ftl.chip.erase_block(host[0])
+        ftl.chip.program_page(*host, public)
+        with pytest.raises(PayloadError, match="uncorrectable"):
+            ftl.trim(lpa_at(ftl, host))
+        assert volume._slots[0][0] == host
